@@ -23,6 +23,7 @@ from .corpus import (
 )
 from .errors import (
     CorpusFormatError,
+    DomainError,
     DynamicCallUnsupported,
     EncodingError,
     ExternalNameCollision,
@@ -36,7 +37,7 @@ from .modularity import DEFAULT_TAU, categorize_solutions, score_unit
 from .parsing import parse
 from .passk import EvalResult, aggregate
 from .profiles import available_profiles, get_profile
-from .sandbox import RunLimits, count_correct
+from .sandbox import RunLimits, passes_each
 from .stats import (
     DEFAULT_BINS,
     LogProbRecord,
@@ -232,7 +233,7 @@ def _cmd_singularize(args) -> int:
                 ))
         if not verify_equivalence(unit, transformed, tests, config.limits(),
                                   exact=config.exact_output):
-            print("verification failed: verdicts differ", file=sys.stderr)
+            print("verification failed: verdicts or outputs differ", file=sys.stderr)
             return EXIT_TRANSFORM
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -261,12 +262,22 @@ def _cmd_filter(args) -> int:
     return EXIT_OK
 
 
+def _parse_ks(text: str) -> list[int]:
+    try:
+        ks = sorted({int(k) for k in text.split(",")})
+    except ValueError:
+        raise DomainError(f"--k takes comma-separated integers, got {text!r}") from None
+    if ks[0] < 1:
+        raise DomainError(f"--k values must be >= 1, got {ks[0]}")
+    return ks
+
+
 def _cmd_passk(args) -> int:
     config = _build_config(args)
+    ks = _parse_ks(args.k)
     problems = {p.id: p for p in load_corpus(args.corpus)}
     generations = load_generations(args.gens)
-    ks = sorted({int(k) for k in args.k.split(",")})
-    results = []
+    judged = []
     skipped = []
     for pid in sorted(problems):
         problem = problems[pid]
@@ -278,14 +289,20 @@ def _cmd_passk(args) -> int:
             skipped.append({"id": pid, "reason": "no tests"})
             continue
         if args.n is not None and len(gens) != args.n:
-            raise CorpusFormatError(
+            raise DomainError(
                 f"problem {pid}: expected n={args.n} generations, got {len(gens)}"
             )
-        c = count_correct(
-            gens, problem.tests, config.limits(),
-            exact=config.exact_output, jobs=_effective_jobs(config.jobs),
-        )
-        results.append(EvalResult.from_counts(pid, len(gens), c, ks))
+        if ks[-1] > len(gens):
+            raise DomainError(f"problem {pid}: k={ks[-1]} exceeds n={len(gens)}")
+        judged.append((pid, gens, problem.tests))
+    verdicts = iter(passes_each(
+        [(code, tests) for _, gens, tests in judged for code in gens],
+        config.limits(), exact=config.exact_output, jobs=_effective_jobs(config.jobs),
+    ))
+    results = [
+        EvalResult.from_counts(pid, len(gens), sum(next(verdicts) for _ in gens), ks)
+        for pid, gens, _ in judged
+    ]
     rows = [
         {
             "problem_id": r.problem_id,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import CorpusFormatError
-from .sandbox import RunLimits, passes_all
+from .sandbox import RunLimits, passes_each
 
 NO_TESTS_REASON = "insufficient or absent test cases"
 NO_SOLUTIONS_REASON = "no solutions passing test cases"
@@ -157,24 +157,16 @@ def filter_corpus(
     report = FilterReport(problems_before=len(problems))
     report.solutions_before = sum(len(p.solutions) for p in problems)
 
-    def survivors(problem: Problem) -> list[str]:
-        return [s for s in problem.solutions if passes_all(s, problem.tests, limits, exact)]
-
+    verdicts = iter(passes_each(
+        [(s, p.tests) for p in problems if p.tests for s in p.solutions],
+        limits, exact, jobs,
+    ))
     kept: list[Problem] = []
-    if jobs and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            passing = list(
-                pool.map(lambda p: survivors(p) if p.tests else [], problems)
-            )
-    else:
-        passing = [survivors(p) if p.tests else [] for p in problems]
-
-    for problem, good in zip(problems, passing):
+    for problem in problems:
         if not problem.tests:
             report.dropped.append({"id": problem.id, "reason": NO_TESTS_REASON})
             continue
+        good = [s for s in problem.solutions if next(verdicts)]
         if not good:
             report.dropped.append({"id": problem.id, "reason": NO_SOLUTIONS_REASON})
             continue

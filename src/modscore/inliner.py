@@ -39,7 +39,7 @@ from .errors import (
     TransformUnsupported,
 )
 from .parsing import FunctionDef, SourceUnit, parse
-from .sandbox import RunLimits, run_solution
+from .sandbox import RunLimits, outputs_match, run_solution
 
 HEADER_COMMENT = (
     "# de-modularized output: every helper was inlined at its call sites;"
@@ -1055,13 +1055,17 @@ def verify_equivalence(
     limits: RunLimits,
     exact: bool = False,
 ) -> bool:
-    """True iff both units produce identical verdicts on every test.
+    """True iff both units produce the same verdict and output on every test.
 
-    Sandbox failures propagate as SandboxUnavailable, never as a verdict.
+    Outputs are compared as the judge compares them: normalized, or
+    byte-exact when ``exact``. Sandbox failures propagate as
+    SandboxUnavailable, never as a verdict.
     """
     for test in tests:
         before = run_solution(original.text, test, limits, exact=exact)
         after = run_solution(transformed.text, test, limits, exact=exact)
         if before.verdict != after.verdict:
+            return False
+        if not outputs_match(before.stdout, after.stdout, exact=exact):
             return False
     return True

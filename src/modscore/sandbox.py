@@ -4,8 +4,14 @@ Each run is a separate OS process: an isolated interpreter (-I), its own
 process group (killed wholesale on timeout), CPU and address-space
 rlimits, and stdout redirected to a size-capped file (RLIMIT_FSIZE turns
 runaway output into a resource verdict instead of filling the disk).
-Network isolation is left to the surrounding environment; the runner
-interface is pluggable for anything stronger.
+Network isolation is left to the surrounding environment.
+
+Batches (``passes_each``, ``count_correct``) go through one job queue of
+programs served by worker threads, each owning a zygote: a pre-started
+``python -I`` that forks one child per run (``_zygote.py``), so a run
+costs a fork instead of an interpreter start-up. A run outside a batch
+spawns a fresh interpreter; that path is also the reference the zygote
+is tested against.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +32,12 @@ try:
     import resource
 except ImportError:  # non-POSIX
     resource = None
+
+_ZYGOTE_MAIN = str(Path(__file__).with_name("_zygote.py"))
+
+# The zygote of the current worker thread, if any. run_program keeps its
+# signature, so a worker hands it the zygote through the thread it runs on.
+_worker = threading.local()
 
 
 @dataclass(frozen=True)
@@ -60,70 +73,128 @@ def outputs_match(actual: bytes, expected: bytes, exact: bool = False) -> bool:
     return normalize_output(actual) == normalize_output(expected)
 
 
-def _child_limits(limits: RunLimits):
-    def apply():
-        os.setsid()
-        resource.setrlimit(resource.RLIMIT_AS, (limits.memory, limits.memory))
-        cap = limits.output_cap
-        resource.setrlimit(resource.RLIMIT_FSIZE, (cap, cap))
-        cpu = max(1, int(limits.wall_time) + 1)
-        resource.setrlimit(resource.RLIMIT_CPU, (cpu, cpu + 1))
+def _spawn(tmp: str, limits: RunLimits) -> tuple[int, bool]:
+    """Run tmp/prog.py in a fresh interpreter: (return code, timed out).
 
-    return apply
+    ``preexec_fn`` can deadlock when other threads run Python code, so
+    batches never take this path: their workers always own a zygote.
+    """
+    from ._zygote import limit  # POSIX only, like `resource`
+
+    tmp_path = Path(tmp)
+    try:
+        with open(tmp_path / "stdin", "rb") as fin, \
+                open(tmp_path / "stdout", "wb") as fout, \
+                open(tmp_path / "stderr", "wb") as ferr:
+            proc = subprocess.Popen(
+                [sys.executable, "-I", "prog.py"],
+                stdin=fin,
+                stdout=fout,
+                stderr=ferr,
+                cwd=tmp,
+                preexec_fn=lambda: limit(limits.memory, limits.output_cap, limits.wall_time),
+            )
+    except OSError as exc:
+        raise SandboxUnavailable(f"cannot spawn interpreter: {exc}") from exc
+    try:
+        return proc.wait(timeout=limits.wall_time), False
+    except subprocess.TimeoutExpired:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        return proc.wait(), True
+
+
+class _Zygote:
+    """A pre-started ``python -I`` that forks one child per run (``_zygote.py``).
+
+    Start-up is paid once per worker instead of once per run. The child
+    isolates itself as ``_spawn``'s does; the zygote enforces the wall
+    time. A zygote that cannot start or dies raises SandboxUnavailable.
+    """
+
+    def __init__(self):
+        request_r, request_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        try:
+            self._proc = subprocess.Popen(
+                [sys.executable, "-I", _ZYGOTE_MAIN, str(request_r), str(reply_w)],
+                stdin=subprocess.DEVNULL,
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL,
+                pass_fds=(request_r, reply_w),
+            )
+        except OSError as exc:
+            os.close(request_w)
+            os.close(reply_r)
+            raise SandboxUnavailable(f"cannot start zygote: {exc}") from exc
+        finally:
+            os.close(request_r)
+            os.close(reply_w)
+        self._requests = open(request_w, "wb", buffering=0)
+        self._replies = open(reply_r, "rb")
+
+    def run(self, tmp: str, limits: RunLimits) -> tuple[int, bool]:
+        """Run tmp/prog.py in a forked child: (return code, timed out)."""
+        fields = (tmp, repr(limits.wall_time), str(limits.memory), str(limits.output_cap))
+        try:
+            self._requests.write(b"\0".join(map(os.fsencode, fields)) + b"\n")
+            reply = self._replies.readline()
+        except OSError as exc:
+            raise SandboxUnavailable(f"zygote unreachable: {exc}") from exc
+        if not reply.endswith(b"\n"):
+            raise SandboxUnavailable("zygote exited during a run")
+        kind, _, rest = reply[:-1].partition(b" ")
+        if kind == b"E":
+            raise SandboxUnavailable(f"cannot isolate run: {rest.decode('utf-8', 'replace')}")
+        return int(kind), rest == b"1"
+
+    def close(self):
+        """End the zygote (EOF on its requests) and reap it."""
+        self._requests.close()
+        self._replies.close()
+        self._proc.wait()
+
+
+def _classify(returncode: int, timed_out: bool, stdout: bytes, stderr: bytes,
+              duration: float, limits: RunLimits) -> RunResult:
+    if timed_out:
+        return RunResult("timeout", stdout, duration)
+    if returncode != 0:
+        if returncode == -signal.SIGXFSZ or len(stdout) >= limits.output_cap:
+            return RunResult("resource_exceeded", stdout, duration, "output cap")
+        if returncode == -signal.SIGKILL or b"MemoryError" in stderr:
+            return RunResult("resource_exceeded", stdout, duration, "memory")
+        if returncode == -signal.SIGXCPU:
+            return RunResult("timeout", stdout, duration, "cpu")
+        lines = stderr.decode("utf-8", "replace").strip().splitlines()
+        return RunResult("runtime_error", stdout, duration, lines[-1] if lines else "")
+    return RunResult("completed", stdout, duration)
 
 
 def run_program(code: str, stdin_data: bytes, limits: RunLimits) -> RunResult:
-    """Execute one program once and classify the outcome."""
+    """Execute one program once and classify the outcome.
+
+    Inside ``_in_zygotes`` the run forks from the worker's zygote;
+    anywhere else it spawns a fresh interpreter.
+    """
     if resource is None:
         raise SandboxUnavailable("resource limits unsupported on this platform")
+    zygote = getattr(_worker, "zygote", None)
     with tempfile.TemporaryDirectory(prefix="modscore-run-") as tmp:
         tmp_path = Path(tmp)
         (tmp_path / "prog.py").write_text(code, encoding="utf-8")
         (tmp_path / "stdin").write_bytes(stdin_data)
-        out_path = tmp_path / "stdout"
-        err_path = tmp_path / "stderr"
         start = time.monotonic()
-        try:
-            with open(tmp_path / "stdin", "rb") as fin, \
-                    open(out_path, "wb") as fout, open(err_path, "wb") as ferr:
-                proc = subprocess.Popen(
-                    [sys.executable, "-I", "prog.py"],
-                    stdin=fin,
-                    stdout=fout,
-                    stderr=ferr,
-                    cwd=tmp,
-                    preexec_fn=_child_limits(limits),
-                )
-        except OSError as exc:
-            raise SandboxUnavailable(f"cannot spawn interpreter: {exc}") from exc
-        timed_out = False
-        try:
-            returncode = proc.wait(timeout=limits.wall_time)
-        except subprocess.TimeoutExpired:
-            timed_out = True
-            try:
-                os.killpg(proc.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            returncode = proc.wait()
+        if zygote is None:
+            returncode, timed_out = _spawn(tmp, limits)
+        else:
+            returncode, timed_out = zygote.run(tmp, limits)
         duration = time.monotonic() - start
-        stdout = out_path.read_bytes()[: limits.output_cap]
-        stderr = err_path.read_bytes()[:4096]
-
-        if timed_out:
-            return RunResult("timeout", stdout, duration)
-        if returncode != 0:
-            if returncode == -signal.SIGXFSZ or len(stdout) >= limits.output_cap:
-                return RunResult("resource_exceeded", stdout, duration, "output cap")
-            if returncode == -signal.SIGKILL or b"MemoryError" in stderr:
-                return RunResult("resource_exceeded", stdout, duration, "memory")
-            if returncode == -signal.SIGXCPU:
-                return RunResult("timeout", stdout, duration, "cpu")
-            return RunResult(
-                "runtime_error", stdout, duration,
-                stderr.decode("utf-8", "replace").strip().splitlines()[-1] if stderr else "",
-            )
-        return RunResult("completed", stdout, duration)
+        stdout = (tmp_path / "stdout").read_bytes()[: limits.output_cap]
+        stderr = (tmp_path / "stderr").read_bytes()[:4096]
+    return _classify(returncode, timed_out, stdout, stderr, duration, limits)
 
 
 def run_solution(code: str, test, limits: RunLimits, exact: bool = False) -> RunResult:
@@ -143,14 +214,48 @@ def passes_all(code: str, tests, limits: RunLimits, exact: bool = False) -> bool
     return True
 
 
+def _in_zygotes(fn, items: list, jobs: int) -> list:
+    """[fn(item) for item in items] over min(jobs, len(items)) worker threads.
+
+    Each worker starts its own zygote on its first item, so ``run_program``
+    calls made by ``fn`` fork from it. Every zygote started is closed and
+    reaped before this returns, also when ``fn`` raises.
+    """
+    if not items:
+        return []
+    from concurrent.futures import ThreadPoolExecutor
+
+    zygotes: list[_Zygote] = []
+
+    def job(item):
+        if getattr(_worker, "zygote", None) is None:
+            _worker.zygote = _Zygote()
+            zygotes.append(_worker.zygote)
+        return fn(item)
+
+    try:
+        with ThreadPoolExecutor(max_workers=max(1, min(jobs, len(items)))) as pool:
+            futures = [pool.submit(job, item) for item in items]
+            try:
+                return [future.result() for future in futures]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    finally:
+        for zygote in zygotes:
+            zygote.close()
+
+
+def passes_each(programs, limits: RunLimits, exact: bool = False, jobs: int = 0) -> list[bool]:
+    """passes_all for each (code, tests) pair, fanned out over one job queue."""
+    return _in_zygotes(
+        lambda program: passes_all(program[0], program[1], limits, exact=exact),
+        list(programs), jobs,
+    )
+
+
 def count_correct(candidates, tests, limits: RunLimits, exact: bool = False, jobs: int = 0) -> int:
     """Number of candidates that pass every test."""
     if not tests:
         raise ValueError("tests must be non-empty")
-    if jobs and jobs > 1 and len(candidates) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            flags = list(pool.map(lambda c: passes_all(c, tests, limits, exact), candidates))
-        return sum(flags)
-    return sum(passes_all(code, tests, limits, exact=exact) for code in candidates)
+    return sum(passes_each([(code, tests) for code in candidates], limits, exact, jobs))

@@ -212,3 +212,26 @@ def test_table_output(capsys, tmp_path):
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
     assert "cc_total" in out
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--k", "a"], "--k takes comma-separated integers"),
+    (["--k", "1,0"], "--k values must be >= 1"),
+    (["--k", "5", "--n", "4"], "k=5 exceeds n=4"),
+    (["--k", "5"], "k=5 exceeds n=4"),
+    (["--n", "3"], "expected n=3 generations, got 4"),
+])
+def test_passk_rejects_bad_input_before_running(capsys, monkeypatch, flags, message):
+    import modscore.cli as cli_module
+
+    def no_runs(*args, **kwargs):
+        raise AssertionError("sandbox ran before validation")
+
+    monkeypatch.setattr(cli_module, "passes_each", no_runs)
+    code, out, err = run_cli(
+        capsys, "passk", str(FIXTURES / "mini_corpus.jsonl"),
+        "--gens", str(FIXTURES / "mini_generations.jsonl"), *flags,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and message in err

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from modscore.corpus import load_corpus
+from modscore.corpus import TestCase, load_corpus
 from modscore.errors import (
     DynamicCallUnsupported,
     ExternalNameCollision,
@@ -318,6 +318,15 @@ def test_verify_equivalence_detects_mutation(fast_limits, fixtures_dir):
     unit = parse(problem.solutions[0])
     broken = parse("print(int(input()) * 2 + 1)\n")
     assert not verify_equivalence(unit, broken, problem.tests, fast_limits)
+
+
+def test_verify_equivalence_compares_output(fast_limits):
+    tests = [TestCase(b"", b"3\n")]
+    one, two = parse("print(1)\n"), parse("print(2)\n")
+    assert not verify_equivalence(one, two, tests, fast_limits)
+    padded = parse("print('1 ')\n")
+    assert verify_equivalence(one, padded, tests, fast_limits)
+    assert not verify_equivalence(one, padded, tests, fast_limits, exact=True)
 
 
 def test_fixture_pair_verifies(fast_limits, fixtures_dir):

@@ -40,6 +40,13 @@ def test_runtime_error(fast_limits):
     assert "ValueError" in result.detail
 
 
+def test_whitespace_only_stderr_is_runtime_error(fast_limits):
+    code = "import sys\nsys.stderr.write('\\n')\nsys.exit(3)\n"
+    result = run_solution(code, TestCase(b"", b""), fast_limits)
+    assert result.verdict == "runtime_error"
+    assert result.detail == ""
+
+
 def test_memory_limit_exceeded():
     limits = RunLimits(wall_time=5.0, memory=128 * 1024 * 1024, output_cap=64 * 1024)
     hog = "data = bytearray(512 * 1024 * 1024)\nprint(len(data))\n"
