@@ -10,13 +10,7 @@ from .complexity import (
     unit_complexity,
 )
 from .corpus import FilterReport, Problem, TestCase, filter_corpus, load_corpus
-from .inliner import (
-    InlinePlan,
-    inline_all,
-    plan_inlining,
-    singularize,
-    verify_equivalence,
-)
+from .inliner import singularize, verify_equivalence
 from .modularity import (
     Categorization,
     CodeCategory,
@@ -48,7 +42,7 @@ __all__ = [
     "ControlFlowGraph", "build_cfg", "graph_counts",
     "ComplexityReport", "cc_decision_points", "cc_from_cfg", "unit_complexity",
     "FilterReport", "Problem", "TestCase", "filter_corpus", "load_corpus",
-    "InlinePlan", "inline_all", "plan_inlining", "singularize", "verify_equivalence",
+    "singularize", "verify_equivalence",
     "Categorization", "CodeCategory", "Label", "ModularityReport", "Provenance",
     "categorize_solutions", "ideal_modules", "modularity_score", "score_unit",
     "FunctionDef", "SourceUnit", "parse",

@@ -178,7 +178,7 @@ class _Builder:
         for expr in exprs:
             if expr is None:
                 continue
-            for kind in _iter_expr_decisions(expr, self.profile.counts_boolops()):
+            for kind in _iter_expr_decisions(expr, self.profile.count_short_circuit):
                 test = self._node(f"{kind}-test", frontier)
                 alt = self._node(f"{kind}-arm", [test])
                 frontier = [test, alt]

@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import __version__
 from .corpus import (
@@ -22,6 +22,7 @@ from .corpus import (
     save_corpus,
 )
 from .errors import (
+    ConfigError,
     CorpusFormatError,
     DomainError,
     DynamicCallUnsupported,
@@ -32,7 +33,7 @@ from .errors import (
     SandboxUnavailable,
     TransformUnsupported,
 )
-from .inliner import inline_all, plan_inlining, verify_equivalence
+from .inliner import singularize, verify_equivalence
 from .modularity import DEFAULT_TAU, categorize_solutions, score_unit
 from .parsing import parse
 from .passk import EvalResult, aggregate
@@ -102,17 +103,41 @@ class RunConfig:
         }
 
 
+_CONFIG_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
+
+
 def _effective_jobs(jobs: int) -> int:
     return jobs if jobs > 0 else (os.cpu_count() or 1)
+
+
+def _read_config(path: str) -> dict:
+    """The settings of a config file, checked against RunConfig's fields."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            data = json.load(handle)
+        except ValueError as exc:
+            raise ConfigError(f"config {path}: not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path}: must hold a JSON object")
+    for key, value in data.items():
+        want = _CONFIG_TYPES.get(key)
+        if want is None:
+            raise ConfigError(
+                f"config {path}: unknown key {key!r}; known: {sorted(_CONFIG_TYPES)}"
+            )
+        accepted = (int, float) if want is float else want
+        if isinstance(value, bool) is not (want is bool) or not isinstance(value, accepted):
+            raise ConfigError(
+                f"config {path}: {key!r} must be {want.__name__}, got {value!r}"
+            )
+    return data
 
 
 def _build_config(args) -> RunConfig:
     config = RunConfig()
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as handle:
-            for key, value in json.load(handle).items():
-                if hasattr(config, key):
-                    setattr(config, key, value)
+        for key, value in _read_config(args.config).items():
+            setattr(config, key, value)
     for key in (
         "profile", "tau", "seed", "jobs", "wall_time", "memory",
         "output_cap", "exact_output",
@@ -127,6 +152,14 @@ def _build_config(args) -> RunConfig:
     env_profile = os.environ.get("MODSCORE_PROFILE")
     if env_profile:
         config.profile = env_profile
+    if config.profile not in available_profiles():
+        raise ConfigError(
+            f"unknown profile {config.profile!r}; available: {available_profiles()}"
+        )
+    try:
+        config.limits()  # RunLimits rejects a limit that is not positive
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return config
 
 
@@ -216,17 +249,26 @@ def _cmd_singularize(args) -> int:
     with open(args.file, "rb") as handle:
         text = handle.read()
     unit = parse(text, profile, unit_id=args.file)
-    transformed = inline_all(unit, plan_inlining(unit))
+    transformed = singularize(unit)
     if args.verify:
         from .corpus import TestCase
 
         tests = []
         with open(args.verify, "r", encoding="utf-8") as handle:
-            for line in handle:
+            for line_no, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                row = json.loads(line)
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusFormatError(
+                        f"{args.verify} line {line_no}: invalid JSON: {exc}"
+                    ) from None
+                if not isinstance(row, dict) or "input" not in row or "output" not in row:
+                    raise CorpusFormatError(
+                        f"{args.verify} line {line_no}: test needs input/output"
+                    )
                 tests.append(TestCase(
                     input=str(row["input"]).encode(),
                     expected_output=str(row["output"]).encode(),
@@ -471,7 +513,8 @@ def main(argv: list[str] | None = None) -> int:
     except SandboxUnavailable as exc:
         print(f"modscore: sandbox unavailable: {exc}", file=sys.stderr)
         return EXIT_SANDBOX
-    except (CorpusFormatError, EncodingError, FileNotFoundError, SyntaxError) as exc:
+    except (CorpusFormatError, EncodingError, FileNotFoundError, IsADirectoryError,
+            SyntaxError) as exc:
         print(f"modscore: {exc}", file=sys.stderr)
         return EXIT_CORPUS
     except ModscoreError as exc:

@@ -16,7 +16,7 @@ function; class bodies and lambda bodies count toward the enclosing one.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cfg import ControlFlowGraph, build_cfg, graph_counts
 from .parsing import FunctionDef, SourceUnit
@@ -30,7 +30,6 @@ class ComplexityReport:
     cc_total: int
     cc_avg: float
     function_count: int
-    graphs: dict[FunctionDef, ControlFlowGraph] = field(default_factory=dict)
 
 
 def cc_from_cfg(cfg: ControlFlowGraph) -> int:
@@ -103,7 +102,7 @@ class _DecisionCounter(ast.NodeVisitor):
 
 def cc_decision_points(fn: FunctionDef, profile: SubjectProfile = PY3) -> int:
     """Classical decision-point form: 1 + number of decisions in the body."""
-    counter = _DecisionCounter(profile.counts_boolops())
+    counter = _DecisionCounter(profile.count_short_circuit)
     for stmt in fn.body:
         counter.visit(stmt)
     return 1 + counter.decisions
@@ -116,15 +115,8 @@ def unit_complexity(unit: SourceUnit, profile: SubjectProfile | None = None) -> 
     named definitions only (0.0 when there are none).
     """
     profile = profile or unit.profile
-    per_function: dict[FunctionDef, int] = {}
-    graphs: dict[FunctionDef, ControlFlowGraph] = {}
-    for fn in unit.functions:
-        graph = build_cfg(fn, profile)
-        graphs[fn] = graph
-        per_function[fn] = cc_from_cfg(graph)
-    top_graph = build_cfg(unit.toplevel, profile)
-    graphs[unit.toplevel] = top_graph
-    toplevel_cc = cc_from_cfg(top_graph)
+    per_function = {fn: cc_from_cfg(build_cfg(fn, profile)) for fn in unit.functions}
+    toplevel_cc = cc_from_cfg(build_cfg(unit.toplevel, profile))
     total = sum(per_function.values()) + toplevel_cc
     count = len(per_function)
     avg = (sum(per_function.values()) / count) if count else 0.0
@@ -134,5 +126,4 @@ def unit_complexity(unit: SourceUnit, profile: SubjectProfile | None = None) -> 
         cc_total=total,
         cc_avg=avg,
         function_count=count,
-        graphs=graphs,
     )

@@ -80,5 +80,9 @@ class EmptyCategory(ModscoreError):
     """A category summary was requested for a category with no records."""
 
 
+class ConfigError(ModscoreError):
+    """A config file, flag or environment setting is unknown, ill-typed or out of range."""
+
+
 class CorpusFormatError(ModscoreError):
     """A corpus or generations file does not match the documented schema."""

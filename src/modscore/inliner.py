@@ -38,8 +38,8 @@ from .errors import (
     RecursionUnsupported,
     TransformUnsupported,
 )
-from .parsing import FunctionDef, SourceUnit, parse
-from .sandbox import RunLimits, outputs_match, run_solution
+from .parsing import SourceUnit, parse
+from .sandbox import RunLimits, _in_zygotes, outputs_match, run_solution
 
 HEADER_COMMENT = (
     "# de-modularized output: every helper was inlined at its call sites;"
@@ -57,13 +57,6 @@ PURE_BUILTINS = frozenset({
 })
 
 _DEF_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-
-@dataclass(eq=False)
-class InlinePlan:
-    order: list[FunctionDef]  # callees before callers
-    call_sites: dict[FunctionDef, list[tuple[int, int]]]
-    fresh_name_seed: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +144,9 @@ def _stored_names(tree) -> set[str]:
 
 
 class _FreshNames:
-    def __init__(self, taken: set[str], seed: int = 0):
+    def __init__(self, taken: set[str]):
         self.taken = set(taken)
-        self.counter = seed
+        self.counter = 0
 
     def make(self, base: str) -> str:
         while True:
@@ -165,20 +158,15 @@ class _FreshNames:
 
 
 # ---------------------------------------------------------------------------
-# plan
+# call-graph analysis
 
 
-@dataclass(eq=False)
-class _Analysis:
-    planned: dict[str, ast.AST]  # name -> def node (in the analyzed tree)
-    order: list[str]  # callee-first
-    sites: dict[str, list[ast.Call]]
-    site_owners: dict[int, list[str]]  # id(call) -> enclosing planned defs
-    locals_of: dict[str, set[str]]
-    effective_free: dict[str, set[str]]
+def _analyze(tree: ast.Module) -> dict[str, ast.AST]:
+    """Every definition by name, once the call graph is known to be inlinable.
 
-
-def _analyze(tree: ast.Module) -> _Analysis:
+    Raises RecursionUnsupported, DynamicCallUnsupported, or
+    ExternalNameCollision when the unit cannot be inlined soundly.
+    """
     defs: dict[str, ast.AST] = {}
     for node in ast.walk(tree):
         if isinstance(node, _DEF_NODES):
@@ -314,49 +302,7 @@ def _analyze(tree: ast.Module) -> _Analysis:
                     f"bound in {enclosing[-1]!r}"
                 )
 
-    return _Analysis(
-        planned=defs,
-        order=order,
-        sites=sites,
-        site_owners=site_owners,
-        locals_of=locals_of,
-        effective_free=effective_free,
-    )
-
-
-def plan_inlining(unit: SourceUnit) -> InlinePlan:
-    """Resolve call sites and order definitions callee-first.
-
-    Raises RecursionUnsupported, DynamicCallUnsupported, or
-    ExternalNameCollision when the unit cannot be inlined soundly.
-    """
-    analysis = _analyze(unit.tree)
-    by_node = {id(fn.node): fn for fn in unit.functions}
-    order = [by_node[id(analysis.planned[name])] for name in analysis.order]
-    call_sites: dict[FunctionDef, list[tuple[int, int]]] = {}
-    starts = _line_start_bytes(unit.text)
-    for name in analysis.order:
-        fn = by_node[id(analysis.planned[name])]
-        spans = []
-        for call in analysis.sites[name]:
-            spans.append(_node_span(call, starts, len(unit.text.encode("utf-8"))))
-        call_sites[fn] = spans
-    return InlinePlan(order=order, call_sites=call_sites, fresh_name_seed=0)
-
-
-def _line_start_bytes(text: str) -> list[int]:
-    data = text.encode("utf-8")
-    starts = [0]
-    for i, b in enumerate(data):
-        if b == 0x0A:
-            starts.append(i + 1)
-    return starts
-
-
-def _node_span(node, starts, total) -> tuple[int, int]:
-    begin = starts[node.lineno - 1] + node.col_offset
-    end = starts[node.end_lineno - 1] + node.end_col_offset if node.end_lineno else total
-    return begin, end
+    return defs
 
 
 # ---------------------------------------------------------------------------
@@ -687,11 +633,10 @@ def _rewrite_blocks(node, fn, ctx: _BlockCtx = _BlockCtx()):
                     child_ctx = ctx
                 _rewrite_blocks(stmt, fn, child_ctx)
         elif isinstance(value, list):
+            # expressions hold no statements; only handlers and case arms do
             for item in value:
-                if isinstance(item, ast.AST):
+                if isinstance(item, (ast.excepthandler, ast.match_case)):
                     _rewrite_blocks(item, fn, ctx)
-        elif isinstance(value, ast.AST):
-            _rewrite_blocks(value, fn, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -971,35 +916,30 @@ def _splice_one(stmt, call, def_node, fresh, default_temps, into_function):
         )
         result = ast.Assign(targets=stmt.targets, value=value)
         parts.append(ast.copy_location(result, stmt))
-    for part in parts:
-        ast.fix_missing_locations(part)
     return parts
 
 
-def _splice_function(tree, def_node, fresh, default_temps):
-    fname = def_node.name
+def _splice_all(tree, planned, fresh, default_temps):
+    """Splice every call site and drop every definition in one walk.
+
+    The first time a call site of a helper is reached, the helper's own
+    body gets its callees spliced, so every copy of it is already flat;
+    ``_analyze`` has rejected cycles, so this recursion ends. A helper
+    that is never called is dropped unspliced.
+    """
+    flat: set[str] = set()
 
     def visit(stmt, ctx):
-        if stmt is def_node:
+        if isinstance(stmt, _DEF_NODES):
             return []  # definition removed; hoisted defaults already placed
-        call = None
-        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-            call = stmt.value
-        elif (
-            isinstance(stmt, ast.Assign)
-            and len(stmt.targets) == 1
-            and isinstance(stmt.value, ast.Call)
-        ):
-            call = stmt.value
-        if (
-            call is not None
-            and isinstance(call.func, ast.Name)
-            and call.func.id == fname
-        ):
-            return _splice_one(
-                stmt, call, def_node, fresh, default_temps, ctx.in_function
-            )
-        return None
+        call = _canonical_root_call(stmt, planned)
+        if call is None:
+            return None
+        def_node = planned[call.func.id]
+        if def_node.name not in flat:
+            flat.add(def_node.name)
+            _rewrite_blocks(def_node, visit, _BlockCtx(in_function=True))
+        return _splice_one(stmt, call, def_node, fresh, default_temps, ctx.in_function)
 
     _rewrite_blocks(tree, visit)
 
@@ -1008,27 +948,28 @@ def _splice_function(tree, def_node, fresh, default_temps):
 # public operations
 
 
-def inline_all(unit: SourceUnit, plan: InlinePlan) -> SourceUnit:
-    """Produce the de-modularized unit; identity when nothing is planned."""
-    if not plan.order:
+def singularize(unit: SourceUnit) -> SourceUnit:
+    """Produce the de-modularized unit; identity when it defines no function.
+
+    Raises RecursionUnsupported, DynamicCallUnsupported,
+    ExternalNameCollision, or TransformUnsupported when the unit cannot be
+    inlined soundly.
+    """
+    if unit.function_count == 0:
         return unit
     tree = copy.deepcopy(unit.tree)
-    analysis = _analyze(tree)  # same structure as the plan, on our copy
-    _check_transformable(tree, analysis.planned)
+    planned = _analyze(tree)
+    _check_transformable(tree, planned)
 
-    fresh = _FreshNames(_all_identifiers(tree), plan.fresh_name_seed)
+    fresh = _FreshNames(_all_identifiers(tree))
     pure_names = PURE_BUILTINS - _stored_names(tree)
-    default_temps = _hoist_defaults(tree, set(analysis.planned), fresh)
-
-    planned_names = set(analysis.planned)
+    default_temps = _hoist_defaults(tree, planned, fresh)
 
     def normalize(stmt, ctx):
-        return _normalize_stmt(stmt, planned_names, pure_names, fresh, ctx.in_class)
+        return _normalize_stmt(stmt, planned, pure_names, fresh, ctx.in_class)
 
     _rewrite_blocks(tree, normalize)
-
-    for name in analysis.order:
-        _splice_function(tree, analysis.planned[name], fresh, default_temps)
+    _splice_all(tree, planned, fresh, default_temps)
 
     for node in ast.walk(tree):
         if isinstance(node, _DEF_NODES):
@@ -1043,11 +984,6 @@ def inline_all(unit: SourceUnit, plan: InlinePlan) -> SourceUnit:
     return result
 
 
-def singularize(unit: SourceUnit) -> SourceUnit:
-    """plan_inlining + inline_all in one step."""
-    return inline_all(unit, plan_inlining(unit))
-
-
 def verify_equivalence(
     original: SourceUnit,
     transformed: SourceUnit,
@@ -1058,14 +994,15 @@ def verify_equivalence(
     """True iff both units produce the same verdict and output on every test.
 
     Outputs are compared as the judge compares them: normalized, or
-    byte-exact when ``exact``. Sandbox failures propagate as
-    SandboxUnavailable, never as a verdict.
+    byte-exact when ``exact``. Every run forks from one zygote. Sandbox
+    failures propagate as SandboxUnavailable, never as a verdict.
     """
-    for test in tests:
-        before = run_solution(original.text, test, limits, exact=exact)
-        after = run_solution(transformed.text, test, limits, exact=exact)
-        if before.verdict != after.verdict:
-            return False
-        if not outputs_match(before.stdout, after.stdout, exact=exact):
-            return False
-    return True
+    runs = [(code, test) for test in tests for code in (original.text, transformed.text)]
+    results = _in_zygotes(
+        lambda run: run_solution(run[0], run[1], limits, exact=exact), runs, jobs=1
+    )
+    return all(
+        before.verdict == after.verdict
+        and outputs_match(before.stdout, after.stdout, exact=exact)
+        for before, after in zip(results[::2], results[1::2])
+    )

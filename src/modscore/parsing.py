@@ -8,7 +8,7 @@ toplevel record for the statements outside any definition.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import EncodingError
 from .profiles import PY3, SubjectProfile
@@ -45,14 +45,10 @@ class SourceUnit:
     functions: list[FunctionDef]
     toplevel: FunctionDef
     profile: SubjectProfile = PY3
-    _fn_by_node: dict[int, FunctionDef] = field(default_factory=dict, repr=False)
 
     @property
     def function_count(self) -> int:
         return len(self.functions)
-
-    def function_for_node(self, node: ast.AST) -> FunctionDef | None:
-        return self._fn_by_node.get(id(node))
 
     def unparse(self) -> str:
         """Re-serialize the parse; whitespace may differ, semantics do not."""
@@ -156,7 +152,7 @@ def parse(text: bytes | str, profile: SubjectProfile = PY3, unit_id: str = "<uni
         nesting_depth=0,
         is_toplevel=True,
     )
-    unit = SourceUnit(
+    return SourceUnit(
         id=unit_id,
         text=source,
         tree=tree,
@@ -164,7 +160,3 @@ def parse(text: bytes | str, profile: SubjectProfile = PY3, unit_id: str = "<uni
         toplevel=toplevel,
         profile=profile,
     )
-    for fn in extractor.found:
-        unit._fn_by_node[id(fn.node)] = fn
-    unit._fn_by_node[id(tree)] = toplevel
-    return unit

@@ -1,9 +1,9 @@
 """Subject-language profiles.
 
-A profile names the syntax kinds that count as decision points and as
-module definitions. The default profile covers Python 3 source; the sets
-use `ast` node class names so the parser, the CFG builder, and the
-decision-point counter all agree on what a kind is.
+A profile names one dialect of the counting rules. The decision and
+module kinds themselves are fixed by the counters (``cfg`` and
+``complexity``); a profile only switches the classical short-circuit
+extension on or off.
 """
 
 from __future__ import annotations
@@ -11,41 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-# Kinds that introduce a branch in control flow. BoolOp contributes one
-# decision per operator (len(values) - 1); comprehension kinds contribute
-# one decision per filtering `if` clause; Match contributes one per
-# non-catch-all case arm plus one per guard.
-_PY3_DECISIONS = frozenset({
-    "If",
-    "IfExp",
-    "While",
-    "For",
-    "AsyncFor",
-    "ExceptHandler",
-    "BoolOp",
-    "comprehension",
-    "Match",
-})
-
-_PY3_MODULES = frozenset({"FunctionDef", "AsyncFunctionDef"})
-
-
 @dataclass(frozen=True)
 class SubjectProfile:
-    """What counts as a decision point and as a module for one dialect."""
+    """How one dialect counts decision points."""
 
     name: str
-    decision_constructs: frozenset[str] = _PY3_DECISIONS
-    module_constructs: frozenset[str] = _PY3_MODULES
     # Classical short-circuit extension; off for sensitivity analysis.
     count_short_circuit: bool = True
-
-    def __post_init__(self):
-        if not self.decision_constructs or not self.module_constructs:
-            raise ValueError("profile construct sets must be non-empty")
-
-    def counts_boolops(self) -> bool:
-        return self.count_short_circuit and "BoolOp" in self.decision_constructs
 
 
 PY3 = SubjectProfile(name="py3")

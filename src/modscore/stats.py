@@ -23,6 +23,9 @@ from .errors import (
 
 DEFAULT_PERMUTATIONS = 10_000
 DEFAULT_BINS = 10
+# resamples permuted at a time: bounds the test's memory at this many rows
+# of n floats; the generator draws the same stream as for one whole matrix
+_PERMUTATION_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -107,9 +110,16 @@ def _permutation_p(
     xc = x - x.mean()
     yc = y - y.mean()
     denom = math.sqrt(float((xc @ xc) * (yc @ yc)))
-    perms = rng.permuted(np.tile(yc, (permutations, 1)), axis=1)
-    r_perm = (perms @ xc) / denom
-    hits = int(np.count_nonzero(np.abs(r_perm) >= abs(observed) - 1e-12))
+    block = np.empty((min(permutations, _PERMUTATION_BLOCK), len(yc)))
+    hits = 0
+    for start in range(0, permutations, _PERMUTATION_BLOCK):
+        perms = block[: permutations - start]
+        perms[:] = yc
+        rng.permuted(perms, axis=1, out=perms)
+        # not `perms @ xc`: BLAS rounds a row differently by its position
+        # in the matrix and hands each small product to its threads
+        r_perm = np.einsum("ij,j->i", perms, xc) / denom
+        hits += int(np.count_nonzero(np.abs(r_perm) >= abs(observed) - 1e-12))
     return (hits + 1) / (permutations + 1)
 
 

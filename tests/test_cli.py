@@ -235,3 +235,57 @@ def test_passk_rejects_bad_input_before_running(capsys, monkeypatch, flags, mess
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and message in err
+
+
+BAD_INPUT_CASES = {
+    # name: (command, text of the config file, or of the tests file for
+    # "verify", or None; MODSCORE_PROFILE; exit code; part of the message)
+    "env-profile": ("analyze", None, "bad", 1, "unknown profile 'bad'"),
+    "tau-as-string": ("classify", '{"tau": "5"}', None, 1, "'tau' must be int"),
+    "jobs-as-string": ("filter", '{"jobs": "2"}', None, 1, "'jobs' must be int"),
+    "bool-as-int": ("analyze", '{"seed": true}', None, 1, "'seed' must be int"),
+    "method-name-key": ("filter", '{"limits": 1}', None, 1, "unknown key 'limits'"),
+    "misspelt-key": ("analyze", '{"tua": 3}', None, 1, "unknown key 'tua'"),
+    "not-json": ("analyze", '{"tau": 3', None, 1, "not valid JSON"),
+    "not-an-object": ("analyze", "[3]", None, 1, "must hold a JSON object"),
+    "negative-limit": ("filter", '{"wall_time": -1}', None, 1, "limits must be positive"),
+    "corpus-is-directory": ("classify-dir", None, None, 2, "Is a directory"),
+    "verify-not-json": ("verify", "nope", None, 2, "line 1: invalid JSON"),
+    "verify-lacks-output": ("verify", '{"input": "1"}', None, 2, "line 1: test needs input/output"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT_CASES))
+def test_bad_input_exits_with_one_line(capsys, monkeypatch, tmp_path, case):
+    import modscore.cli as cli_module
+
+    command, text, env_profile, want_code, message = BAD_INPUT_CASES[case]
+
+    def no_runs(*args, **kwargs):
+        raise AssertionError("sandbox ran before validation")
+
+    monkeypatch.setattr(cli_module, "filter_corpus", no_runs)
+    monkeypatch.setattr(cli_module, "verify_equivalence", no_runs)
+    if env_profile is None:
+        monkeypatch.delenv("MODSCORE_PROFILE", raising=False)
+    else:
+        monkeypatch.setenv("MODSCORE_PROFILE", env_profile)
+    source = tmp_path / "a.py"
+    source.write_text("def f(x):\n    return x\nprint(f(1))\n")
+    given = tmp_path / "given"
+    if text is not None:
+        given.write_text(text)
+    corpus = str(FIXTURES / "mini_corpus.jsonl")
+    argv = {
+        "analyze": ["analyze", str(source)],
+        "classify": ["classify", corpus],
+        "filter": ["filter", corpus, "--out", str(tmp_path / "kept.jsonl")],
+        "classify-dir": ["classify", str(tmp_path)],
+        "verify": ["singularize", str(source), "--verify", str(given)],
+    }[command]
+    if text is not None and command != "verify":
+        argv += ["--config", str(given)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == want_code
+    assert out == ""
+    assert err.count("\n") == 1 and message in err

@@ -1,3 +1,5 @@
+import json
+import re
 import subprocess
 import sys
 
@@ -10,7 +12,7 @@ from modscore.errors import (
     RecursionUnsupported,
     TransformUnsupported,
 )
-from modscore.inliner import inline_all, plan_inlining, singularize, verify_equivalence
+from modscore.inliner import singularize, verify_equivalence
 from modscore.modularity import score_unit
 from modscore.parsing import parse
 
@@ -33,31 +35,13 @@ def assert_same_behavior(src: str, stdin: bytes = b""):
     return out
 
 
-# -- plan_inlining -----------------------------------------------------------
-
-
-def test_plan_topological_order():
-    src = "def g(x):\n    return x + 1\n\ndef f(x):\n    return g(x) * 2\n\nprint(f(3))\n"
-    plan = plan_inlining(parse(src))
-    assert [fn.name for fn in plan.order] == ["g", "f"]
-
-
-def test_plan_records_call_spans():
-    src = "def g(x):\n    return x + 1\n\nprint(g(1) + g(2))\n"
-    unit = parse(src)
-    plan = plan_inlining(unit)
-    (g,) = plan.order
-    spans = plan.call_sites[g]
-    assert len(spans) == 2
-    data = unit.text.encode()
-    for a, b in spans:
-        assert data[a:b].startswith(b"g(")
+# -- singularize: rejected call graphs ---------------------------------------
 
 
 def test_self_recursion_rejected():
     src = "def f(x):\n    if x:\n        return f(x - 1)\n    return 0\nprint(f(3))\n"
     with pytest.raises(RecursionUnsupported):
-        plan_inlining(parse(src))
+        singularize(parse(src))
 
 
 def test_mutual_recursion_rejected():
@@ -67,25 +51,25 @@ def test_mutual_recursion_rejected():
         "print(even(4))\n"
     )
     with pytest.raises(RecursionUnsupported):
-        plan_inlining(parse(src))
+        singularize(parse(src))
 
 
 def test_higher_order_use_rejected():
     src = "def f(x):\n    return x\nprint(list(map(f, [1, 2])))\n"
     with pytest.raises(DynamicCallUnsupported):
-        plan_inlining(parse(src))
+        singularize(parse(src))
 
 
 def test_rebinding_rejected():
     src = "def f(x):\n    return x\nf = 3\nprint(f)\n"
     with pytest.raises(DynamicCallUnsupported):
-        plan_inlining(parse(src))
+        singularize(parse(src))
 
 
 def test_shadowing_parameter_rejected():
     src = "def f(x):\n    return x\ndef g(f):\n    return f\nprint(g(f(1)))\n"
     with pytest.raises(DynamicCallUnsupported):
-        plan_inlining(parse(src))
+        singularize(parse(src))
 
 
 def test_nested_called_outside_scope_rejected():
@@ -97,7 +81,7 @@ def test_nested_called_outside_scope_rejected():
         "print(inner(2))\n"
     )
     with pytest.raises(DynamicCallUnsupported):
-        plan_inlining(parse(src))
+        singularize(parse(src))
 
 
 def test_free_name_capture_rejected():
@@ -112,10 +96,10 @@ def test_free_name_capture_rejected():
         "print(use(20))\n"
     )
     with pytest.raises(ExternalNameCollision):
-        plan_inlining(parse(src))
+        singularize(parse(src))
 
 
-# -- inline_all: behavior preservation ---------------------------------------
+# -- singularize: behavior preservation ---------------------------------------
 
 
 def test_single_call_single_return():
@@ -191,8 +175,7 @@ def test_call_in_if_and_for_headers():
 def test_idempotent_on_singular_unit():
     src = "n = int(input())\nprint(n * 2)\n"
     unit = parse(src)
-    out = inline_all(unit, plan_inlining(unit))
-    assert out is unit
+    assert singularize(unit) is unit
 
 
 def test_modularity_collapses_to_zero(fixtures_dir):
@@ -211,7 +194,33 @@ def test_output_header_documents_suffix():
     assert first.startswith("#") and "__inl" in first
 
 
-# -- inline_all: loud rejections ---------------------------------------------
+_FRESH_NAME = re.compile(r"\b\w*?__inl\d+(?:__inl\d+)*\b")
+
+
+def renumbered(text: str) -> str:
+    """Each distinct fresh identifier becomes <base>__inl<k>, k counting
+    distinct identifiers in order of first appearance."""
+    seen: dict[str, str] = {}
+
+    def rename(match):
+        name = match.group(0)
+        return seen.setdefault(name, f"{name.split('__inl')[0]}__inl{len(seen)}")
+
+    return _FRESH_NAME.sub(rename, text)
+
+
+def test_output_matches_golden_up_to_fresh_numbering(fixtures_dir):
+    # singularize_golden.json holds the renumbered output of every solution
+    # of the corpus; the numbering of fresh names is not part of the contract
+    golden = json.loads((fixtures_dir / "singularize_golden.json").read_text())
+    got = {}
+    for problem in load_corpus(fixtures_dir / "singularize_corpus.jsonl"):
+        for i, solution in enumerate(problem.solutions):
+            got[f"{problem.id}[{i}]"] = renumbered(singularize(parse(solution)).text)
+    assert got == golden
+
+
+# -- singularize: loud rejections --------------------------------------------
 
 
 def test_generator_rejected():
@@ -290,6 +299,13 @@ def test_global_declaration_preserved():
         "print(bump(3))\n"
         "print(counter)\n"
     )
+    assert_same_behavior(src)
+
+
+def test_uncalled_helper_dropped_without_splicing_its_body():
+    # f never runs, so the call in it that cannot be bound does not refuse
+    # the unit: f is removed whole
+    src = "def g(a):\n    return a\ndef f(b):\n    return g(b, 2)\nprint(g(1))\n"
     assert_same_behavior(src)
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -124,6 +125,29 @@ def test_permutation_p_reproducible():
     _, p3 = pearson(xs, ys, seed=8)
     assert 0.0 < p1 <= 1.0
     assert p1 != p3 or p1 < 0.05  # different seed resamples differently
+
+
+# (seed, n, slope, permutations, pearson hits + 1, spearman hits + 1): the
+# counts from permuting every resample in one matrix; the resample counts
+# straddle the block size the test works in, so blocking must not move them
+PINNED_P = [
+    (1, 12, 0.5, 10_000, 3244, 7168),
+    (2, 40, 0.2, 10_000, 3035, 3397),
+    (3, 500, 0.05, 10_000, 1760, 1787),
+    (4, 500, 0.08, 2_500, 118, 137),
+    (5, 30, 0.05, 1_000, 30, 31),
+]
+
+
+@pytest.mark.parametrize("seed, n, slope, permutations, pearson_hits, spearman_hits", PINNED_P)
+def test_permutation_p_pinned(seed, n, slope, permutations, pearson_hits, spearman_hits):
+    rng = random.Random(seed)
+    xs = [rng.random() for _ in range(n)]
+    ys = [slope * x + rng.random() for x in xs]
+    _, p = pearson(xs, ys, permutations=permutations, seed=seed)
+    _, rho_p = spearman(xs, ys, permutations=permutations, seed=seed)
+    assert p == pearson_hits / (permutations + 1)
+    assert rho_p == spearman_hits / (permutations + 1)
 
 
 def test_pearson_against_scipy():

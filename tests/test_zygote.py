@@ -14,6 +14,8 @@ from modscore import sandbox
 from modscore.cli import main
 from modscore.corpus import TestCase, filter_corpus, load_corpus
 from modscore.errors import SandboxUnavailable
+from modscore.inliner import verify_equivalence
+from modscore.parsing import parse
 from modscore.sandbox import RunLimits, count_correct, run_solution
 
 from conftest import FIXTURES
@@ -216,4 +218,25 @@ def test_large_jobs_start_one_zygote_per_program_at_most(monkeypatch, tmp_path, 
                  "--jobs", "64"])
     assert code == 0
     assert 1 <= len(started) <= 2
+    assert_no_children()
+
+
+def test_verify_equivalence_forks_every_run_from_one_zygote(fast_limits, monkeypatch):
+    started = []
+
+    class Counted(sandbox._Zygote):
+        def __init__(self):
+            started.append(self)
+            super().__init__()
+
+    def no_spawn(*args, **kwargs):
+        raise AssertionError("verify_equivalence spawned an interpreter")
+
+    monkeypatch.setattr(sandbox, "_Zygote", Counted)
+    monkeypatch.setattr(sandbox, "_spawn", no_spawn)
+    unit = parse(DOUBLE)
+    tests = [TestCase(b"3\n", b"6\n"), TestCase(b"4\n", b"8\n")]
+    assert verify_equivalence(unit, unit, tests, fast_limits)
+    assert not verify_equivalence(unit, parse("print(0)\n"), tests, fast_limits)
+    assert len(started) == 2  # one per call
     assert_no_children()
