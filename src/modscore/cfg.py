@@ -1,14 +1,12 @@
 """Control-flow graph construction for one function body or script.
 
-One node per statement plus a distinguished exit, then single-entry /
-single-exit chains are compacted into basic blocks (compaction removes
-equal numbers of nodes and edges, so E - N + 2P is invariant to it).
-Edges follow syntax: both arms of a conditional, loop body and loop exit,
-one handler-entry edge per except clause from the guarded region's entry,
-back-edges, and early returns to the exit. Decisions that live inside
-expressions (short-circuit operators, conditional expressions,
-comprehension filters) are materialized as branch/merge node pairs so the
-graph counts them.
+Nodes are statements plus the materialized expression decisions, and a
+distinguished exit. Edges follow syntax: both arms of a conditional, loop
+body and loop exit, one handler-entry edge per except clause from the
+guarded region's entry, back-edges, and early returns to the exit.
+Decisions that live inside expressions (short-circuit operators,
+conditional expressions, comprehension filters) are materialized as
+branch/merge node pairs so the graph counts them.
 
 Modeling notes, all chosen so the edge/node counts match the independent
 decision-point count:
@@ -40,16 +38,6 @@ class ControlFlowGraph:
     edges: list[tuple[int, int]]
     entry: int
     exits: frozenset[int]
-    owner: FunctionDef
-    labels: dict[int, str]
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
 
 
 def graph_counts(cfg: ControlFlowGraph) -> tuple[int, int, int]:
@@ -90,38 +78,35 @@ def _is_catchall(case: ast.match_case) -> bool:
     return isinstance(p, ast.MatchAs) and p.pattern is None
 
 
-def _iter_expr_decisions(root: ast.expr, count_boolops: bool):
-    """Yield one marker per expression-level decision, in source order."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
+def _count_expr_decisions(root: ast.expr, count_boolops: bool) -> int:
+    """Expression-level decisions: conditional expressions, short-circuit
+    operators (when counted), comprehension filters."""
+    count = 0
+    for node in ast.walk(root):
         if isinstance(node, ast.IfExp):
-            yield "ifexp"
+            count += 1
         elif isinstance(node, ast.BoolOp) and count_boolops:
-            for _ in node.values[1:]:
-                yield "boolop"
+            count += len(node.values) - 1
         elif isinstance(node, ast.comprehension):
-            for _ in node.ifs:
-                yield "comp-if"
-        stack.extend(reversed([c for c in ast.iter_child_nodes(node)]))
+            count += len(node.ifs)
+    return count
 
 
 class _Builder:
     def __init__(self, profile: SubjectProfile):
         self.profile = profile
-        self.labels: dict[int, str] = {}
         self.edges: list[tuple[int, int]] = []
         self.edge_set: set[tuple[int, int]] = set()
         self.next_id = 0
         # innermost-first stack of ("loop", dict) / ("finally", node) /
         # ("dead", node) jump contexts
         self.ctx: list[tuple[str, object]] = []
-        self.exit_node = self._new("exit")
+        self.dead_exits: list[int] = []
+        self.exit_node = self._new()
 
-    def _new(self, label: str) -> int:
+    def _new(self) -> int:
         nid = self.next_id
         self.next_id += 1
-        self.labels[nid] = label
         return nid
 
     def _edge(self, a: int, b: int):
@@ -129,8 +114,8 @@ class _Builder:
             self.edge_set.add((a, b))
             self.edges.append((a, b))
 
-    def _node(self, label: str, frontier: list[int]) -> int:
-        nid = self._new(label)
+    def _node(self, frontier: list[int]) -> int:
+        nid = self._new()
         for src in frontier:
             self._edge(src, nid)
         return nid
@@ -141,7 +126,8 @@ class _Builder:
         # one exit node per unreachable region, created only when a jump
         # inside the region needs a target (keeps P exact)
         if holder["node"] is None:
-            holder["node"] = self._new("dead-exit")
+            holder["node"] = self._new()
+            self.dead_exits.append(holder["node"])
         return holder["node"]
 
     def _jump_exit(self) -> int:
@@ -178,9 +164,9 @@ class _Builder:
         for expr in exprs:
             if expr is None:
                 continue
-            for kind in _iter_expr_decisions(expr, self.profile.count_short_circuit):
-                test = self._node(f"{kind}-test", frontier)
-                alt = self._node(f"{kind}-arm", [test])
+            for _ in range(_count_expr_decisions(expr, self.profile.count_short_circuit)):
+                test = self._node(frontier)
+                alt = self._node([test])
                 frontier = [test, alt]
         return frontier
 
@@ -203,28 +189,28 @@ class _Builder:
         if isinstance(stmt, _SIMPLE_STMTS):
             exprs = [v for v in ast.iter_child_nodes(stmt) if isinstance(v, ast.expr)]
             frontier = self._prechain(exprs, frontier)
-            return [self._node(f"stmt@{stmt.lineno}", frontier)]
+            return [self._node(frontier)]
         if isinstance(stmt, ast.Return):
             frontier = self._prechain([stmt.value], frontier)
-            node = self._node(f"return@{stmt.lineno}", frontier)
+            node = self._node(frontier)
             self._edge(node, self._jump_exit())
             return []
         if isinstance(stmt, ast.Raise):
             frontier = self._prechain([stmt.exc, stmt.cause], frontier)
-            node = self._node(f"raise@{stmt.lineno}", frontier)
+            node = self._node(frontier)
             self._edge(node, self._jump_exit())
             return []
         if isinstance(stmt, ast.Break):
-            node = self._node(f"break@{stmt.lineno}", frontier)
+            node = self._node(frontier)
             self._jump_loop(True, node)
             return []
         if isinstance(stmt, ast.Continue):
-            node = self._node(f"continue@{stmt.lineno}", frontier)
+            node = self._node(frontier)
             self._jump_loop(False, node)
             return []
         if isinstance(stmt, ast.If):
             frontier = self._prechain([stmt.test], frontier)
-            test = self._node(f"if@{stmt.lineno}", frontier)
+            test = self._node(frontier)
             out = self.block(stmt.body, [test])
             if stmt.orelse:
                 out += self.block(stmt.orelse, [test])
@@ -239,7 +225,7 @@ class _Builder:
                 items.append(item.context_expr)
                 items.append(item.optional_vars)
             frontier = self._prechain(items, frontier)
-            head = self._node(f"with@{stmt.lineno}", frontier)
+            head = self._node(frontier)
             return self.block(stmt.body, [head])
         if isinstance(stmt, ast.Try):
             return self._try(stmt, frontier)
@@ -247,22 +233,22 @@ class _Builder:
             return self._match(stmt, frontier)
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             # separate graph; the definition is a plain statement here
-            return [self._node(f"def {stmt.name}", frontier)]
+            return [self._node(frontier)]
         if isinstance(stmt, ast.ClassDef):
             exprs = list(stmt.bases) + [k.value for k in stmt.keywords]
             exprs += stmt.decorator_list
             frontier = self._prechain(exprs, frontier)
-            head = self._node(f"class {stmt.name}", frontier)
+            head = self._node(frontier)
             return self.block(stmt.body, [head])
         raise UnsupportedConstruct(type(stmt).__name__)
 
     def _loop(self, stmt, frontier: list[int]) -> list[int]:
         if isinstance(stmt, ast.While):
             frontier = self._prechain([stmt.test], frontier)
-            header = self._node(f"while@{stmt.lineno}", frontier)
+            header = self._node(frontier)
         else:
             frontier = self._prechain([stmt.target, stmt.iter], frontier)
-            header = self._node(f"for@{stmt.lineno}", frontier)
+            header = self._node(frontier)
         loop: dict = {"header": header, "breaks": []}
         self.ctx.append(("loop", loop))
         try:
@@ -278,8 +264,8 @@ class _Builder:
         return out + loop["breaks"]
 
     def _try(self, stmt: ast.Try, frontier: list[int]) -> list[int]:
-        guard = self._node(f"try@{stmt.lineno}", frontier)
-        gate = self._new("finally-gate") if stmt.finalbody else None
+        guard = self._node(frontier)
+        gate = self._new() if stmt.finalbody else None
         if gate is not None:
             self.ctx.append(("finally", gate))
         try:
@@ -288,7 +274,7 @@ class _Builder:
                 out = self.block(stmt.orelse, out)
             for handler in stmt.handlers:
                 entry_frontier = self._prechain([handler.type], [guard])
-                head = self._node(f"except@{handler.lineno}", entry_frontier)
+                head = self._node(entry_frontier)
                 out += self.block(handler.body, [head])
         finally:
             if gate is not None:
@@ -301,7 +287,7 @@ class _Builder:
 
     def _match(self, stmt: ast.Match, frontier: list[int]) -> list[int]:
         frontier = self._prechain([stmt.subject], frontier)
-        subject = self._node(f"match@{stmt.lineno}", frontier)
+        subject = self._node(frontier)
         fall = [subject]
         out: list[int] = []
         caught_all = False
@@ -309,12 +295,12 @@ class _Builder:
             arm_in = fall
             next_fall: list[int] = []
             if not _is_catchall(case):
-                test = self._node(f"case@{case.pattern.lineno}", fall)
+                test = self._node(fall)
                 arm_in = [test]
                 next_fall = [test]
             if case.guard is not None:
                 guard_frontier = self._prechain([case.guard], arm_in)
-                guard = self._node("case-guard", guard_frontier)
+                guard = self._node(guard_frontier)
                 arm_in = [guard]
                 next_fall = next_fall + [guard] if next_fall else [guard]
             elif _is_catchall(case):
@@ -328,71 +314,15 @@ class _Builder:
         return out
 
 
-def _compact(nodes, edges, entry, exits, labels):
-    succ = {n: [] for n in nodes}
-    pred = {n: [] for n in nodes}
-    for a, b in edges:
-        succ[a].append(b)
-        pred[b].append(a)
-    alive = dict.fromkeys(nodes, True)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(nodes):
-            if not alive[a] or len(succ[a]) != 1:
-                continue
-            b = succ[a][0]
-            if b == a or b == entry or len(pred[b]) != 1 or a in succ[b]:
-                continue
-            # absorb b into a
-            labels[a] = labels[a] + "+" + labels[b]
-            succ[a] = list(succ[b])
-            for c in succ[b]:
-                pred[c] = [a if p == b else p for p in pred[c]]
-            alive[b] = False
-            succ[b] = []
-            pred[b] = []
-            if b in exits:
-                exits.discard(b)
-                exits.add(a)
-            changed = True
-    kept = [n for n in nodes if alive[n]]
-    remap = {old: i for i, old in enumerate(sorted(kept))}
-    new_edges = []
-    for a in kept:
-        for b in succ[a]:
-            new_edges.append((remap[a], remap[b]))
-    new_edges.sort()
-    new_labels = {remap[n]: labels[n] for n in kept}
-    return (
-        sorted(remap.values()),
-        new_edges,
-        remap[entry],
-        frozenset(remap[e] for e in exits),
-        new_labels,
-    )
-
-
 def build_cfg(fn: FunctionDef, profile: SubjectProfile = PY3) -> ControlFlowGraph:
     """Build the graph for one definition (or the toplevel script)."""
     builder = _Builder(profile)
     out = builder.block(fn.body, [])
     for node in out:
         builder._edge(node, builder.exit_node)
-    nodes = list(range(builder.next_id))
-    entry = 1 if builder.next_id > 1 else builder.exit_node
-    exits = {builder.exit_node}
-    exits.update(
-        n for n in nodes if builder.labels[n] == "dead-exit"
-    )
-    n_nodes, n_edges, n_entry, n_exits, n_labels = _compact(
-        nodes, builder.edges, entry, set(exits), dict(builder.labels)
-    )
     return ControlFlowGraph(
-        nodes=n_nodes,
-        edges=n_edges,
-        entry=n_entry,
-        exits=n_exits,
-        owner=fn,
-        labels=n_labels,
+        nodes=list(range(builder.next_id)),
+        edges=builder.edges,
+        entry=1 if builder.next_id > 1 else builder.exit_node,
+        exits=frozenset([builder.exit_node, *builder.dead_exits]),
     )

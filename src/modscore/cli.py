@@ -16,9 +16,11 @@ from dataclasses import dataclass, fields
 
 from . import __version__
 from .corpus import (
+    case_from_row,
     load_corpus,
     load_generations,
     filter_corpus,
+    read_jsonl,
     save_corpus,
 )
 from .errors import (
@@ -152,6 +154,10 @@ def _build_config(args) -> RunConfig:
     env_profile = os.environ.get("MODSCORE_PROFILE")
     if env_profile:
         config.profile = env_profile
+    if config.output_format not in ("json", "table"):
+        raise ConfigError(
+            f"output_format must be 'json' or 'table', got {config.output_format!r}"
+        )
     if config.profile not in available_profiles():
         raise ConfigError(
             f"unknown profile {config.profile!r}; available: {available_profiles()}"
@@ -251,28 +257,7 @@ def _cmd_singularize(args) -> int:
     unit = parse(text, profile, unit_id=args.file)
     transformed = singularize(unit)
     if args.verify:
-        from .corpus import TestCase
-
-        tests = []
-        with open(args.verify, "r", encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusFormatError(
-                        f"{args.verify} line {line_no}: invalid JSON: {exc}"
-                    ) from None
-                if not isinstance(row, dict) or "input" not in row or "output" not in row:
-                    raise CorpusFormatError(
-                        f"{args.verify} line {line_no}: test needs input/output"
-                    )
-                tests.append(TestCase(
-                    input=str(row["input"]).encode(),
-                    expected_output=str(row["output"]).encode(),
-                ))
+        tests = [case_from_row(row, line_no) for line_no, row in read_jsonl(args.verify)]
         if not verify_equivalence(unit, transformed, tests, config.limits(),
                                   exact=config.exact_output):
             print("verification failed: verdicts or outputs differ", file=sys.stderr)
@@ -365,20 +350,15 @@ def _cmd_passk(args) -> int:
 def _cmd_correlate(args) -> int:
     config = _build_config(args)
     samples = []
-    with open(args.scored, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                samples.append(ScoredSample(
-                    unit_id=str(row["unit_id"]),
-                    mos=float(row["mos"]),
-                    pass1=float(row["pass1"]),
-                ))
-            except (KeyError, ValueError, json.JSONDecodeError) as exc:
-                raise CorpusFormatError(f"line {line_no}: {exc}") from exc
+    for line_no, row in read_jsonl(args.scored):
+        try:
+            samples.append(ScoredSample(
+                unit_id=str(row["unit_id"]),
+                mos=float(row["mos"]),
+                pass1=float(row["pass1"]),
+            ))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorpusFormatError(f"line {line_no}: {exc}") from exc
     if args.per_bin:
         samples = binned_sample(samples, args.bins, args.per_bin, config.seed)
     xs = [s.mos for s in samples]
@@ -398,20 +378,15 @@ def _cmd_correlate(args) -> int:
 def _cmd_ppl(args) -> int:
     config = _build_config(args)
     records = []
-    with open(args.logprobs, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                records.append(LogProbRecord(
-                    id=str(row["id"]),
-                    category=str(row["category"]),
-                    token_logprobs=tuple(float(v) for v in row["token_logprobs"]),
-                ))
-            except (KeyError, ValueError, json.JSONDecodeError) as exc:
-                raise CorpusFormatError(f"line {line_no}: {exc}") from exc
+    for line_no, row in read_jsonl(args.logprobs):
+        try:
+            records.append(LogProbRecord(
+                id=str(row["id"]),
+                category=str(row["category"]),
+                token_logprobs=tuple(float(v) for v in row["token_logprobs"]),
+            ))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorpusFormatError(f"line {line_no}: {exc}") from exc
     summaries = ppl_compare(records)
     payload = _report({
         "records": [
@@ -506,7 +481,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so the interpreter's flush at exit is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("modscore: stdout closed before the output was written", file=sys.stderr)
+        return EXIT_USAGE
     except _TRANSFORM_ERRORS as exc:
         print(f"modscore: {exc}", file=sys.stderr)
         return EXIT_TRANSFORM

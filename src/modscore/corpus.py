@@ -13,6 +13,7 @@ tests or no surviving solutions are dropped and reported.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,19 +47,33 @@ def _require(row: dict, key: str, line_no: int):
     return row[key]
 
 
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
+    """Yield (line number, parsed value) for each non-blank line."""
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusFormatError(f"line {line_no}: invalid JSON: {exc}") from None
+            yield line_no, row
+
+
+def case_from_row(row, line_no: int = 0) -> TestCase:
+    if not isinstance(row, dict) or "input" not in row or "output" not in row:
+        raise CorpusFormatError(f"line {line_no}: test needs input/output")
+    return TestCase(
+        input=str(row["input"]).encode("utf-8"),
+        expected_output=str(row["output"]).encode("utf-8"),
+    )
+
+
 def problem_from_row(row: dict, line_no: int = 0) -> Problem:
     if not isinstance(row, dict):
         raise CorpusFormatError(f"line {line_no}: expected an object")
-    tests = []
-    for t in row.get("tests", []):
-        if not isinstance(t, dict) or "input" not in t or "output" not in t:
-            raise CorpusFormatError(f"line {line_no}: test needs input/output")
-        tests.append(
-            TestCase(
-                input=str(t["input"]).encode("utf-8"),
-                expected_output=str(t["output"]).encode("utf-8"),
-            )
-        )
+    tests = [case_from_row(t, line_no) for t in row.get("tests", [])]
     solutions = _require(row, "solutions", line_no)
     if not isinstance(solutions, list) or not all(isinstance(s, str) for s in solutions):
         raise CorpusFormatError(f"line {line_no}: solutions must be a list of strings")
@@ -88,18 +103,7 @@ def problem_to_row(problem: Problem) -> dict:
 
 
 def load_corpus(path: str | Path) -> list[Problem]:
-    problems = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
-            problems.append(problem_from_row(row, line_no))
-    return problems
+    return [problem_from_row(row, line_no) for line_no, row in read_jsonl(path)]
 
 
 def save_corpus(problems: list[Problem], path: str | Path):
@@ -111,21 +115,13 @@ def save_corpus(problems: list[Problem], path: str | Path):
 def load_generations(path: str | Path) -> dict[str, list[str]]:
     """Rows of {"id": ..., "generations": [program, ...]}."""
     table: dict[str, list[str]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
-            if not isinstance(row, dict) or "id" not in row or "generations" not in row:
-                raise CorpusFormatError(f"line {line_no}: need id and generations")
-            gens = row["generations"]
-            if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
-                raise CorpusFormatError(f"line {line_no}: generations must be strings")
-            table[str(row["id"])] = gens
+    for line_no, row in read_jsonl(path):
+        if not isinstance(row, dict) or "id" not in row or "generations" not in row:
+            raise CorpusFormatError(f"line {line_no}: need id and generations")
+        gens = row["generations"]
+        if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
+            raise CorpusFormatError(f"line {line_no}: generations must be strings")
+        table[str(row["id"])] = gens
     return table
 
 

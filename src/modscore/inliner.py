@@ -22,8 +22,9 @@ rebinding or shadowing of one, decorated/generator/async definitions,
 *args/**kwargs, ``nonlocal``, classes with methods (methods are modules
 but only dynamically invocable), call sites in deferred or repeated
 positions (lambda bodies, comprehensions, while-tests, short-circuit
-operands, ternary arms), and hoists that would run a call ahead of an
-effectful expression.
+operands, ternary arms), hoists that would run a call ahead of an
+effectful expression, and calls that run before their helper's ``def``
+in the same block.
 """
 
 from __future__ import annotations
@@ -164,8 +165,9 @@ class _FreshNames:
 def _analyze(tree: ast.Module) -> dict[str, ast.AST]:
     """Every definition by name, once the call graph is known to be inlinable.
 
-    Raises RecursionUnsupported, DynamicCallUnsupported, or
-    ExternalNameCollision when the unit cannot be inlined soundly.
+    Raises RecursionUnsupported, DynamicCallUnsupported,
+    ExternalNameCollision, or TransformUnsupported (a call that runs before
+    its helper is defined) when the unit cannot be inlined soundly.
     """
     defs: dict[str, ast.AST] = {}
     for node in ast.walk(tree):
@@ -302,7 +304,52 @@ def _analyze(tree: ast.Module) -> dict[str, ast.AST]:
                     f"bound in {enclosing[-1]!r}"
                 )
 
+    _check_definition_order(tree, calls_of)
     return defs
+
+
+def _helpers_run_by(stmt, calls_of: dict[str, set[str]]) -> set[str]:
+    """Helpers a statement calls when it executes, directly or through the
+    helpers it calls. A definition runs only its defaults and decorators."""
+    pending: set[str] = set()
+    stack = [stmt]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, _DEF_NODES):
+            args = n.args
+            stack.extend(args.defaults + [d for d in args.kw_defaults if d])
+            stack.extend(n.decorator_list)
+            continue
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in calls_of:
+            pending.add(n.func.id)
+        stack.extend(ast.iter_child_nodes(n))
+    reached: set[str] = set()
+    while pending:
+        name = pending.pop()
+        if name not in reached:
+            reached.add(name)
+            pending |= calls_of[name]
+    return reached
+
+
+def _check_definition_order(tree: ast.Module, calls_of: dict[str, set[str]]):
+    """Reject a call that runs before the ``def`` of its helper: as written
+    it raises NameError, inlined it would not."""
+    for node in ast.walk(tree):
+        for _, stmts in ast.iter_fields(node):
+            if not (isinstance(stmts, list) and stmts and isinstance(stmts[0], ast.stmt)):
+                continue
+            later = {s.name for s in stmts if isinstance(s, _DEF_NODES)}
+            for stmt in stmts:
+                if not later:
+                    break
+                early = later & _helpers_run_by(stmt, calls_of)
+                if early:
+                    raise TransformUnsupported(
+                        f"{sorted(early)[0]!r} is called before its definition runs"
+                    )
+                if isinstance(stmt, _DEF_NODES):
+                    later.discard(stmt.name)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ class FunctionDef:
 
     name: str
     qualname: str
-    span: tuple[int, int]  # byte offsets into the unit's UTF-8 text
     node: ast.AST  # ast.FunctionDef / ast.AsyncFunctionDef / ast.Module
     nesting_depth: int
     is_toplevel: bool = False
@@ -50,10 +49,6 @@ class SourceUnit:
     def function_count(self) -> int:
         return len(self.functions)
 
-    def unparse(self) -> str:
-        """Re-serialize the parse; whitespace may differ, semantics do not."""
-        return ast.unparse(self.tree)
-
 
 def _decode(text: bytes | str) -> str:
     if isinstance(text, str):
@@ -64,23 +59,6 @@ def _decode(text: bytes | str) -> str:
         raise EncodingError(f"input is not valid UTF-8: {exc}") from exc
 
 
-def _line_starts(data: bytes) -> list[int]:
-    starts = [0]
-    for i, b in enumerate(data):
-        if b == 0x0A:
-            starts.append(i + 1)
-    return starts
-
-
-def _byte_span(node: ast.AST, starts: list[int], total: int) -> tuple[int, int]:
-    # ast col offsets are already UTF-8 byte offsets within the line.
-    begin = starts[node.lineno - 1] + node.col_offset
-    if node.end_lineno is None:
-        return begin, total
-    end = starts[node.end_lineno - 1] + node.end_col_offset
-    return begin, end
-
-
 class _Extractor(ast.NodeVisitor):
     """Collects named defs in document order, nested after their parent.
 
@@ -88,9 +66,7 @@ class _Extractor(ast.NodeVisitor):
     depth only across enclosing function definitions.
     """
 
-    def __init__(self, starts: list[int], total: int):
-        self.starts = starts
-        self.total = total
+    def __init__(self):
         self.found: list[FunctionDef] = []
         self.fn_stack: list[str] = []
         self.class_stack: list[str] = []
@@ -102,7 +78,6 @@ class _Extractor(ast.NodeVisitor):
         fn = FunctionDef(
             name=node.name,
             qualname=self._qualname(node.name),
-            span=_byte_span(node, self.starts, self.total),
             node=node,
             nesting_depth=len(self.fn_stack),
         )
@@ -139,15 +114,13 @@ def parse(text: bytes | str, profile: SubjectProfile = PY3, unit_id: str = "<uni
     tree = ast.parse(source, filename=unit_id)
     compile(source, unit_id, "exec")
 
-    data = source.encode("utf-8")
-    extractor = _Extractor(_line_starts(data), len(data))
+    extractor = _Extractor()
     for stmt in tree.body:
         extractor.visit(stmt)
 
     toplevel = FunctionDef(
         name=TOPLEVEL_NAME,
         qualname=TOPLEVEL_NAME,
-        span=(0, len(data)),
         node=tree,
         nesting_depth=0,
         is_toplevel=True,

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -204,6 +205,23 @@ def test_version_flag():
     assert "modscore" in proc.stdout
 
 
+@pytest.mark.parametrize("copies", [1, 100])  # flushed at exit / written by print
+def test_closed_stdout_exits_1_with_one_line(tmp_path, copies):
+    path = tmp_path / "a.py"
+    path.write_text("def f(x):\n    return x\nprint(f(1))\n")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "modscore.cli", "analyze", *[str(path)] * copies],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1 and "stdout closed" in proc.stderr
+
+
 def test_table_output(capsys, tmp_path):
     path = tmp_path / "a.py"
     path.write_text("print(1)\n")
@@ -238,8 +256,9 @@ def test_passk_rejects_bad_input_before_running(capsys, monkeypatch, flags, mess
 
 
 BAD_INPUT_CASES = {
-    # name: (command, text of the config file, or of the tests file for
-    # "verify", or None; MODSCORE_PROFILE; exit code; part of the message)
+    # name: (command, text of the config file, or of the input file for
+    # "verify" and "correlate", or None; MODSCORE_PROFILE; exit code; part
+    # of the message)
     "env-profile": ("analyze", None, "bad", 1, "unknown profile 'bad'"),
     "tau-as-string": ("classify", '{"tau": "5"}', None, 1, "'tau' must be int"),
     "jobs-as-string": ("filter", '{"jobs": "2"}', None, 1, "'jobs' must be int"),
@@ -249,9 +268,12 @@ BAD_INPUT_CASES = {
     "not-json": ("analyze", '{"tau": 3', None, 1, "not valid JSON"),
     "not-an-object": ("analyze", "[3]", None, 1, "must hold a JSON object"),
     "negative-limit": ("filter", '{"wall_time": -1}', None, 1, "limits must be positive"),
+    "unknown-output-format": ("analyze", '{"output_format": "xml"}', None, 1,
+                              "output_format must be 'json' or 'table'"),
     "corpus-is-directory": ("classify-dir", None, None, 2, "Is a directory"),
     "verify-not-json": ("verify", "nope", None, 2, "line 1: invalid JSON"),
     "verify-lacks-output": ("verify", '{"input": "1"}', None, 2, "line 1: test needs input/output"),
+    "scored-row-not-object": ("correlate", "[1]", None, 2, "line 1: "),
 }
 
 
@@ -282,8 +304,9 @@ def test_bad_input_exits_with_one_line(capsys, monkeypatch, tmp_path, case):
         "filter": ["filter", corpus, "--out", str(tmp_path / "kept.jsonl")],
         "classify-dir": ["classify", str(tmp_path)],
         "verify": ["singularize", str(source), "--verify", str(given)],
+        "correlate": ["correlate", str(given)],
     }[command]
-    if text is not None and command != "verify":
+    if text is not None and command not in ("verify", "correlate"):
         argv += ["--config", str(given)]
     code, out, err = run_cli(capsys, *argv)
     assert code == want_code

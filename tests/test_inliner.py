@@ -309,6 +309,26 @@ def test_uncalled_helper_dropped_without_splicing_its_body():
     assert_same_behavior(src)
 
 
+@pytest.mark.parametrize("src", [
+    # NameError as written; splicing would make it print 1
+    "print(f(1))\ndef f(x):\n    return x\n",
+    # the late helper is reached through the one called
+    "def f():\n    return g()\nprint(f())\ndef g():\n    return 1\n",
+    # a default is evaluated when its def runs
+    "def f(x=g()):\n    return x\ndef g():\n    return 1\nprint(f())\n",
+    # the same rule inside a function body
+    "def main():\n    y = h()\n    def h():\n        return 1\n    return y\nprint(main())\n",
+], ids=["direct", "through-helper", "default", "function-body"])
+def test_call_before_definition_rejected(src):
+    with pytest.raises(TransformUnsupported, match="before its definition"):
+        singularize(parse(src))
+
+
+def test_call_after_all_definitions_transformed():
+    src = "def main():\n    return g()\ndef g():\n    return 1\nprint(main())\n"
+    assert_same_behavior(src)
+
+
 def test_uncalled_function_removed_but_default_effects_kept():
     src = (
         "def unused(x=print('def-time')):\n"

@@ -32,14 +32,6 @@ def test_nested_definition_order_and_depth():
     assert [f.nesting_depth for f in unit.functions] == [0, 1]
 
 
-def test_nested_span_contained_in_parent():
-    src = "def outer():\n    x = 1\n    def inner():\n        pass\n    return inner\n"
-    unit = parse(src)
-    outer, inner = unit.functions
-    assert outer.span[0] < inner.span[0]
-    assert inner.span[1] <= outer.span[1]
-
-
 def test_exactly_one_toplevel():
     unit = parse("def f():\n    pass\n")
     records = unit.functions + [unit.toplevel]
@@ -78,15 +70,6 @@ def test_grammar_valid_but_illegal_raises():
 def test_invalid_utf8_bytes():
     with pytest.raises(EncodingError):
         parse(b"print('\xff\xfe')")
-
-
-def test_unparse_roundtrip_preserves_semantics():
-    import ast
-
-    src = "def f(a, b=2):\n    return a + b\n\n\nprint(f(1))\n"
-    unit = parse(src)
-    again = parse(unit.unparse())
-    assert ast.dump(again.tree) == ast.dump(unit.tree)
 
 
 def test_figure_style_modular_snippet_has_functions(fixtures_dir):
