@@ -9,6 +9,7 @@ version and the effective configuration. Exit codes: 0 success, 1 usage,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -16,6 +17,7 @@ from dataclasses import dataclass, fields
 
 from . import __version__
 from .corpus import (
+    Problem,
     case_from_row,
     load_corpus,
     load_generations,
@@ -109,7 +111,34 @@ _CONFIG_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def _effective_jobs(jobs: int) -> int:
-    return jobs if jobs > 0 else (os.cpu_count() or 1)
+    """An explicit --jobs, else the cores this process may run on."""
+    if jobs > 0:
+        return jobs
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_jobs(fn, items: list, jobs: int) -> list:
+    """``fn`` over ``items`` in order, in ``min(jobs, len(items))`` processes.
+
+    One worker maps in this process. More are forked, not spawned: a
+    spawned worker re-imports modscore, which on a few cores costs most of
+    what it would save, and the CLI has started no thread of its own when
+    it maps, so forking is safe. Results come back in input order, and the
+    first item in that order whose call raised raises here, as a serial
+    map does.
+    """
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        return list(map(fn, items))
+    # imported here so that importing the CLI loads no multiprocessing
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunksize = max(1, len(items) // (4 * workers))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(fn, items, chunksize=chunksize))
 
 
 def _read_config(path: str) -> dict:
@@ -201,50 +230,60 @@ def _print_table(payload: dict, indent: int = 0):
 # subcommands
 
 
+def _analyze_file(path: str, profile_name: str, tau: int) -> dict:
+    profile = get_profile(profile_name)
+    with open(path, "rb") as handle:
+        text = handle.read()
+    unit = parse(text, profile, unit_id=path)
+    report = score_unit(unit, tau=tau, profile=profile)
+    comp = report.complexity
+    return {
+        "id": path,
+        "cc_total": comp.cc_total,
+        "cc_avg": comp.cc_avg,
+        "function_count": comp.function_count,
+        "per_function": [
+            {"name": fn.qualname, "cc": cc}
+            for fn, cc in comp.per_function.items()
+        ],
+        "n": report.n,
+        "m_star": report.m_star,
+        "mos": report.mos,
+    }
+
+
 def _cmd_analyze(args) -> int:
     config = _build_config(args)
-    profile = get_profile(config.profile)
-    rows = []
-    for path in args.files:
-        with open(path, "rb") as handle:
-            text = handle.read()
-        unit = parse(text, profile, unit_id=path)
-        report = score_unit(unit, tau=config.tau, profile=profile)
-        comp = report.complexity
-        rows.append({
-            "id": path,
-            "cc_total": comp.cc_total,
-            "cc_avg": comp.cc_avg,
-            "function_count": comp.function_count,
-            "per_function": [
-                {"name": fn.qualname, "cc": cc}
-                for fn, cc in comp.per_function.items()
-            ],
-            "n": report.n,
-            "m_star": report.m_star,
-            "mos": report.mos,
-        })
+    rows = _map_jobs(
+        functools.partial(_analyze_file, profile_name=config.profile, tau=config.tau),
+        args.files, _effective_jobs(config.jobs),
+    )
     _emit(_report({"units": rows}, config), config)
     return EXIT_OK
 
 
+def _classify_problem(problem: Problem, profile_name: str, tau: int) -> dict:
+    profile = get_profile(profile_name)
+    reports = []
+    for i, solution in enumerate(problem.solutions):
+        unit = parse(solution, profile, unit_id=f"{problem.id}[{i}]")
+        reports.append(score_unit(unit, tau=tau, profile=profile))
+    picks = categorize_solutions(reports)
+    return {
+        "problem_id": problem.id,
+        "mc_solution_index": picks.mc_index,
+        "sc_solution_index": picks.sc_index,
+        "mos_values": [r.mos for r in reports],
+    }
+
+
 def _cmd_classify(args) -> int:
     config = _build_config(args)
-    profile = get_profile(config.profile)
-    problems = load_corpus(args.corpus)
-    rows = []
-    for problem in sorted(problems, key=lambda p: p.id):
-        reports = []
-        for i, solution in enumerate(problem.solutions):
-            unit = parse(solution, profile, unit_id=f"{problem.id}[{i}]")
-            reports.append(score_unit(unit, tau=config.tau, profile=profile))
-        picks = categorize_solutions(reports)
-        rows.append({
-            "problem_id": problem.id,
-            "mc_solution_index": picks.mc_index,
-            "sc_solution_index": picks.sc_index,
-            "mos_values": [r.mos for r in reports],
-        })
+    problems = sorted(load_corpus(args.corpus), key=lambda p: p.id)
+    rows = _map_jobs(
+        functools.partial(_classify_problem, profile_name=config.profile, tau=config.tau),
+        problems, _effective_jobs(config.jobs),
+    )
     _emit(_report({"problems": rows}, config), config)
     return EXIT_OK
 

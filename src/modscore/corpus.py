@@ -49,9 +49,13 @@ def _require(row: dict, key: str, line_no: int):
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
     """Yield (line number, parsed value) for each non-blank line."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
+    # read bytes so a line that is not UTF-8 is reported by its number
+    with open(path, "rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise CorpusFormatError(f"line {line_no}: not valid UTF-8") from None
             if not line:
                 continue
             try:

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit.
+
+An error with its own ``__init__`` defines ``__reduce__`` so that pickling,
+as a worker process does to hand an error back, rebuilds it from the
+arguments that ``__init__`` takes rather than from its message.
+"""
 
 
 class ModscoreError(Exception):
@@ -19,6 +24,9 @@ class UnsupportedConstruct(ModscoreError):
         self.kind = kind
         super().__init__(message or f"unsupported construct: {kind}")
 
+    def __reduce__(self):
+        return type(self), (self.kind, str(self))
+
 
 class InvalidThreshold(ModscoreError):
     """Module-size threshold must be a positive integer."""
@@ -34,6 +42,9 @@ class RecursionUnsupported(ModscoreError):
     def __init__(self, cycle):
         self.cycle = list(cycle)
         super().__init__("recursive call chain: " + " -> ".join(self.cycle))
+
+    def __reduce__(self):
+        return type(self), (self.cycle,)
 
 
 class DynamicCallUnsupported(ModscoreError):
@@ -62,6 +73,9 @@ class TemplateError(ModscoreError):
     def __init__(self, placeholder: str):
         self.placeholder = placeholder
         super().__init__(f"template is missing placeholder {placeholder}")
+
+    def __reduce__(self):
+        return type(self), (self.placeholder,)
 
 
 class InsufficientBin(ModscoreError):

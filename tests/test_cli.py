@@ -5,9 +5,11 @@ import sys
 
 import pytest
 
+import modscore.cli as cli_module
 from modscore.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, assert_no_children
+from gen_programs import runnable_program
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -182,7 +184,6 @@ def test_config_file_flags_win(capsys, tmp_path):
 
 
 def test_sandbox_unavailable_exits_4(capsys, monkeypatch):
-    import modscore.cli as cli_module
     from modscore.errors import SandboxUnavailable
 
     def broken(*args, **kwargs):
@@ -240,8 +241,6 @@ def test_table_output(capsys, tmp_path):
     (["--n", "3"], "expected n=3 generations, got 4"),
 ])
 def test_passk_rejects_bad_input_before_running(capsys, monkeypatch, flags, message):
-    import modscore.cli as cli_module
-
     def no_runs(*args, **kwargs):
         raise AssertionError("sandbox ran before validation")
 
@@ -257,8 +256,8 @@ def test_passk_rejects_bad_input_before_running(capsys, monkeypatch, flags, mess
 
 BAD_INPUT_CASES = {
     # name: (command, text of the config file, or of the input file for
-    # "verify" and "correlate", or None; MODSCORE_PROFILE; exit code; part
-    # of the message)
+    # "verify", "correlate" and "corpus" (str, or bytes written as they are),
+    # or None; MODSCORE_PROFILE; exit code; part of the message)
     "env-profile": ("analyze", None, "bad", 1, "unknown profile 'bad'"),
     "tau-as-string": ("classify", '{"tau": "5"}', None, 1, "'tau' must be int"),
     "jobs-as-string": ("filter", '{"jobs": "2"}', None, 1, "'jobs' must be int"),
@@ -274,13 +273,13 @@ BAD_INPUT_CASES = {
     "verify-not-json": ("verify", "nope", None, 2, "line 1: invalid JSON"),
     "verify-lacks-output": ("verify", '{"input": "1"}', None, 2, "line 1: test needs input/output"),
     "scored-row-not-object": ("correlate", "[1]", None, 2, "line 1: "),
+    "corpus-not-utf8": ("corpus", b'{"id": "p1", "solutions": ["print(1)"]}\n{"id": "\xff"}\n',
+                        None, 2, "line 2: not valid UTF-8"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT_CASES))
 def test_bad_input_exits_with_one_line(capsys, monkeypatch, tmp_path, case):
-    import modscore.cli as cli_module
-
     command, text, env_profile, want_code, message = BAD_INPUT_CASES[case]
 
     def no_runs(*args, **kwargs):
@@ -296,7 +295,7 @@ def test_bad_input_exits_with_one_line(capsys, monkeypatch, tmp_path, case):
     source.write_text("def f(x):\n    return x\nprint(f(1))\n")
     given = tmp_path / "given"
     if text is not None:
-        given.write_text(text)
+        given.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     corpus = str(FIXTURES / "mini_corpus.jsonl")
     argv = {
         "analyze": ["analyze", str(source)],
@@ -305,10 +304,127 @@ def test_bad_input_exits_with_one_line(capsys, monkeypatch, tmp_path, case):
         "classify-dir": ["classify", str(tmp_path)],
         "verify": ["singularize", str(source), "--verify", str(given)],
         "correlate": ["correlate", str(given)],
+        "corpus": ["classify", str(given)],
     }[command]
-    if text is not None and command not in ("verify", "correlate"):
+    if text is not None and command not in ("verify", "correlate", "corpus"):
         argv += ["--config", str(given)]
     code, out, err = run_cli(capsys, *argv)
     assert code == want_code
     assert out == ""
     assert err.count("\n") == 1 and message in err
+
+
+# -- classify and analyze over --jobs worker processes ------------------------
+
+
+def without_jobs(out: str, jobs: int) -> str:
+    """The report with its echo of --jobs, the one part that may differ, masked."""
+    assert out.count(f'"jobs": {jobs},') == 1
+    return out.replace(f'"jobs": {jobs},', '"jobs": "masked",')
+
+
+def generated_corpus(path, problems: int = 12, per_problem: int = 3):
+    with open(path, "w", encoding="utf-8") as handle:
+        for p in range(problems):
+            seeds = range(p * per_problem, (p + 1) * per_problem)
+            row = {"id": f"g{p:02d}", "solutions": [runnable_program(s)[0] for s in seeds]}
+            handle.write(json.dumps(row) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("name", [
+    "mini_corpus", "filter_corpus", "singularize_corpus", "generated",
+])
+def test_classify_output_is_the_same_for_any_jobs(capsys, tmp_path, name):
+    if name == "generated":
+        corpus = generated_corpus(tmp_path / "generated.jsonl")
+    else:
+        corpus = FIXTURES / f"{name}.jsonl"
+    results = []
+    for jobs in (1, 2, 3):
+        code, out, err = run_cli(capsys, "classify", str(corpus), "--jobs", str(jobs))
+        assert (code, err) == (0, "")
+        results.append(without_jobs(out, jobs))
+        assert_no_children()
+    assert results[1] == results[0] and results[2] == results[0]
+    assert json.loads(results[0])["problems"]
+
+
+def test_classify_reports_the_first_error_in_id_order(capsys, tmp_path):
+    corpus = tmp_path / "c.jsonl"
+    rows = [  # file order differs from id order; p2 is the first bad one by id
+        {"id": "p5", "solutions": ["print(1)\n", "for x in\n"]},
+        {"id": "p1", "solutions": ["print(1)\n"]},
+        {"id": "p4", "solutions": ["print(4)\n"]},
+        {"id": "p2", "solutions": ["print(2)\n", "def f(:\n"]},
+        {"id": "p3", "solutions": ["print(3)\n"]},
+        {"id": "p6", "solutions": ["print(6)\n"]},
+    ]
+    corpus.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    results = []
+    for jobs in ("1", "2"):
+        code, out, err = run_cli(capsys, "classify", str(corpus), "--jobs", jobs)
+        assert_no_children()
+        results.append((code, out, err))
+    assert results[1] == results[0]
+    code, out, err = results[0]
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "p2[1]" in err
+
+
+_classify_problem = cli_module._classify_problem
+
+
+def _row_with_pid(problem, profile_name, tau):
+    """A classify row that names the process it was computed in."""
+    return {**_classify_problem(problem, profile_name, tau), "pid": os.getpid()}
+
+
+@pytest.mark.parametrize("jobs", ["1", "64"])
+def test_classify_runs_in_place_or_in_one_worker_per_problem_at_most(
+        capsys, monkeypatch, jobs):
+    monkeypatch.setattr(cli_module, "_classify_problem", _row_with_pid)
+    code, out, _ = run_cli(
+        capsys, "classify", str(FIXTURES / "mini_corpus.jsonl"), "--jobs", jobs)
+    assert code == 0
+    pids = {row["pid"] for row in json.loads(out)["problems"]}
+    if jobs == "1":
+        assert pids == {os.getpid()}
+    else:
+        assert os.getpid() not in pids and 1 <= len(pids) <= 10
+    assert_no_children()
+
+
+def test_analyze_rows_are_the_same_for_any_jobs(capsys, tmp_path):
+    paths = []
+    for seed in range(7):
+        path = tmp_path / f"u{seed}.py"
+        path.write_text(runnable_program(seed)[0])
+        paths.append(str(path))
+    outs = []
+    for jobs in (1, 2):
+        code, out, err = run_cli(capsys, "analyze", *paths, "--jobs", str(jobs))
+        assert (code, err) == (0, "")
+        outs.append(without_jobs(out, jobs))
+        assert_no_children()
+    assert outs[1] == outs[0]
+    assert [row["id"] for row in json.loads(outs[0])["units"]] == paths
+
+
+def test_default_jobs_counts_the_cores_this_process_may_use():
+    assert cli_module._effective_jobs(3) == 3
+    assert cli_module._effective_jobs(0) == len(os.sched_getaffinity(0))
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    probe = (
+        "import sys, modscore.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'multiprocessing'"
+        " or m.startswith('multiprocessing.') or m == 'concurrent.futures.process'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

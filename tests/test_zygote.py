@@ -6,7 +6,6 @@ must give the same verdict, stdout and detail.
 """
 
 import json
-import os
 
 import pytest
 
@@ -18,7 +17,7 @@ from modscore.inliner import verify_equivalence
 from modscore.parsing import parse
 from modscore.sandbox import RunLimits, count_correct, run_solution
 
-from conftest import FIXTURES
+from conftest import FIXTURES, assert_no_children
 from gen_programs import runnable_program
 
 # kills the zygote it was forked from
@@ -33,11 +32,6 @@ def assert_same_on_both_paths(cases, limits):
     )
     for (code, test), a, b in zip(cases, spawned, forked):
         assert (b.verdict, b.stdout, b.detail) == (a.verdict, a.stdout, a.detail), code
-
-
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("name", ["filter_corpus", "singularize_corpus", "mini_corpus"])
