@@ -136,9 +136,8 @@ def _map_jobs(fn, items: list, jobs: int) -> list:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    chunksize = max(1, len(items) // (4 * workers))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
+        return list(pool.map(fn, items))
 
 
 def _read_config(path: str) -> dict:
@@ -230,34 +229,29 @@ def _print_table(payload: dict, indent: int = 0):
 # subcommands
 
 
-def _analyze_file(path: str, profile_name: str, tau: int) -> dict:
-    profile = get_profile(profile_name)
-    with open(path, "rb") as handle:
-        text = handle.read()
-    unit = parse(text, profile, unit_id=path)
-    report = score_unit(unit, tau=tau, profile=profile)
-    comp = report.complexity
-    return {
-        "id": path,
-        "cc_total": comp.cc_total,
-        "cc_avg": comp.cc_avg,
-        "function_count": comp.function_count,
-        "per_function": [
-            {"name": fn.qualname, "cc": cc}
-            for fn, cc in comp.per_function.items()
-        ],
-        "n": report.n,
-        "m_star": report.m_star,
-        "mos": report.mos,
-    }
-
-
 def _cmd_analyze(args) -> int:
     config = _build_config(args)
-    rows = _map_jobs(
-        functools.partial(_analyze_file, profile_name=config.profile, tau=config.tau),
-        args.files, _effective_jobs(config.jobs),
-    )
+    profile = get_profile(config.profile)
+    rows = []
+    for path in args.files:
+        with open(path, "rb") as handle:
+            text = handle.read()
+        unit = parse(text, profile, unit_id=path)
+        report = score_unit(unit, tau=config.tau, profile=profile)
+        comp = report.complexity
+        rows.append({
+            "id": path,
+            "cc_total": comp.cc_total,
+            "cc_avg": comp.cc_avg,
+            "function_count": comp.function_count,
+            "per_function": [
+                {"name": fn.qualname, "cc": cc}
+                for fn, cc in comp.per_function.items()
+            ],
+            "n": report.n,
+            "m_star": report.m_star,
+            "mos": report.mos,
+        })
     _emit(_report({"units": rows}, config), config)
     return EXIT_OK
 

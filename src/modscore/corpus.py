@@ -49,9 +49,10 @@ def _require(row: dict, key: str, line_no: int):
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
     """Yield (line number, parsed value) for each non-blank line."""
-    # read bytes so a line that is not UTF-8 is reported by its number
+    # read bytes so a line that is not UTF-8 is reported by its number;
+    # bytes.splitlines ends lines at \n, \r and \r\n, as text mode does
     with open(path, "rb") as handle:
-        for line_no, raw in enumerate(handle, start=1):
+        for line_no, raw in enumerate(handle.read().splitlines(), start=1):
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError:

@@ -275,6 +275,8 @@ BAD_INPUT_CASES = {
     "scored-row-not-object": ("correlate", "[1]", None, 2, "line 1: "),
     "corpus-not-utf8": ("corpus", b'{"id": "p1", "solutions": ["print(1)"]}\n{"id": "\xff"}\n',
                         None, 2, "line 2: not valid UTF-8"),
+    "corpus-cr-lines-not-utf8": ("corpus", b'{"id": "p1", "solutions": []}\r{"id": "\xff"}\r',
+                                 None, 2, "line 2: not valid UTF-8"),
 }
 
 
@@ -393,22 +395,6 @@ def test_classify_runs_in_place_or_in_one_worker_per_problem_at_most(
     else:
         assert os.getpid() not in pids and 1 <= len(pids) <= 10
     assert_no_children()
-
-
-def test_analyze_rows_are_the_same_for_any_jobs(capsys, tmp_path):
-    paths = []
-    for seed in range(7):
-        path = tmp_path / f"u{seed}.py"
-        path.write_text(runnable_program(seed)[0])
-        paths.append(str(path))
-    outs = []
-    for jobs in (1, 2):
-        code, out, err = run_cli(capsys, "analyze", *paths, "--jobs", str(jobs))
-        assert (code, err) == (0, "")
-        outs.append(without_jobs(out, jobs))
-        assert_no_children()
-    assert outs[1] == outs[0]
-    assert [row["id"] for row in json.loads(outs[0])["units"]] == paths
 
 
 def test_default_jobs_counts_the_cores_this_process_may_use():
