@@ -78,17 +78,66 @@ def _is_catchall(case: ast.match_case) -> bool:
     return isinstance(p, ast.MatchAs) and p.pattern is None
 
 
+# the fields of each expression-level node that can hold a decision;
+# names, constants, contexts and operators hold none and are never pushed
+_EXPR_CHILDREN: dict[type, tuple[str, ...]] = {
+    ast.BoolOp: ("values",),
+    ast.NamedExpr: ("value",),
+    ast.BinOp: ("left", "right"),
+    ast.UnaryOp: ("operand",),
+    ast.Lambda: ("args", "body"),
+    ast.IfExp: ("test", "body", "orelse"),
+    ast.Dict: ("keys", "values"),
+    ast.Set: ("elts",),
+    ast.ListComp: ("elt", "generators"),
+    ast.SetComp: ("elt", "generators"),
+    ast.DictComp: ("key", "value", "generators"),
+    ast.GeneratorExp: ("elt", "generators"),
+    ast.Await: ("value",),
+    ast.Yield: ("value",),
+    ast.YieldFrom: ("value",),
+    ast.Compare: ("left", "comparators"),
+    ast.Call: ("func", "args", "keywords"),
+    ast.FormattedValue: ("value", "format_spec"),
+    ast.JoinedStr: ("values",),
+    ast.Attribute: ("value",),
+    ast.Subscript: ("value", "slice"),
+    ast.Starred: ("value",),
+    ast.List: ("elts",),
+    ast.Tuple: ("elts",),
+    ast.Slice: ("lower", "upper", "step"),
+    ast.comprehension: ("target", "iter", "ifs"),
+    ast.keyword: ("value",),
+    ast.arguments: ("defaults", "kw_defaults"),  # a lambda's: no annotations
+    ast.Name: (),
+    ast.Constant: (),
+}
+_LEAVES = frozenset((ast.Name, ast.Constant))
+
+
 def _count_expr_decisions(root: ast.expr, count_boolops: bool) -> int:
     """Expression-level decisions: conditional expressions, short-circuit
     operators (when counted), comprehension filters."""
     count = 0
-    for node in ast.walk(root):
-        if isinstance(node, ast.IfExp):
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is ast.IfExp:
             count += 1
-        elif isinstance(node, ast.BoolOp) and count_boolops:
-            count += len(node.values) - 1
-        elif isinstance(node, ast.comprehension):
+        elif kind is ast.BoolOp:
+            if count_boolops:
+                count += len(node.values) - 1
+        elif kind is ast.comprehension:
             count += len(node.ifs)
+        for field in _EXPR_CHILDREN[kind]:
+            child = getattr(node, field)
+            if type(child) is list:
+                for item in child:
+                    if item is not None and type(item) not in _LEAVES:
+                        stack.append(item)
+            elif child is not None and type(child) not in _LEAVES:
+                stack.append(child)
     return count
 
 

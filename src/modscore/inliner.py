@@ -30,7 +30,6 @@ in the same block.
 from __future__ import annotations
 
 import ast
-import copy
 from dataclasses import dataclass
 
 from .errors import (
@@ -58,6 +57,9 @@ PURE_BUILTINS = frozenset({
 })
 
 _DEF_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
+_BINDING_DEFS = frozenset(_DEF_NODES + (ast.ClassDef,))
+# nodes whose optional ``name`` field binds a variable
+_NAMED_BINDERS = frozenset((ast.ExceptHandler, ast.MatchAs, ast.MatchStar))
 
 
 # ---------------------------------------------------------------------------
@@ -114,34 +116,25 @@ def _collect_free(node, local_names: set[str]) -> set[str]:
     return seen - local_names
 
 
-def _all_identifiers(tree) -> set[str]:
-    names: set[str] = set()
-    for n in ast.walk(tree):
-        if isinstance(n, ast.Name):
-            names.add(n.id)
-        elif isinstance(n, ast.arg):
-            names.add(n.arg)
-        elif isinstance(n, _DEF_NODES + (ast.ClassDef,)):
-            names.add(n.name)
-        elif isinstance(n, ast.alias):
-            names.add(n.asname or n.name.split(".")[0])
-        elif isinstance(n, ast.ExceptHandler) and n.name:
-            names.add(n.name)
-    return names
-
-
-def _stored_names(tree) -> set[str]:
+def _identifiers(tree) -> tuple[set[str], set[str]]:
+    """Every identifier in the tree, and those it binds."""
+    loaded: set[str] = set()
     stored: set[str] = set()
     for n in ast.walk(tree):
-        if isinstance(n, ast.Name) and isinstance(n.ctx, (ast.Store, ast.Del)):
-            stored.add(n.id)
-        elif isinstance(n, ast.arg):
+        kind = type(n)
+        if kind is ast.Name:
+            (loaded if type(n.ctx) is ast.Load else stored).add(n.id)
+        elif kind is ast.arg:
             stored.add(n.arg)
-        elif isinstance(n, _DEF_NODES + (ast.ClassDef,)):
+        elif kind in _BINDING_DEFS:
             stored.add(n.name)
-        elif isinstance(n, ast.alias):
+        elif kind is ast.alias:
             stored.add(n.asname or n.name.split(".")[0])
-    return stored
+        elif kind in _NAMED_BINDERS and n.name:
+            stored.add(n.name)
+        elif kind is ast.MatchMapping and n.rest:
+            stored.add(n.rest)
+    return loaded | stored, stored
 
 
 class _FreshNames:
@@ -938,6 +931,20 @@ class _GlobalStripper(ast.NodeTransformer):
         return ast.copy_location(ast.Pass(), node)
 
 
+def _copy_tree(node):
+    """Copy a statement list or subtree field by field. Nodes without
+    fields (contexts and operators) are shared, as ``ast.parse`` shares
+    them; other leaf values (names, constants) are immutable."""
+    if type(node) is list:
+        return [_copy_tree(item) for item in node]
+    if not isinstance(node, ast.AST) or not node._fields:
+        return node
+    new = ast.AST.__new__(type(node))
+    for key, value in node.__dict__.items():
+        setattr(new, key, _copy_tree(value))
+    return new
+
+
 def _splice_one(stmt, call, def_node, fresh, default_temps, into_function):
     """Expand one canonical call site into a statement list."""
     fname = def_node.name
@@ -945,7 +952,7 @@ def _splice_one(stmt, call, def_node, fresh, default_temps, into_function):
     rename = {name: fresh.make(name) for name in sorted(local_names)}
     parts = _bind_arguments(call, def_node, rename, default_temps, fname)
 
-    body = copy.deepcopy(def_node.body)
+    body = _copy_tree(def_node.body)
     renamer = _Renamer(rename)
     body = [renamer.visit(s) for s in body]
     if not into_function:
@@ -998,18 +1005,22 @@ def _splice_all(tree, planned, fresh, default_temps):
 def singularize(unit: SourceUnit) -> SourceUnit:
     """Produce the de-modularized unit; identity when it defines no function.
 
+    The working tree is a fresh parse of ``unit.text`` (every SourceUnit
+    comes from ``parse``), so ``unit`` itself is left untouched.
+
     Raises RecursionUnsupported, DynamicCallUnsupported,
     ExternalNameCollision, or TransformUnsupported when the unit cannot be
     inlined soundly.
     """
     if unit.function_count == 0:
         return unit
-    tree = copy.deepcopy(unit.tree)
+    tree = ast.parse(unit.text)
     planned = _analyze(tree)
     _check_transformable(tree, planned)
 
-    fresh = _FreshNames(_all_identifiers(tree))
-    pure_names = PURE_BUILTINS - _stored_names(tree)
+    names, stored = _identifiers(tree)
+    fresh = _FreshNames(names)
+    pure_names = PURE_BUILTINS - stored
     default_temps = _hoist_defaults(tree, planned, fresh)
 
     def normalize(stmt, ctx):
@@ -1018,12 +1029,6 @@ def singularize(unit: SourceUnit) -> SourceUnit:
     _rewrite_blocks(tree, normalize)
     _splice_all(tree, planned, fresh, default_temps)
 
-    for node in ast.walk(tree):
-        if isinstance(node, _DEF_NODES):
-            raise TransformUnsupported(
-                f"internal: definition {node.name!r} survived inlining"
-            )
-    ast.fix_missing_locations(tree)
     text = HEADER_COMMENT + "\n" + ast.unparse(tree) + "\n"
     result = parse(text, unit.profile, unit_id=f"{unit.id}:singular")
     if result.function_count != 0:

@@ -1,0 +1,188 @@
+"""Differential check of the analysis core between two checkouts.
+
+    python tests/differential.py dump OUT
+    python tests/differential.py compare A B
+
+``dump`` imports ``src/`` of the checkout this file sits in, runs a fixed
+unit set through it and writes one JSON file. ``compare`` reads two such
+files (say, from a copy of this file placed in the parent commit's
+``tests/``, and from the change) and prints the counts; it exits 1 when
+they differ in anything but the allowed qualname change below.
+
+The unit set, 2,388 units:
+  - ``structured_function(0..999)`` and ``runnable_program(0..199)``;
+  - ``perfbench/workloads.make_units`` seeds 1-10 at full size;
+  - every solution of the three fixture corpora.
+
+Each unit is parsed under ``py3`` and ``py3-nosc`` and gets graph-route
+``unit_complexity``: per-function CC in document order, ``toplevel_cc``,
+``cc_total`` and ``cc_avg``, plus each function's qualname. Every unit
+but the ``structured_function`` ones (1,388) is also singularized under
+``py3``: the output text, or the refusal's class and message.
+
+Qualnames may differ only for a definition enclosed by a function that is
+itself inside a class: before the enclosing classes were kept in the
+qualname, such a definition lost them. ``dump`` marks those definitions
+with its own walk, so ``compare`` can tell an allowed difference from a
+wrong one.
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+for path in (ROOT / "src", ROOT / "tests", ROOT / "perfbench"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
+
+PROFILES = ("py3", "py3-nosc")
+CORPORA = ("filter_corpus.jsonl", "mini_corpus.jsonl", "singularize_corpus.jsonl")
+
+
+def units() -> list[tuple[str, str, bool]]:
+    """(key, source, singularized) for every unit, in a fixed order."""
+    import gen_programs as gp
+    import workloads
+
+    out = [(f"structured:{i}", gp.structured_function(i), False) for i in range(1000)]
+    out += [(f"runnable:{i}", gp.runnable_program(i)[0], True) for i in range(200)]
+    for seed in range(1, 11):
+        made, _ = workloads.make_units(seed, workloads.SIZES["full"])
+        out += [(f"units{seed}:{u['id']}", u["source"], True) for u in made]
+    for name in CORPORA:
+        lines = (ROOT / "tests" / "fixtures" / name).read_text(encoding="utf-8").splitlines()
+        for row in map(json.loads, lines):
+            for i, source in enumerate(row["solutions"]):
+                out.append((f"{name}:{row['id']}[{i}]", source, True))
+    return out
+
+
+def _under_class_and_function(tree: ast.Module) -> list[bool]:
+    """Per definition in document order: is it enclosed by a function that
+    is itself enclosed by a class?"""
+    marks: list[bool] = []
+
+    def visit(node, in_class: bool, flagged: bool):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                marks.append(flagged)
+                visit(child, in_class, flagged or in_class)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, True, flagged)
+            elif not isinstance(child, ast.Lambda):
+                visit(child, in_class, flagged)
+
+    visit(tree, False, False)
+    return marks
+
+
+def _refusal(exc: Exception) -> dict:
+    return {"refused": type(exc).__name__, "message": str(exc)}
+
+
+def dump(out_path: str) -> int:
+    from modscore.complexity import unit_complexity
+    from modscore.errors import ModscoreError
+    from modscore.inliner import singularize
+    from modscore.parsing import parse
+    from modscore.profiles import get_profile
+
+    cc: dict[str, dict] = {}
+    singular: dict[str, dict] = {}
+    cc_cpu = singularize_cpu = 0.0
+    for key, source, singularized in units():
+        for name in PROFILES:
+            start = time.process_time()
+            try:
+                unit = parse(source, get_profile(name), unit_id=key)
+                report = unit_complexity(unit)
+            except (SyntaxError, ModscoreError) as exc:  # compared like any output
+                cc_cpu += time.process_time() - start
+                cc[f"{key}|{name}"] = _refusal(exc)
+                continue
+            cc_cpu += time.process_time() - start
+            cc[f"{key}|{name}"] = {
+                "qualnames": [fn.qualname for fn in report.per_function],
+                "per_function": list(report.per_function.values()),
+                "toplevel_cc": report.toplevel_cc,
+                "cc_total": report.cc_total,
+                "cc_avg": report.cc_avg,
+                "renamed_ok": _under_class_and_function(unit.tree),
+            }
+        if singularized:
+            unit = parse(source, unit_id=key)
+            start = time.process_time()
+            try:
+                singular[key] = {"text": singularize(unit).text}
+            except ModscoreError as exc:
+                singular[key] = _refusal(exc)
+            singularize_cpu += time.process_time() - start
+    Path(out_path).write_text(json.dumps({"cc": cc, "singularize": singular}), encoding="utf-8")
+    refused = sum("refused" in v for v in singular.values())
+    print(f"cc: {len(cc)} (unit, profile) pairs, parse + unit_complexity {cc_cpu:.2f} s CPU")
+    print(f"singularize: {len(singular)} units, {refused} refused, {singularize_cpu:.2f} s CPU")
+    return 0
+
+
+CC_FIELDS = ("per_function", "toplevel_cc", "cc_total", "cc_avg", "refused", "message")
+
+
+def compare(a_path: str, b_path: str) -> int:
+    a = json.loads(Path(a_path).read_text(encoding="utf-8"))
+    b = json.loads(Path(b_path).read_text(encoding="utf-8"))
+    bad = 0
+    for section in ("cc", "singularize"):
+        if a[section].keys() != b[section].keys():
+            print(f"{section}: the two dumps hold different units")
+            return 1
+
+    cc_equal = qual_equal = qual_allowed = 0
+    for key, old in a["cc"].items():
+        new = b["cc"][key]
+        if all(old.get(f) == new.get(f) for f in CC_FIELDS):
+            cc_equal += 1
+        else:
+            bad += 1
+            print(f"cc differs: {key}")
+        if old.get("qualnames") == new.get("qualnames"):
+            qual_equal += 1
+            continue
+        pairs = zip(old.get("qualnames", []), new.get("qualnames", []), old.get("renamed_ok", []))
+        if len(old.get("qualnames", [])) == len(new.get("qualnames", [])) and all(
+                o == n or ok for o, n, ok in pairs):
+            qual_allowed += 1
+        else:
+            bad += 1
+            print(f"qualnames differ: {key}")
+    print(f"cc: {cc_equal}/{len(a['cc'])} (unit, profile) pairs equal; qualnames equal "
+          f"on {qual_equal}, changed only under a class-enclosed function on {qual_allowed}")
+
+    same = refused = 0
+    for key, old in a["singularize"].items():
+        if old == b["singularize"][key]:
+            same += 1
+            refused += "refused" in old
+        else:
+            bad += 1
+            print(f"singularize differs: {key}")
+    print(f"singularize: {same}/{len(a['singularize'])} units identical "
+          f"({refused} of them refused with the same class and message)")
+    return 1 if bad else 0
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "dump":
+        return dump(argv[1])
+    if len(argv) == 3 and argv[0] == "compare":
+        return compare(argv[1], argv[2])
+    print(__doc__.split("\n\n")[1], file=sys.stderr)
+    return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

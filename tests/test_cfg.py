@@ -1,11 +1,14 @@
+import ast
+
 import pytest
 
-from modscore.cfg import build_cfg, graph_counts
+from modscore.cfg import _EXPR_CHILDREN, _count_expr_decisions, build_cfg, graph_counts
 from modscore.complexity import cc_decision_points, cc_from_cfg
 from modscore.errors import UnsupportedConstruct
 from modscore.parsing import parse
+from modscore.profiles import PY3, PY3_NO_SHORT_CIRCUIT
 
-from gen_programs import structured_function
+from gen_programs import runnable_program, structured_function
 
 
 def fn_of(src: str):
@@ -95,10 +98,7 @@ def test_toplevel_script_graph():
 
 
 def test_unsupported_construct_names_the_kind():
-    import ast
-
     from modscore.cfg import _Builder
-    from modscore.profiles import PY3
 
     class Bogus(ast.stmt):
         _fields = ()
@@ -138,3 +138,74 @@ def test_reachability_property(seed):
     # within the entry component every node also lies on a path to an exit
     to_exit = closure([e for e in g.exits if e in from_entry], pred)
     assert from_entry <= to_exit
+
+
+# -- expression decisions: one pass against a full walk ------------------------
+
+
+def reference_expr_decisions(root, count_boolops: bool) -> int:
+    """The counter before it skipped leaves: every node under root."""
+    count = 0
+    for node in ast.walk(root):
+        if isinstance(node, ast.IfExp):
+            count += 1
+        elif isinstance(node, ast.BoolOp) and count_boolops:
+            count += len(node.values) - 1
+        elif isinstance(node, ast.comprehension):
+            count += len(node.ifs)
+    return count
+
+
+def assert_expr_counts_match(src: str):
+    """Every expression of the program, under both profiles."""
+    exprs = [n for n in ast.walk(ast.parse(src)) if isinstance(n, ast.expr)]
+    for profile in (PY3, PY3_NO_SHORT_CIRCUIT):
+        flag = profile.count_short_circuit
+        got = [_count_expr_decisions(e, flag) for e in exprs]
+        assert got == [reference_expr_decisions(e, flag) for e in exprs], profile.name
+
+
+EXPR_EDGE_CASES = {
+    "dict_unpacking": "x = {**d, 'k': a or b, (g if h else i): 1, **(e if c else f)}\n",
+    "lambda_defaults": "g = lambda a=(p or q), *, b=(r if s else t): a and b\n",
+    "nested_comprehension_ifs": (
+        "xs = [[y for y in row if y if y > 1] for row in rows if row or alt]\n"
+        "d = {k: v for k, v in items if k for _ in (v and w) if v}\n"
+        "s = {a for a in (b for b in c if b) if a}\n"
+    ),
+    "walrus": "if (n := (a or b)) and (m := c if d else e):\n    pass\n",
+    "f_strings": "s = f\"{a or b!r:>{w if w else 3}} {[i for i in x if i]}\"\n",
+    "match_guards": (
+        "match p:\n"
+        "    case {'k': [1, *rest]} if rest and (a or b):\n"
+        "        pass\n"
+        "    case Point(x=0) if (c if d else e):\n"
+        "        pass\n"
+    ),
+    "subscripts_slices_calls": (
+        "y = f(*a, **{'k': b or c})[i if j else k : m and n : -1].attr\n"
+        "z = not (a < b < (c or d)) + -e\n"
+    ),
+    "await_yield": (
+        "async def h():\n"
+        "    await (a or b)\n"
+        "    yield (c if d else e)\n"
+        "def g():\n"
+        "    yield from (x for x in y if x or z)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPR_EDGE_CASES))
+def test_expr_decisions_match_full_walk_on_edge_cases(name):
+    assert_expr_counts_match(EXPR_EDGE_CASES[name])
+
+
+@pytest.mark.parametrize("seed", range(0, 200, 4))
+def test_expr_decisions_match_full_walk_on_generated_programs(seed):
+    assert_expr_counts_match(structured_function(seed))
+    assert_expr_counts_match(runnable_program(seed)[0])
+
+
+def test_expr_children_cover_every_expression_kind():
+    assert set(ast.expr.__subclasses__()) <= set(_EXPR_CHILDREN)

@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 import subprocess
@@ -12,7 +13,13 @@ from modscore.errors import (
     RecursionUnsupported,
     TransformUnsupported,
 )
-from modscore.inliner import singularize, verify_equivalence
+from modscore.inliner import (
+    _FreshNames,
+    _identifiers,
+    _splice_one,
+    singularize,
+    verify_equivalence,
+)
 from modscore.modularity import score_unit
 from modscore.parsing import parse
 
@@ -178,6 +185,49 @@ def test_idempotent_on_singular_unit():
     assert singularize(unit) is unit
 
 
+REWRITTEN_IN_PLACE = (
+    # hoisted defaults, a hoisted nested call, early returns, a global
+    "def f(x, acc=[], *, k=len('ab')):\n"
+    "    global total\n"
+    "    for i in range(x):\n"
+    "        if i > k:\n"
+    "            return acc\n"
+    "        acc.append(i)\n"
+    "    return acc\n"
+    "def g(y):\n    return f(y) + f(y + 1)\n"
+    "total = 0\nprint(g(f(2)[0] + 3))\n"
+)
+
+
+@pytest.mark.parametrize("src", [REWRITTEN_IN_PLACE, runnable_program(3)[0]])
+def test_singularize_leaves_its_input_untouched(src):
+    unit = parse(src)
+    before = ast.dump(unit.tree, include_attributes=True)
+    functions = [(f.node, f.qualname) for f in unit.functions]
+    first = singularize(unit)
+    assert ast.dump(unit.tree, include_attributes=True) == before
+    assert [(f.node, f.qualname) for f in unit.functions] == functions
+    assert singularize(unit).text == first.text
+
+
+def test_helper_spliced_at_two_sites_gets_independent_copies():
+    tree = ast.parse("def sq(v):\n    w = [v, -v]\n    return w[0] * w[1]\na = sq(2)\nb = sq(3)\n")
+    helper, site_a, site_b = tree.body
+    before = ast.dump(helper, include_attributes=True)
+    fresh = _FreshNames(_identifiers(tree)[0])
+    first = _splice_one(site_a, site_a.value, helper, fresh, {}, False)
+    second = _splice_one(site_b, site_b.value, helper, fresh, {}, False)
+
+    def owned(stmts):
+        # nodes with fields; contexts and operators are shared singletons
+        return {id(n) for s in stmts for n in ast.walk(s) if n._fields}
+
+    assert not owned(first) & owned(second)
+    assert not owned(helper.body) & (owned(first) | owned(second))
+    assert ast.dump(helper, include_attributes=True) == before
+    assert ast.unparse(ast.Module(first, [])) != ast.unparse(ast.Module(second, []))
+
+
 def test_modularity_collapses_to_zero(fixtures_dir):
     text = (fixtures_dir / "figure_style" / "tmc.py").read_text()
     unit = parse(text)
@@ -272,6 +322,20 @@ def test_call_in_comprehension_rejected():
 
 def test_hoist_past_effect_rejected():
     src = "def f(x):\n    return x\nprint(input() + f('a'))\n"
+    with pytest.raises(TransformUnsupported):
+        singularize(parse(src))
+
+
+@pytest.mark.parametrize("binder", [
+    "try:\n    raise ValueError('boom')\nexcept ValueError as len:\n    ",
+    "match 3:\n    case len:\n        ",
+    "match [3]:\n    case [*len]:\n        ",
+    "match {}:\n    case {**len}:\n        ",
+])
+def test_hoist_past_builtin_rebound_by_except_or_match_rejected(binder):
+    # `len` is no longer the builtin, and calling it raises before f runs;
+    # hoisting f's body ahead of it would print first
+    src = "def f(x):\n    print('f ran')\n    return x\n" + binder + "y = len([1]) + f(1)\n"
     with pytest.raises(TransformUnsupported):
         singularize(parse(src))
 

@@ -1,3 +1,4 @@
+import ast
 import io
 import tokenize
 
@@ -6,7 +7,7 @@ import pytest
 from modscore.errors import EncodingError
 from modscore.parsing import parse
 
-from gen_programs import structured_function
+from gen_programs import runnable_program, structured_function
 
 
 def count_def_tokens(text: str) -> int:
@@ -94,3 +95,105 @@ def test_extraction_token_scan_with_strings_and_comments():
     )
     unit = parse(src)
     assert len(unit.functions) == 1 == count_def_tokens(src)
+
+
+# -- qualnames and the statement-only walk -------------------------------------
+
+
+def test_qualname_keeps_class_of_enclosing_method():
+    src = (
+        "class A:\n    def run(self):\n        def helper():\n            pass\n"
+        "class B:\n    def run(self):\n        def helper():\n            pass\n"
+    )
+    unit = parse(src)
+    assert [f.qualname for f in unit.functions] == ["A.run", "A.run.helper", "B.run", "B.run.helper"]
+    assert [f.nesting_depth for f in unit.functions] == [0, 1, 0, 1]
+
+
+def test_qualname_keeps_every_enclosing_class_and_function():
+    src = (
+        "def f():\n"
+        "    class C:\n"
+        "        def g(self):\n"
+        "            class D:\n"
+        "                def h(self):\n"
+        "                    pass\n"
+    )
+    unit = parse(src)
+    assert [f.qualname for f in unit.functions] == ["f", "f.C.g", "f.C.g.D.h"]
+    assert [f.nesting_depth for f in unit.functions] == [0, 1, 2]
+
+
+class _ReferenceExtractor(ast.NodeVisitor):
+    """Visits every node, expressions included; one stack of enclosing
+    class and function names."""
+
+    def __init__(self):
+        self.found = []
+        self.path = []
+        self.depth = 0
+
+    def _handle_def(self, node):
+        self.found.append((node, ".".join(self.path + [node.name]), self.depth))
+        self.path.append(node.name)
+        self.depth += 1
+        for child in node.body:
+            self.visit(child)
+        self.depth -= 1
+        self.path.pop()
+
+    visit_FunctionDef = _handle_def
+    visit_AsyncFunctionDef = _handle_def
+
+    def visit_ClassDef(self, node):
+        self.path.append(node.name)
+        for child in node.body:
+            self.visit(child)
+        self.path.pop()
+
+    def visit_Lambda(self, node):
+        pass
+
+
+def assert_matches_reference(src: str):
+    unit = parse(src)
+    reference = _ReferenceExtractor()
+    for stmt in unit.tree.body:
+        reference.visit(stmt)
+    got = [(f.node, f.qualname, f.nesting_depth) for f in unit.functions]
+    assert got == reference.found
+    assert [f.name for f in unit.functions] == [node.name for node, _, _ in reference.found]
+
+
+DEF_PLACEMENTS = [
+    # try body, handlers, else and finally
+    "try:\n    def a():\n        pass\nexcept ValueError:\n    def b():\n        pass\n"
+    "except TypeError:\n    def c():\n        pass\nelse:\n    def d():\n        pass\n"
+    "finally:\n    def e():\n        pass\n",
+    # match arms, guarded and catch-all
+    "match x:\n    case 1 if x:\n        def a():\n            pass\n"
+    "    case _:\n        def b():\n            def c():\n                pass\n",
+    # with blocks, loops and their else arms, if/elif/else
+    "with open('f') as h, open('g'):\n    def a():\n        pass\n"
+    "for i in range(3):\n    def b():\n        pass\nelse:\n    def c():\n        pass\n"
+    "while x:\n    def d():\n        pass\nelse:\n    def e():\n        pass\n"
+    "if x:\n    def f():\n        pass\nelif y:\n    def g():\n        pass\n"
+    "else:\n    def h():\n        pass\n",
+    # class bodies, nested classes, async defs and decorators
+    "class K:\n    x = [lambda: 1]\n    def a(self):\n        pass\n"
+    "    class L:\n        async def b(self):\n            async with m:\n"
+    "                def c():\n                    pass\n"
+    "@dec\ndef d(f=lambda y: y):\n    try:\n        pass\n    except OSError:\n"
+    "        def e():\n            pass\n",
+]
+
+
+@pytest.mark.parametrize("index", range(len(DEF_PLACEMENTS)))
+def test_extraction_matches_full_walk_on_def_placements(index):
+    assert_matches_reference(DEF_PLACEMENTS[index])
+
+
+@pytest.mark.parametrize("seed", range(0, 200, 4))
+def test_extraction_matches_full_walk_on_generated_programs(seed):
+    assert_matches_reference(structured_function(seed))
+    assert_matches_reference(runnable_program(seed)[0])
