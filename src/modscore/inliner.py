@@ -18,13 +18,14 @@ wrong. Mechanics:
     (inside loops the flag also breaks out).
 
 Rejected outright: recursion, any non-call use of a function name,
-rebinding or shadowing of one, decorated/generator/async definitions,
-*args/**kwargs, ``nonlocal``, classes with methods (methods are modules
-but only dynamically invocable), call sites in deferred or repeated
-positions (lambda bodies, comprehensions, while-tests, short-circuit
-operands, ternary arms), hoists that would run a call ahead of an
-effectful expression, and calls that run before their helper's ``def``
-in the same block.
+rebinding or shadowing of one (by assignment, parameter, import, except
+clause, class or match capture), decorated/generator/async definitions,
+*args/**kwargs, ``nonlocal``, dotted imports without ``as`` in a helper,
+classes with methods (methods are modules but only dynamically
+invocable), call sites in deferred or repeated positions (lambda bodies,
+comprehensions, while-tests, short-circuit operands, ternary arms),
+hoists that would run a call ahead of an effectful expression, and calls
+that run before their helper's ``def`` in the same block.
 """
 
 from __future__ import annotations
@@ -57,63 +58,90 @@ PURE_BUILTINS = frozenset({
 })
 
 _DEF_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
-_BINDING_DEFS = frozenset(_DEF_NODES + (ast.ClassDef,))
-# nodes whose optional ``name`` field binds a variable
-_NAMED_BINDERS = frozenset((ast.ExceptHandler, ast.MatchAs, ast.MatchStar))
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+# The field through which each node type binds a name. A Name binds when
+# its context is not Load and reads the name otherwise; an alias without
+# ``asname`` binds the first part of its dotted ``name``, and renaming it
+# sets ``asname``.
+_BINDS = {
+    ast.Name: "id",
+    ast.arg: "arg",
+    ast.FunctionDef: "name",
+    ast.AsyncFunctionDef: "name",
+    ast.ClassDef: "name",
+    ast.ExceptHandler: "name",
+    ast.MatchAs: "name",
+    ast.MatchStar: "name",
+    ast.MatchMapping: "rest",
+    ast.alias: "asname",
+}
 
 
 # ---------------------------------------------------------------------------
 # scope helpers
 
 
-def _collect_locals(node) -> set[str]:
-    """Names bound in a def's own scope; nested def bodies excluded."""
-    bound: set[str] = set()
-    skipped: set[str] = set()
+def _name_of(node) -> str | None:
+    """The name a node binds or reads through its ``_BINDS`` field."""
+    field = _BINDS.get(type(node))
+    if field is None:
+        return None
+    if field == "asname":
+        return node.asname or node.name.split(".")[0]
+    return getattr(node, field)
 
-    def walk(n):
-        if isinstance(n, _DEF_NODES):
-            bound.add(n.name)
-            return
-        if isinstance(n, ast.ClassDef):
-            bound.add(n.name)
-            return
-        if isinstance(n, ast.Name) and isinstance(n.ctx, (ast.Store, ast.Del)):
-            bound.add(n.id)
-        elif isinstance(n, (ast.Global, ast.Nonlocal)):
-            skipped.update(n.names)
-        elif isinstance(n, ast.ExceptHandler) and n.name:
-            bound.add(n.name)
-        elif isinstance(n, ast.alias):
-            bound.add(n.asname or n.name.split(".")[0])
-        for child in ast.iter_child_nodes(n):
-            walk(child)
 
+def _reads(node) -> bool:
+    return type(node) is ast.Name and type(node.ctx) is ast.Load
+
+
+def _scope_names(node) -> tuple[set[str], set[str]]:
+    """(locals, free) of a def: the names bound in its own scope, and the
+    names its body resolves outside that scope.
+
+    A nested def or class binds its name here and runs its body in a
+    scope of its own; a nested def's or a lambda's defaults are read here.
+    A lambda's parameters and walrus targets, and a comprehension's
+    targets, bind in scopes of their own: they are neither locals nor free
+    where those scopes read them. A walrus target in a comprehension binds
+    here.
+    """
     args = node.args
-    for a in args.posonlyargs + args.args + args.kwonlyargs:
-        bound.add(a.arg)
-    for stmt in node.body:
-        walk(stmt)
-    return bound - skipped
-
-
-def _collect_free(node, local_names: set[str]) -> set[str]:
-    """Identifiers the body resolves outside its own scope."""
-    seen: set[str] = set()
-
-    def walk(n):
-        if isinstance(n, _DEF_NODES):
-            return
-        if isinstance(n, ast.Name):
-            seen.add(n.id)
+    bound = {p.arg for p in args.posonlyargs + args.args + args.kwonlyargs}
+    used: set[str] = set()
+    declared: set[str] = set()
+    stack = [(n, frozenset()) for n in node.body]
+    while stack:
+        n, inner = stack.pop()
+        name = _name_of(n)
+        if name is not None and name not in inner:
+            if type(n) is ast.Name:
+                used.add(name)
+            if not _reads(n):
+                bound.add(name)
         if isinstance(n, (ast.Global, ast.Nonlocal)):
-            seen.update(n.names)
-        for child in ast.iter_child_nodes(n):
-            walk(child)
-
-    for stmt in node.body:
-        walk(stmt)
-    return seen - local_names
+            declared.update(n.names)
+            used.update(n.names)
+        elif isinstance(n, (*_DEF_NODES, ast.Lambda)):
+            a = n.args
+            stack += [(d, inner) for d in a.defaults + a.kw_defaults if d]
+            if isinstance(n, ast.Lambda):
+                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                own = {p.arg for p in params if p}
+                own |= {w.target.id for w in ast.walk(n.body) if type(w) is ast.NamedExpr}
+                stack.append((n.body, inner | own))
+        elif isinstance(n, _COMPREHENSIONS):
+            first = n.generators[0]
+            own = {x.id for g in n.generators for x in ast.walk(g.target)
+                   if type(x) is ast.Name and not _reads(x)}
+            stack.append((first.iter, inner))
+            stack += [(c, inner | own) for c in ast.iter_child_nodes(n) if c is not first]
+            stack += [(c, inner | own) for c in ast.iter_child_nodes(first) if c is not first.iter]
+        elif not isinstance(n, ast.ClassDef):
+            stack += [(c, inner) for c in ast.iter_child_nodes(n)]
+    local_names = bound - declared
+    return local_names, used - local_names
 
 
 def _identifiers(tree) -> tuple[set[str], set[str]]:
@@ -121,19 +149,9 @@ def _identifiers(tree) -> tuple[set[str], set[str]]:
     loaded: set[str] = set()
     stored: set[str] = set()
     for n in ast.walk(tree):
-        kind = type(n)
-        if kind is ast.Name:
-            (loaded if type(n.ctx) is ast.Load else stored).add(n.id)
-        elif kind is ast.arg:
-            stored.add(n.arg)
-        elif kind in _BINDING_DEFS:
-            stored.add(n.name)
-        elif kind is ast.alias:
-            stored.add(n.asname or n.name.split(".")[0])
-        elif kind in _NAMED_BINDERS and n.name:
-            stored.add(n.name)
-        elif kind is ast.MatchMapping and n.rest:
-            stored.add(n.rest)
+        name = _name_of(n)
+        if name is not None:
+            (loaded if _reads(n) else stored).add(name)
     return loaded | stored, stored
 
 
@@ -172,12 +190,6 @@ def _analyze(tree: ast.Module) -> dict[str, ast.AST]:
             defs[node.name] = node
     planned = set(defs)
 
-    for name in planned:
-        node = defs[name]
-        for n in ast.walk(node):
-            if n is not node and isinstance(n, _DEF_NODES) and n.name == name:
-                raise DynamicCallUnsupported(f"{name!r} redefined in a nested scope")
-
     sites: dict[str, list[ast.Call]] = {name: [] for name in planned}
     site_owners: dict[int, list[str]] = {}
     parent_def: dict[str, str | None] = {}
@@ -189,33 +201,20 @@ def _analyze(tree: ast.Module) -> dict[str, ast.AST]:
             for child in ast.iter_child_nodes(node):
                 scan(child, stack, None)
             return
-        if isinstance(node, ast.Name) and node.id in planned:
-            if isinstance(node.ctx, (ast.Store, ast.Del)):
+        name = _name_of(node)
+        if name in planned:
+            if not _reads(node):
                 raise DynamicCallUnsupported(
-                    f"function name {node.id!r} is rebound (shadowing)"
+                    f"function name {name!r} is rebound by {type(node).__name__} "
+                    f"(line {node.lineno})"
                 )
             if call_func_of is None:
                 raise DynamicCallUnsupported(
-                    f"function {node.id!r} is used as a value, not called"
+                    f"function {name!r} is used as a value, not called"
                 )
-            sites[node.id].append(call_func_of)
+            sites[name].append(call_func_of)
             site_owners[id(call_func_of)] = list(stack)
             return
-        if isinstance(node, (ast.arg,)) and node.arg in planned:
-            raise DynamicCallUnsupported(
-                f"parameter shadows function name {node.arg!r}"
-            )
-        if isinstance(node, ast.alias):
-            bound = node.asname or node.name.split(".")[0]
-            if bound in planned:
-                raise DynamicCallUnsupported(
-                    f"import rebinds function name {bound!r}"
-                )
-            return
-        if isinstance(node, ast.ExceptHandler) and node.name in planned:
-            raise DynamicCallUnsupported(
-                f"except clause rebinds function name {node.name!r}"
-            )
         if isinstance(node, (ast.Global, ast.Nonlocal)):
             hit = planned.intersection(node.names)
             if hit:
@@ -276,10 +275,13 @@ def _analyze(tree: ast.Module) -> dict[str, ast.AST]:
         if state.get(name, 0) == 0:
             dfs(name)
 
-    locals_of = {name: _collect_locals(defs[name]) for name in planned}
+    locals_of: dict[str, set[str]] = {}
+    free_of: dict[str, set[str]] = {}
+    for name in planned:
+        locals_of[name], free_of[name] = _scope_names(defs[name])
     effective_free: dict[str, set[str]] = {}
     for name in order:
-        free = _collect_free(defs[name], locals_of[name]) - planned
+        free = free_of[name] - planned
         for callee in calls_of[name]:
             free |= effective_free[callee]
         effective_free[name] = free
@@ -349,9 +351,9 @@ def _check_definition_order(tree: ast.Module, calls_of: dict[str, set[str]]):
 # transformability checks
 
 
-def _walk_own(node):
-    """Walk a def body without entering nested definitions."""
-    stack = list(node.body)
+def _walk_own(body):
+    """Walk a statement list without entering nested definitions."""
+    stack = list(body)
     while stack:
         n = stack.pop()
         if isinstance(n, _DEF_NODES):
@@ -384,13 +386,17 @@ def _check_transformable(tree: ast.Module, planned: dict[str, ast.AST]):
                 raise TransformUnsupported(
                     f"{name!r} has a non-trivial annotation"
                 )
-        for n in _walk_own(node):
+        for n in _walk_own(node.body):
             if isinstance(n, (ast.Yield, ast.YieldFrom)):
                 raise TransformUnsupported(f"{name!r} is a generator function")
             if isinstance(n, ast.Await):
                 raise TransformUnsupported(f"{name!r} awaits")
             if isinstance(n, ast.Nonlocal):
                 raise TransformUnsupported(f"{name!r} declares nonlocal")
+            if isinstance(n, ast.alias) and n.asname is None and "." in n.name:
+                # the renamed copy would read `import a.b as a__inl0`,
+                # which binds the submodule, not the package
+                raise TransformUnsupported(f"{name!r} imports {n.name!r} without 'as'")
             if isinstance(n, ast.ClassDef):
                 raise TransformUnsupported(
                     f"{name!r} defines class {n.name!r} in its body"
@@ -436,7 +442,7 @@ def _linearize(expr, ctx, owners, planned, pure_names, events):
             _linearize(d, ctx, owners, planned, pure_names, events)
         _linearize(expr.body, _worse(ctx, "deferred"), owners, planned, pure_names, events)
         return
-    if isinstance(expr, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+    if isinstance(expr, _COMPREHENSIONS):
         lazy = isinstance(expr, ast.GeneratorExp)
         inner = _worse(ctx, "deferred" if lazy else "repeated")
         for i, gen in enumerate(expr.generators):
@@ -726,51 +732,11 @@ def _hoist_defaults(tree, planned_names, fresh) -> dict[tuple[str, str], str]:
 
 
 # ---------------------------------------------------------------------------
-# renaming and return rewriting
-
-
-class _Renamer(ast.NodeTransformer):
-    def __init__(self, mapping: dict[str, str]):
-        self.mapping = mapping
-
-    def visit_Name(self, node):
-        new = self.mapping.get(node.id)
-        if new is not None:
-            return ast.copy_location(ast.Name(id=new, ctx=node.ctx), node)
-        return node
-
-    def visit_arg(self, node):
-        self.generic_visit(node)
-        new = self.mapping.get(node.arg)
-        if new is not None:
-            node.arg = new
-        return node
-
-    def visit_ExceptHandler(self, node):
-        self.generic_visit(node)
-        if node.name and node.name in self.mapping:
-            node.name = self.mapping[node.name]
-        return node
-
-    def visit_alias(self, node):
-        bound = node.asname or node.name.split(".")[0]
-        new = self.mapping.get(bound)
-        if new is not None:
-            node.asname = new
-        return node
+# return rewriting
 
 
 def _count_returns(body) -> int:
-    count = 0
-    stack = list(body)
-    while stack:
-        n = stack.pop()
-        if isinstance(n, _DEF_NODES):
-            continue
-        if isinstance(n, ast.Return):
-            count += 1
-        stack.extend(ast.iter_child_nodes(n))
-    return count
+    return sum(isinstance(n, ast.Return) for n in _walk_own(body))
 
 
 def _none() -> ast.expr:
@@ -931,30 +897,32 @@ class _GlobalStripper(ast.NodeTransformer):
         return ast.copy_location(ast.Pass(), node)
 
 
-def _copy_tree(node):
-    """Copy a statement list or subtree field by field. Nodes without
-    fields (contexts and operators) are shared, as ``ast.parse`` shares
-    them; other leaf values (names, constants) are immutable."""
+def _copy_tree(node, rename: dict[str, str]):
+    """Copy a statement list or subtree field by field, renaming each name
+    in ``rename`` wherever a node binds or reads it. Nodes without fields
+    (contexts and operators) are shared, as ``ast.parse`` shares them;
+    other leaf values (names, constants) are immutable."""
     if type(node) is list:
-        return [_copy_tree(item) for item in node]
+        return [_copy_tree(item, rename) for item in node]
     if not isinstance(node, ast.AST) or not node._fields:
         return node
     new = ast.AST.__new__(type(node))
     for key, value in node.__dict__.items():
-        setattr(new, key, _copy_tree(value))
+        setattr(new, key, _copy_tree(value, rename))
+    name = _name_of(node)
+    if name in rename:
+        setattr(new, _BINDS[type(node)], rename[name])
     return new
 
 
 def _splice_one(stmt, call, def_node, fresh, default_temps, into_function):
     """Expand one canonical call site into a statement list."""
     fname = def_node.name
-    local_names = _collect_locals(def_node)
+    local_names, _ = _scope_names(def_node)
     rename = {name: fresh.make(name) for name in sorted(local_names)}
     parts = _bind_arguments(call, def_node, rename, default_temps, fname)
 
-    body = _copy_tree(def_node.body)
-    renamer = _Renamer(rename)
-    body = [renamer.visit(s) for s in body]
+    body = _copy_tree(def_node.body, rename)
     if not into_function:
         body = [_GlobalStripper().visit(s) for s in body]
 

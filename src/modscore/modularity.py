@@ -105,15 +105,6 @@ def score_unit(
 class Categorization:
     mc_index: int | None
     sc_index: int | None
-    reports: list[ModularityReport]
-
-    @property
-    def mc(self) -> ModularityReport | None:
-        return None if self.mc_index is None else self.reports[self.mc_index]
-
-    @property
-    def sc(self) -> ModularityReport | None:
-        return None if self.sc_index is None else self.reports[self.sc_index]
 
 
 def categorize_solutions(reports: list[ModularityReport]) -> Categorization:
@@ -136,4 +127,4 @@ def categorize_solutions(reports: list[ModularityReport]) -> Categorization:
     mc_index = best if reports[best].mos > 0 else None
     zeros = [i for i in range(len(reports)) if reports[i].mos == 0]
     sc_index = min(zeros, key=lambda i: (reports[i].source_lines, i)) if zeros else None
-    return Categorization(mc_index=mc_index, sc_index=sc_index, reports=reports)
+    return Categorization(mc_index=mc_index, sc_index=sc_index)

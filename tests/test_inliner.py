@@ -22,6 +22,7 @@ from modscore.inliner import (
 )
 from modscore.modularity import score_unit
 from modscore.parsing import parse
+from modscore.sandbox import _in_zygotes, run_program
 
 from gen_programs import runnable_program
 
@@ -104,6 +105,79 @@ def test_free_name_capture_rejected():
     )
     with pytest.raises(ExternalNameCollision):
         singularize(parse(src))
+
+
+# Each unit is helpers, a caller, then print, and binds or reads a name
+# through a match capture, a class, a comprehension, a lambda, a walrus or
+# a nested def's default. The flat form must print what the original
+# prints, or the unit must be refused; the controls must not be refused.
+BINDING_CASES = {
+    "list-capture-vs-caller-name": (
+        "def f(p):\n    match p:\n        case [a, b]:\n            return a + b\n"
+        "    return 0\na = 10\nprint(f([1, 2]), a)\n"
+    ),
+    "star-capture-vs-caller-name": (
+        "def f(p):\n    match p:\n        case [*r]:\n            return len(r)\n"
+        "    return 0\nr = 10\nprint(f([1, 2]), r)\n"
+    ),
+    "rest-capture-vs-caller-name": (
+        "def f(p):\n    match p:\n        case {**rest}:\n            return len(rest)\n"
+        "    return 0\nrest = 10\nprint(f({1: 2}), rest)\n"
+    ),
+    "capture-rebinds-helper": (
+        "def f(x):\n    return x + 1\nmatch 5:\n    case f:\n        pass\nprint(f(1))\n"
+    ),
+    "comprehension-target-named-like-global": (
+        "x = 7\ndef h(r):\n    return [x for x in r] + [x]\nprint(h([1, 2]))\n"
+    ),
+    "capture-hides-global-read-by-callee": (
+        "x = 1\ndef g():\n    return x\ndef f(p):\n    match p:\n        case x:\n"
+        "            pass\n    return g()\nprint(f(5))\n"
+    ),
+    "class-rebinds-helper": (
+        "def f(x):\n    return x + 1\nclass f:\n    pass\nprint(f(1))\n"
+    ),
+    "comprehension-target-named-like-global-vs-caller-local": (
+        "x = 7\ndef h(r):\n    return [x for x in r] + [x]\n"
+        "def main():\n    x = 3\n    print(h([1]), x)\nmain()\n"
+    ),
+    "comprehension-iterates-global-of-its-target-name": (
+        "x = [1, 2]\ndef h():\n    return [x for x in x]\n"
+        "def main():\n    x = [9]\n    print(h(), x)\nmain()\n"
+    ),
+    "walrus-in-lambda-vs-global": (
+        "y = 4\ndef h(r):\n    g = lambda: (y := r)\n    return g() + y\nprint(h(1), y)\n"
+    ),
+    "nested-def-default-reads-global-vs-caller-local": (
+        "x = 1\ndef f():\n    def g(a=x):\n        return a\n    return g()\n"
+        "def main():\n    x = 5\n    print(f(), x)\nmain()\n"
+    ),
+    "control-comprehension-target-vs-caller-local": (
+        "def h(r):\n    return sum(i for i in r)\n"
+        "def main():\n    i = 5\n    print(h([1, 2]), i)\nmain()\n"
+    ),
+    "control-lambda-parameter-vs-global": (
+        "x = 5\ndef h(y):\n    g = lambda x: x * 2\n    return g(y) + x\nprint(h(3))\n"
+    ),
+    "control-walrus-in-helper": (
+        "def h(r):\n    if (n := len(r)) > 1:\n        return n\n    return 0\n"
+        "n = 10\nprint(h([1, 2, 3]), n)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BINDING_CASES)
+def test_name_bindings_keep_their_scope(case, fast_limits):
+    src = BINDING_CASES[case]
+    try:
+        flat = singularize(parse(src)).text
+    except (DynamicCallUnsupported, ExternalNameCollision):
+        assert not case.startswith("control")
+        return
+    before, after = _in_zygotes(
+        lambda code: run_program(code, b"", fast_limits), [src, flat], jobs=1
+    )
+    assert (after.verdict, after.stdout) == (before.verdict, before.stdout)
 
 
 # -- singularize: behavior preservation ---------------------------------------
@@ -337,6 +411,13 @@ def test_hoist_past_builtin_rebound_by_except_or_match_rejected(binder):
     # hoisting f's body ahead of it would print first
     src = "def f(x):\n    print('f ran')\n    return x\n" + binder + "y = len([1]) + f(1)\n"
     with pytest.raises(TransformUnsupported):
+        singularize(parse(src))
+
+
+def test_dotted_import_in_helper_rejected():
+    # renamed, `import os.path` would bind os.path to the fresh name, not os
+    src = "def h():\n    import os.path\n    return os.sep\nprint(h())\n"
+    with pytest.raises(TransformUnsupported, match="without 'as'"):
         singularize(parse(src))
 
 
