@@ -124,10 +124,12 @@ def _map_jobs(fn, items: list, jobs: int) -> list:
 
     One worker maps in this process. More are forked, not spawned: a
     spawned worker re-imports modscore, which on a few cores costs most of
-    what it would save, and the CLI has started no thread of its own when
-    it maps, so forking is safe. Results come back in input order, and the
-    first item in that order whose call raised raises here, as a serial
-    map does.
+    what it would save. Forking is safe because the process that forks has
+    no other thread: nothing the CLI imports starts one. numpy's OpenBLAS
+    would start one at import, so only the statistics functions import
+    numpy, and no subcommand that maps calls them. Results come back in
+    input order, and the first item in that order whose call raised
+    raises here, as a serial map does.
     """
     workers = min(jobs, len(items))
     if workers <= 1:
@@ -392,7 +394,7 @@ def _cmd_correlate(args) -> int:
             ))
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusFormatError(f"line {line_no}: {exc}") from exc
-    if args.per_bin:
+    if args.per_bin is not None:
         samples = binned_sample(samples, args.bins, args.per_bin, config.seed)
     xs = [s.mos for s in samples]
     ys = [s.pass1 for s in samples]

@@ -78,7 +78,10 @@ def case_from_row(row, line_no: int = 0) -> TestCase:
 def problem_from_row(row: dict, line_no: int = 0) -> Problem:
     if not isinstance(row, dict):
         raise CorpusFormatError(f"line {line_no}: expected an object")
-    tests = [case_from_row(t, line_no) for t in row.get("tests", [])]
+    tests = row.get("tests", [])
+    if not isinstance(tests, list):
+        raise CorpusFormatError(f"line {line_no}: tests must be a list")
+    tests = [case_from_row(t, line_no) for t in tests]
     solutions = _require(row, "solutions", line_no)
     if not isinstance(solutions, list) or not all(isinstance(s, str) for s in solutions):
         raise CorpusFormatError(f"line {line_no}: solutions must be a list of strings")

@@ -21,11 +21,14 @@ Rejected outright: recursion, any non-call use of a function name,
 rebinding or shadowing of one (by assignment, parameter, import, except
 clause, class or match capture), decorated/generator/async definitions,
 *args/**kwargs, ``nonlocal``, dotted imports without ``as`` in a helper,
-classes with methods (methods are modules but only dynamically
-invocable), call sites in deferred or repeated positions (lambda bodies,
-comprehensions, while-tests, short-circuit operands, ternary arms),
-hoists that would run a call ahead of an effectful expression, and calls
-that run before their helper's ``def`` in the same block.
+helpers that read names dynamically (a call of the builtin ``eval``,
+``exec``, ``globals`` or ``locals``, or of ``vars`` or ``dir`` without
+an argument), classes with methods (methods are modules but only
+dynamically invocable), call sites in deferred or repeated positions
+(lambda bodies, comprehensions, while-tests, short-circuit operands,
+ternary arms), hoists that would run a call ahead of an effectful
+expression, calls that run before their helper's ``def`` in the same
+block, and sources nested too deeply for the rewrite's recursion.
 """
 
 from __future__ import annotations
@@ -56,6 +59,13 @@ PURE_BUILTINS = frozenset({
     "range", "repr", "reversed", "round", "set", "sorted", "str", "sum",
     "tuple", "type", "zip",
 })
+
+# builtins that look names up in the calling scope at run time: spliced
+# into a caller, a helper's call would see the renamed copies of its
+# locals and the caller's names; ``vars`` and ``dir`` do so only when
+# called without an argument
+_SCOPE_READERS = frozenset({"eval", "exec", "globals", "locals"})
+_BARE_SCOPE_READERS = frozenset({"vars", "dir"})
 
 _DEF_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
@@ -400,6 +410,17 @@ def _check_transformable(tree: ast.Module, planned: dict[str, ast.AST]):
             if isinstance(n, ast.ClassDef):
                 raise TransformUnsupported(
                     f"{name!r} defines class {n.name!r} in its body"
+                )
+            if (
+                isinstance(n, ast.Call)
+                and type(n.func) is ast.Name
+                and n.func.id not in planned
+                and (n.func.id in _SCOPE_READERS
+                     or n.func.id in _BARE_SCOPE_READERS and not (n.args or n.keywords))
+            ):
+                raise TransformUnsupported(
+                    f"{name!r} reads names dynamically through {n.func.id}() "
+                    f"(line {n.lineno})"
                 )
 
 
@@ -978,10 +999,17 @@ def singularize(unit: SourceUnit) -> SourceUnit:
 
     Raises RecursionUnsupported, DynamicCallUnsupported,
     ExternalNameCollision, or TransformUnsupported when the unit cannot be
-    inlined soundly.
+    inlined soundly or is nested too deeply to rewrite.
     """
     if unit.function_count == 0:
         return unit
+    try:
+        return _singularize(unit)
+    except RecursionError:
+        raise TransformUnsupported("source is nested too deeply to transform") from None
+
+
+def _singularize(unit: SourceUnit) -> SourceUnit:
     tree = ast.parse(unit.text)
     planned = _analyze(tree)
     _check_transformable(tree, planned)

@@ -100,19 +100,23 @@ def _extract(stmts: list[ast.stmt]) -> list[FunctionDef]:
 def parse(text: bytes | str, profile: SubjectProfile = PY3, unit_id: str = "<unit>") -> SourceUnit:
     """Parse source and extract definitions under the given profile.
 
-    Raises SyntaxError (with position) on unparseable input and
-    EncodingError on invalid UTF-8. ``compile`` runs as well so
-    grammar-valid but illegal statements (``break`` outside a loop,
-    ``return`` at module level) surface here, not during analysis. It
-    compiles the source, which parses the text a second time. Compiling
-    the tree instead gains too little to matter: the 500 solutions of the
-    benchmark's seed-7 study corpus compile in 0.17 s from source and
-    0.15 s from their trees (Python 3.11.7 on a 2-vCPU host, best of 5),
-    under 3% of what ``parse`` costs them in all.
+    Raises SyntaxError on unparseable input (with position, except for
+    input nested too deeply to parse) and EncodingError on invalid UTF-8.
+    ``compile`` runs as well so grammar-valid but illegal statements
+    (``break`` outside a loop, ``return`` at module level) surface here,
+    not during analysis. It compiles the source, which parses the text a
+    second time. Compiling the tree instead gains too little to matter:
+    the 500 solutions of the benchmark's seed-7 study corpus compile in
+    0.17 s from source and 0.15 s from their trees (Python 3.11.7 on a
+    2-vCPU host, best of 5), under 3% of what ``parse`` costs them in all.
     """
     source = _decode(text)
-    tree = ast.parse(source, filename=unit_id)
-    compile(source, unit_id, "exec")
+    try:
+        tree = ast.parse(source, filename=unit_id)
+        compile(source, unit_id, "exec")
+    except RecursionError:
+        # the parser and compiler recurse once per nesting level
+        raise SyntaxError(f"{unit_id}: source is nested too deeply to parse") from None
 
     toplevel = FunctionDef(
         name=TOPLEVEL_NAME,

@@ -254,10 +254,14 @@ def test_passk_rejects_bad_input_before_running(capsys, monkeypatch, flags, mess
     assert err.count("\n") == 1 and message in err
 
 
+SCORED_ROW = '{"unit_id": "u0", "mos": 0.5, "pass1": 1.0}\n'
+TOO_DEEP_TO_PARSE = "x = " + "+".join(["1"] * 3000) + "\n"
+TOO_DEEP_TO_TRANSFORM = "def f(a):\n    return a\nx = " + "+".join(["f(1)"] * 600) + "\n"
+
 BAD_INPUT_CASES = {
-    # name: (command, text of the config file, or of the input file for
-    # "verify", "correlate" and "corpus" (str, or bytes written as they are),
-    # or None; MODSCORE_PROFILE; exit code; part of the message)
+    # name: (command, text of the config file, or of the input file for the
+    # commands in INPUT_COMMANDS (str, or bytes written as they are), or
+    # None; MODSCORE_PROFILE; exit code; part of the message)
     "env-profile": ("analyze", None, "bad", 1, "unknown profile 'bad'"),
     "tau-as-string": ("classify", '{"tau": "5"}', None, 1, "'tau' must be int"),
     "jobs-as-string": ("filter", '{"jobs": "2"}', None, 1, "'jobs' must be int"),
@@ -277,6 +281,20 @@ BAD_INPUT_CASES = {
                         None, 2, "line 2: not valid UTF-8"),
     "corpus-cr-lines-not-utf8": ("corpus", b'{"id": "p1", "solutions": []}\r{"id": "\xff"}\r',
                                  None, 2, "line 2: not valid UTF-8"),
+    "corpus-tests-not-a-list": ("corpus", '{"id": "p1", "solutions": [], "tests": 5}\n',
+                                None, 2, "line 1: tests must be a list"),
+    "correlate-zero-bins": ("correlate-bins-0", SCORED_ROW, None, 1,
+                            "bins and per_bin must be positive"),
+    "correlate-zero-per-bin": ("correlate-per-bin-0", SCORED_ROW, None, 1,
+                               "bins and per_bin must be positive"),
+    "source-too-deep-to-parse": ("analyze-given", TOO_DEEP_TO_PARSE, None, 2,
+                                 "nested too deeply to parse"),
+    "source-too-deep-to-transform": ("singularize-given", TOO_DEEP_TO_TRANSFORM, None, 3,
+                                     "nested too deeply to transform"),
+}
+INPUT_COMMANDS = {
+    "verify", "correlate", "correlate-bins-0", "correlate-per-bin-0", "corpus",
+    "analyze-given", "singularize-given",
 }
 
 
@@ -306,9 +324,13 @@ def test_bad_input_exits_with_one_line(capsys, monkeypatch, tmp_path, case):
         "classify-dir": ["classify", str(tmp_path)],
         "verify": ["singularize", str(source), "--verify", str(given)],
         "correlate": ["correlate", str(given)],
+        "correlate-bins-0": ["correlate", str(given), "--per-bin", "1", "--bins", "0"],
+        "correlate-per-bin-0": ["correlate", str(given), "--per-bin", "0"],
         "corpus": ["classify", str(given)],
+        "analyze-given": ["analyze", str(given)],
+        "singularize-given": ["singularize", str(given)],
     }[command]
-    if text is not None and command not in ("verify", "correlate", "corpus"):
+    if text is not None and command not in INPUT_COMMANDS:
         argv += ["--config", str(given)]
     code, out, err = run_cli(capsys, *argv)
     assert code == want_code
@@ -402,15 +424,45 @@ def test_default_jobs_counts_the_cores_this_process_may_use():
     assert cli_module._effective_jobs(0) == len(os.sched_getaffinity(0))
 
 
-def test_importing_the_cli_loads_no_multiprocessing():
-    probe = (
-        "import sys, modscore.cli\n"
-        "print(sorted(m for m in sys.modules if m == 'multiprocessing'"
-        " or m.startswith('multiprocessing.') or m == 'concurrent.futures.process'))\n"
-    )
+def run_probe(probe: str) -> str:
+    """Run ``probe`` in a fresh interpreter; its stdout."""
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    # numpy too: its OpenBLAS starts a thread at import, and classify forks
+    probe = (
+        "import os, sys, modscore.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'multiprocessing'"
+        " or m.startswith('multiprocessing.') or m == 'concurrent.futures.process'"
+        " or m == 'numpy'))\n"
+        "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1)\n"
+    )
+    assert run_probe(probe).splitlines() == ["[]", "1"]
+
+
+def test_only_the_statistics_commands_load_numpy(tmp_path):
+    scored = tmp_path / "scored.jsonl"
+    scored.write_text("".join(
+        json.dumps({"unit_id": f"u{i}", "mos": i / 10, "pass1": (i * 7 % 10) / 10}) + "\n"
+        for i in range(10)
+    ))
+    probe = (
+        "import contextlib, io, sys\n"
+        "from modscore.cli import main\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(list(argv)) == 0, argv\n"
+        f"run('classify', {str(FIXTURES / 'mini_corpus.jsonl')!r})\n"
+        f"run('filter', {str(FIXTURES / 'filter_corpus.jsonl')!r},"
+        f" '--out', {str(tmp_path / 'kept.jsonl')!r})\n"
+        "print('numpy' in sys.modules)\n"
+        f"run('correlate', {str(scored)!r})\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert run_probe(probe).split() == ["False", "True"]

@@ -180,6 +180,52 @@ def test_name_bindings_keep_their_scope(case, fast_limits):
     assert (after.verdict, after.stdout) == (before.verdict, before.stdout)
 
 
+# Each helper reads names by name at run time, through a builtin that sees
+# the scope it runs in; spliced, it would see renamed names and the
+# caller's. The flat form must print what the original prints, or the
+# unit must be refused; the controls must not be refused.
+DYNAMIC_READ_CASES = {
+    "eval-reads-parameter-named-like-global": (
+        'a = 100\ndef f(a):\n    return eval("a * 2")\nprint(f(3))\n'
+    ),
+    "locals-lists-helper-locals": (
+        "def f(a):\n    b = 1\n    return sorted(locals())\nprint(f(3))\n"
+    ),
+    "exec-reads-parameter-named-like-global": (
+        'def f(a):\n    exec("print(a)")\n    return a\na = 9\nprint(f(1))\n'
+    ),
+    "globals-listed-in-helper": (
+        "def f():\n    y = 1\n    return [k for k in globals() if k[0] != '_']\nprint(f())\n"
+    ),
+    "bare-vars-lists-helper-locals": (
+        "def f(a):\n    return sorted(vars())\nprint(f(1))\n"
+    ),
+    "bare-dir-lists-helper-locals": "def f(a):\n    return dir()\nprint(f(1))\n",
+    "control-vars-of-an-object": (
+        "import types\ndef f(o):\n    return sorted(vars(o))\n"
+        "print(f(types.SimpleNamespace(x=1)))\n"
+    ),
+    "control-helper-named-eval": (
+        "def eval(x):\n    return x * 2\ndef g(y):\n    return eval(y)\nprint(g(2))\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", DYNAMIC_READ_CASES)
+def test_dynamic_name_reads_keep_their_output(case, fast_limits):
+    src = DYNAMIC_READ_CASES[case]
+    try:
+        flat = singularize(parse(src)).text
+    except TransformUnsupported as exc:
+        assert not case.startswith("control")
+        assert "reads names dynamically" in str(exc)
+        return
+    before, after = _in_zygotes(
+        lambda code: run_program(code, b"", fast_limits), [src, flat], jobs=1
+    )
+    assert (after.verdict, after.stdout) == (before.verdict, before.stdout)
+
+
 # -- singularize: behavior preservation ---------------------------------------
 
 
