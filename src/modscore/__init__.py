@@ -13,10 +13,7 @@ from .corpus import FilterReport, Problem, TestCase, filter_corpus, load_corpus
 from .inliner import singularize, verify_equivalence
 from .modularity import (
     Categorization,
-    CodeCategory,
-    Label,
     ModularityReport,
-    Provenance,
     categorize_solutions,
     ideal_modules,
     modularity_score,
@@ -43,7 +40,7 @@ __all__ = [
     "ComplexityReport", "cc_decision_points", "cc_from_cfg", "unit_complexity",
     "FilterReport", "Problem", "TestCase", "filter_corpus", "load_corpus",
     "singularize", "verify_equivalence",
-    "Categorization", "CodeCategory", "Label", "ModularityReport", "Provenance",
+    "Categorization", "ModularityReport",
     "categorize_solutions", "ideal_modules", "modularity_score", "score_unit",
     "FunctionDef", "SourceUnit", "parse",
     "EvalResult", "aggregate", "pass_at_k",

@@ -9,8 +9,9 @@ reports it, or ``E <message>`` when the child could not be isolated.
 The server exits at the end of its request stream.
 
 The server runs as a script, so it uses only the standard library. It
-keeps its imports few, because every run inherits its state. ``sandbox``
-imports it only for ``limit``.
+keeps its imports few, because every run inherits its state. No module
+of the package imports it; the tests' fresh-interpreter reference imports
+it for ``limit``.
 
 A child ends the way a ``python -I prog.py`` process does, in the order
 the interpreter's exit path takes: ``SystemExit`` codes and messages, an
@@ -52,7 +53,7 @@ def _expire(signum, frame):
 
 
 def limit(memory: int, output_cap: int, wall_time: float):
-    """A new session and the run's rlimits; also the spawn path's preexec_fn."""
+    """A new session and the run's rlimits; the tests' reference runs it before exec."""
     os.setsid()
     resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
     resource.setrlimit(resource.RLIMIT_FSIZE, (output_cap, output_cap))

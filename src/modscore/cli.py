@@ -170,12 +170,9 @@ def _build_config(args) -> RunConfig:
     if getattr(args, "config", None):
         for key, value in _read_config(args.config).items():
             setattr(config, key, value)
-    for key in (
-        "profile", "tau", "seed", "jobs", "wall_time", "memory",
-        "output_cap", "exact_output",
-    ):
+    for key in _CONFIG_TYPES:
         value = getattr(args, key, None)
-        if value is not None:
+        if value is not None and key != "output_format":  # set by --json/--table
             setattr(config, key, value)
     if getattr(args, "table", False):
         config.output_format = "table"
@@ -192,8 +189,10 @@ def _build_config(args) -> RunConfig:
         raise ConfigError(
             f"unknown profile {config.profile!r}; available: {available_profiles()}"
         )
+    if config.jobs < 0:
+        raise ConfigError(f"jobs must be 0 (the usable cores) or more, got {config.jobs}")
     try:
-        config.limits()  # RunLimits rejects a limit that is not positive
+        config.limits()  # RunLimits rejects a limit the OS cannot hold
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return config

@@ -21,9 +21,9 @@ Rejected outright: recursion, any non-call use of a function name,
 rebinding or shadowing of one (by assignment, parameter, import, except
 clause, class or match capture), decorated/generator/async definitions,
 *args/**kwargs, ``nonlocal``, dotted imports without ``as`` in a helper,
-helpers that read names dynamically (a call of the builtin ``eval``,
-``exec``, ``globals`` or ``locals``, or of ``vars`` or ``dir`` without
-an argument), classes with methods (methods are modules but only
+units that read names dynamically anywhere (a call of the builtin
+``eval``, ``exec``, ``globals`` or ``locals``, or of ``vars`` or ``dir``
+without an argument), classes with methods (methods are modules but only
 dynamically invocable), call sites in deferred or repeated positions
 (lambda bodies, comprehensions, while-tests, short-circuit operands,
 ternary arms), hoists that would run a call ahead of an effectful
@@ -62,8 +62,9 @@ PURE_BUILTINS = frozenset({
 
 # builtins that look names up in the calling scope at run time: spliced
 # into a caller, a helper's call would see the renamed copies of its
-# locals and the caller's names; ``vars`` and ``dir`` do so only when
-# called without an argument
+# locals and the caller's names, and a call anywhere else would see the
+# inlined temps and miss the removed definitions; ``vars`` and ``dir`` do
+# so only when called without an argument
 _SCOPE_READERS = frozenset({"eval", "exec", "globals", "locals"})
 _BARE_SCOPE_READERS = frozenset({"vars", "dir"})
 
@@ -374,6 +375,17 @@ def _walk_own(body):
 
 def _check_transformable(tree: ast.Module, planned: dict[str, ast.AST]):
     for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and type(node.func) is ast.Name
+            and node.func.id not in planned
+            and (node.func.id in _SCOPE_READERS
+                 or node.func.id in _BARE_SCOPE_READERS and not (node.args or node.keywords))
+        ):
+            raise TransformUnsupported(
+                f"the unit reads names dynamically through {node.func.id}() "
+                f"(line {node.lineno})"
+            )
         if isinstance(node, ast.ClassDef):
             for n in ast.walk(node):
                 if isinstance(n, _DEF_NODES):
@@ -410,17 +422,6 @@ def _check_transformable(tree: ast.Module, planned: dict[str, ast.AST]):
             if isinstance(n, ast.ClassDef):
                 raise TransformUnsupported(
                     f"{name!r} defines class {n.name!r} in its body"
-                )
-            if (
-                isinstance(n, ast.Call)
-                and type(n.func) is ast.Name
-                and n.func.id not in planned
-                and (n.func.id in _SCOPE_READERS
-                     or n.func.id in _BARE_SCOPE_READERS and not (n.args or n.keywords))
-            ):
-                raise TransformUnsupported(
-                    f"{name!r} reads names dynamically through {n.func.id}() "
-                    f"(line {n.lineno})"
                 )
 
 

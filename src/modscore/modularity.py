@@ -14,7 +14,6 @@ from being split.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .complexity import ComplexityReport, unit_complexity
 from .errors import EmptyInput, InvalidThreshold
@@ -22,35 +21,6 @@ from .parsing import SourceUnit
 from .profiles import SubjectProfile
 
 DEFAULT_TAU = 5
-
-
-class Label(str, Enum):
-    MC = "MC"
-    SC = "SC"
-    TMC = "TMC"
-    TSC = "TSC"
-
-
-class Provenance(str, Enum):
-    CORPUS_NATIVE = "corpus-native"
-    EXTERNALLY_TRANSFORMED = "externally-transformed"
-    INLINED = "inlined"
-    CORPUS_SUPPLIED = "corpus-supplied"
-
-
-@dataclass(frozen=True)
-class CodeCategory:
-    label: Label
-    provenance: Provenance
-
-    def __post_init__(self):
-        if self.label in (Label.MC, Label.SC) and self.provenance is not Provenance.CORPUS_NATIVE:
-            raise ValueError(f"{self.label.value} must be corpus-native")
-        if self.label is Label.TSC and self.provenance not in (
-            Provenance.INLINED,
-            Provenance.CORPUS_SUPPLIED,
-        ):
-            raise ValueError("TSC must be inlined or corpus-supplied")
 
 
 @dataclass(eq=False)

@@ -6,12 +6,12 @@ rlimits, and stdout redirected to a size-capped file (RLIMIT_FSIZE turns
 runaway output into a resource verdict instead of filling the disk).
 Network isolation is left to the surrounding environment.
 
-Batches (``passes_each``, ``count_correct``) go through one job queue of
-programs served by worker threads, each owning a zygote: a pre-started
-``python -I`` that forks one child per run (``_zygote.py``), so a run
-costs a fork instead of an interpreter start-up. A run outside a batch
-spawns a fresh interpreter; that path is also the reference the zygote
-is tested against.
+Every run forks from a zygote: a pre-started ``python -I`` that forks
+one child per run (``_zygote.py``), so a run costs a fork instead of an
+interpreter start-up. Batches (``passes_each``, ``count_correct``) go
+through one job queue of programs served by worker threads, each owning
+a zygote; a run outside a batch starts a zygote of its own and closes it
+after the run.
 """
 
 from __future__ import annotations
@@ -49,6 +49,11 @@ class RunLimits:
     def __post_init__(self):
         if self.wall_time <= 0 or self.memory <= 0 or self.output_cap <= 0:
             raise ValueError("all limits must be positive")
+        # the most the zygote's interval timer and setrlimit can hold
+        if not self.wall_time < 2**31:  # also false for nan
+            raise ValueError("wall_time must be finite and below 2**31 seconds")
+        if self.memory >= 2**63 or self.output_cap >= 2**63:
+            raise ValueError("memory and output_cap must be below 2**63 bytes")
 
 
 @dataclass(frozen=True)
@@ -73,44 +78,11 @@ def outputs_match(actual: bytes, expected: bytes, exact: bool = False) -> bool:
     return normalize_output(actual) == normalize_output(expected)
 
 
-def _spawn(tmp: str, limits: RunLimits) -> tuple[int, bool]:
-    """Run tmp/prog.py in a fresh interpreter: (return code, timed out).
-
-    ``preexec_fn`` can deadlock when other threads run Python code, so
-    batches never take this path: their workers always own a zygote.
-    """
-    from ._zygote import limit  # POSIX only, like `resource`
-
-    tmp_path = Path(tmp)
-    try:
-        with open(tmp_path / "stdin", "rb") as fin, \
-                open(tmp_path / "stdout", "wb") as fout, \
-                open(tmp_path / "stderr", "wb") as ferr:
-            proc = subprocess.Popen(
-                [sys.executable, "-I", "prog.py"],
-                stdin=fin,
-                stdout=fout,
-                stderr=ferr,
-                cwd=tmp,
-                preexec_fn=lambda: limit(limits.memory, limits.output_cap, limits.wall_time),
-            )
-    except OSError as exc:
-        raise SandboxUnavailable(f"cannot spawn interpreter: {exc}") from exc
-    try:
-        return proc.wait(timeout=limits.wall_time), False
-    except subprocess.TimeoutExpired:
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        return proc.wait(), True
-
-
 class _Zygote:
     """A pre-started ``python -I`` that forks one child per run (``_zygote.py``).
 
     Start-up is paid once per worker instead of once per run. The child
-    isolates itself as ``_spawn``'s does; the zygote enforces the wall
+    isolates itself (``_zygote.limit``); the zygote enforces the wall
     time. A zygote that cannot start or dies raises SandboxUnavailable.
     """
 
@@ -176,8 +148,8 @@ def _classify(returncode: int, timed_out: bool, stdout: bytes, stderr: bytes,
 def run_program(code: str, stdin_data: bytes, limits: RunLimits) -> RunResult:
     """Execute one program once and classify the outcome.
 
-    Inside ``_in_zygotes`` the run forks from the worker's zygote;
-    anywhere else it spawns a fresh interpreter.
+    The run forks from a zygote: inside ``_in_zygotes`` the worker's,
+    anywhere else one started for this run alone and closed after it.
     """
     if resource is None:
         raise SandboxUnavailable("resource limits unsupported on this platform")
@@ -187,10 +159,14 @@ def run_program(code: str, stdin_data: bytes, limits: RunLimits) -> RunResult:
         (tmp_path / "prog.py").write_text(code, encoding="utf-8")
         (tmp_path / "stdin").write_bytes(stdin_data)
         start = time.monotonic()
-        if zygote is None:
-            returncode, timed_out = _spawn(tmp, limits)
-        else:
+        if zygote is not None:
             returncode, timed_out = zygote.run(tmp, limits)
+        else:
+            zygote = _Zygote()
+            try:
+                returncode, timed_out = zygote.run(tmp, limits)
+            finally:
+                zygote.close()
         duration = time.monotonic() - start
         stdout = (tmp_path / "stdout").read_bytes()[: limits.output_cap]
         stderr = (tmp_path / "stderr").read_bytes()[:4096]

@@ -271,6 +271,19 @@ BAD_INPUT_CASES = {
     "not-json": ("analyze", '{"tau": 3', None, 1, "not valid JSON"),
     "not-an-object": ("analyze", "[3]", None, 1, "must hold a JSON object"),
     "negative-limit": ("filter", '{"wall_time": -1}', None, 1, "limits must be positive"),
+    "nan-wall-time-in-config": ("filter", '{"wall_time": NaN}', None, 1,
+                                "wall_time must be finite and below 2**31 seconds"),
+    "nan-wall-time": ("filter-wall-time-nan", None, None, 1,
+                      "wall_time must be finite and below 2**31 seconds"),
+    "infinite-wall-time": ("filter-wall-time-inf", None, None, 1,
+                           "wall_time must be finite and below 2**31 seconds"),
+    "huge-wall-time": ("filter-wall-time-1e30", None, None, 1,
+                       "wall_time must be finite and below 2**31 seconds"),
+    "huge-memory": ("filter-memory-huge", None, None, 1,
+                    "memory and output_cap must be below 2**63 bytes"),
+    "huge-output-cap-in-config": ("filter", '{"output_cap": 9223372036854775808}', None, 1,
+                                  "memory and output_cap must be below 2**63 bytes"),
+    "negative-jobs": ("filter-jobs-negative", None, None, 1, "jobs must be 0"),
     "unknown-output-format": ("analyze", '{"output_format": "xml"}', None, 1,
                               "output_format must be 'json' or 'table'"),
     "corpus-is-directory": ("classify-dir", None, None, 2, "Is a directory"),
@@ -321,6 +334,12 @@ def test_bad_input_exits_with_one_line(capsys, monkeypatch, tmp_path, case):
         "analyze": ["analyze", str(source)],
         "classify": ["classify", corpus],
         "filter": ["filter", corpus, "--out", str(tmp_path / "kept.jsonl")],
+        "filter-wall-time-nan": ["filter", corpus, "--out", "-", "--wall-time", "nan"],
+        "filter-wall-time-inf": ["filter", corpus, "--out", "-", "--wall-time", "inf"],
+        "filter-wall-time-1e30": ["filter", corpus, "--out", "-", "--wall-time", "1e30"],
+        "filter-memory-huge": ["filter", corpus, "--out", "-",
+                               "--memory", "99999999999999999999"],
+        "filter-jobs-negative": ["filter", corpus, "--out", "-", "--jobs", "-3"],
         "classify-dir": ["classify", str(tmp_path)],
         "verify": ["singularize", str(source), "--verify", str(given)],
         "correlate": ["correlate", str(given)],

@@ -180,9 +180,10 @@ def test_name_bindings_keep_their_scope(case, fast_limits):
     assert (after.verdict, after.stdout) == (before.verdict, before.stdout)
 
 
-# Each helper reads names by name at run time, through a builtin that sees
-# the scope it runs in; spliced, it would see renamed names and the
-# caller's. The flat form must print what the original prints, or the
+# Each unit reads names by name at run time, through a builtin that sees
+# the scope it runs in: in a helper, spliced, it would see renamed names
+# and the caller's; at the top level, the inlined temps and no removed
+# definitions. The flat form must print what the original prints, or the
 # unit must be refused; the controls must not be refused.
 DYNAMIC_READ_CASES = {
     "eval-reads-parameter-named-like-global": (
@@ -201,6 +202,20 @@ DYNAMIC_READ_CASES = {
         "def f(a):\n    return sorted(vars())\nprint(f(1))\n"
     ),
     "bare-dir-lists-helper-locals": "def f(a):\n    return dir()\nprint(f(1))\n",
+    "top-level-globals-lists-inlined-temps": (
+        "def f(a):\n    return a\nprint(f(1))\n"
+        "print(sorted(k for k in globals() if k[0] != '_'))\n"
+    ),
+    "top-level-eval-calls-removed-helper": (
+        'def f(a):\n    return a * 2\nprint(eval("f(5)"))\n'
+    ),
+    "top-level-bare-vars-lists-inlined-temps": (
+        "def f(a):\n    return a\nx = f(1)\nprint(sorted(vars()))\n"
+    ),
+    "control-top-level-vars-of-an-object": (
+        "import types\ndef f(a):\n    return a\nx = f(1)\n"
+        "print(sorted(vars(types.SimpleNamespace(y=x))))\n"
+    ),
     "control-vars-of-an-object": (
         "import types\ndef f(o):\n    return sorted(vars(o))\n"
         "print(f(types.SimpleNamespace(x=1)))\n"

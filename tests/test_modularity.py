@@ -3,9 +3,6 @@ from hypothesis import given, strategies as st
 
 from modscore.errors import EmptyInput, InvalidThreshold
 from modscore.modularity import (
-    CodeCategory,
-    Label,
-    Provenance,
     categorize_solutions,
     ideal_modules,
     modularity_score,
@@ -119,15 +116,6 @@ def test_categorize_tie_break_fewest_lines():
 def test_categorize_empty_raises():
     with pytest.raises(EmptyInput):
         categorize_solutions([])
-
-
-def test_category_invariants():
-    CodeCategory(Label.MC, Provenance.CORPUS_NATIVE)
-    CodeCategory(Label.TSC, Provenance.INLINED)
-    with pytest.raises(ValueError):
-        CodeCategory(Label.MC, Provenance.INLINED)
-    with pytest.raises(ValueError):
-        CodeCategory(Label.TSC, Provenance.CORPUS_NATIVE)
 
 
 @given(st.integers(0, 500), st.integers(0, 500))

@@ -17,6 +17,11 @@ def test_limits_must_be_positive():
         RunLimits(wall_time=0)
 
 
+def test_largest_limits_the_os_holds_still_run():
+    limits = RunLimits(wall_time=2**31 - 1, memory=2**63 - 1, output_cap=2**63 - 1)
+    assert run_solution(DOUBLE, TestCase(b"3\n", b"6\n"), limits).verdict == "pass"
+
+
 def test_echo_double_passes(fast_limits):
     result = run_solution(DOUBLE, TestCase(b"3\n", b"6\n"), fast_limits)
     assert result.verdict == "pass"

@@ -1,15 +1,23 @@
-"""The zygote path against the spawn path, and the scheduler's process hygiene.
+"""Forked runs against a fresh interpreter, and the scheduler's process hygiene.
 
-A run outside ``_in_zygotes`` spawns a fresh interpreter: that is the
-reference. Inside it, the same ``run_solution`` forks from a zygote; both
-must give the same verdict, stdout and detail.
+The reference runs each program in a fresh interpreter (``_spawn``, with
+``_zygote.limit`` as its ``preexec_fn``), through the same
+``run_solution`` with a spawner standing in for the one-shot zygote.
+Forked from a zygote, the same run must give the same verdict, stdout
+and detail.
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from modscore import sandbox
+from modscore._zygote import limit
 from modscore.cli import main
 from modscore.corpus import TestCase, filter_corpus, load_corpus
 from modscore.errors import SandboxUnavailable
@@ -17,7 +25,7 @@ from modscore.inliner import verify_equivalence
 from modscore.parsing import parse
 from modscore.sandbox import RunLimits, count_correct, run_solution
 
-from conftest import FIXTURES, assert_no_children
+from conftest import FIXTURES, SRC, assert_no_children
 from gen_programs import runnable_program
 
 # kills the zygote it was forked from
@@ -25,8 +33,51 @@ KILL_PARENT = "import os, signal\nos.kill(os.getppid(), signal.SIGKILL)\n"
 DOUBLE = "print(int(input()) * 2)\n"
 
 
+def _spawn(tmp: str, limits: RunLimits) -> tuple[int, bool]:
+    """Run tmp/prog.py in a fresh interpreter: (return code, timed out).
+
+    ``preexec_fn`` can deadlock when other threads run Python code, so
+    the reference runs only while no batch's worker threads are alive.
+    """
+    tmp_path = Path(tmp)
+    try:
+        with open(tmp_path / "stdin", "rb") as fin, \
+                open(tmp_path / "stdout", "wb") as fout, \
+                open(tmp_path / "stderr", "wb") as ferr:
+            proc = subprocess.Popen(
+                [sys.executable, "-I", "prog.py"],
+                stdin=fin,
+                stdout=fout,
+                stderr=ferr,
+                cwd=tmp,
+                preexec_fn=lambda: limit(limits.memory, limits.output_cap, limits.wall_time),
+            )
+    except OSError as exc:
+        raise SandboxUnavailable(f"cannot spawn interpreter: {exc}") from exc
+    try:
+        return proc.wait(timeout=limits.wall_time), False
+    except subprocess.TimeoutExpired:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        return proc.wait(), True
+
+
+class Spawner:
+    """Takes a one-shot run's zygote slot: every run spawns an interpreter."""
+
+    def run(self, tmp, limits):
+        return _spawn(tmp, limits)
+
+    def close(self):
+        pass
+
+
 def assert_same_on_both_paths(cases, limits):
-    spawned = [run_solution(code, test, limits) for code, test in cases]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sandbox, "_Zygote", Spawner)
+        spawned = [run_solution(code, test, limits) for code, test in cases]
     forked = sandbox._in_zygotes(
         lambda case: run_solution(case[0], case[1], limits), cases, jobs=2
     )
@@ -199,14 +250,7 @@ def test_zygote_that_dies_mid_run_is_unavailable(fast_limits):
 
 
 def test_large_jobs_start_one_zygote_per_program_at_most(monkeypatch, tmp_path, capsys):
-    started = []
-
-    class Counted(sandbox._Zygote):
-        def __init__(self):
-            started.append(self)
-            super().__init__()
-
-    monkeypatch.setattr(sandbox, "_Zygote", Counted)
+    started = count_zygotes(monkeypatch)
     corpus = write_corpus(tmp_path / "c.jsonl", [DOUBLE, "print(0)\n"])
     code = main(["filter", str(corpus), "--out", str(tmp_path / "out.jsonl"),
                  "--jobs", "64"])
@@ -215,7 +259,8 @@ def test_large_jobs_start_one_zygote_per_program_at_most(monkeypatch, tmp_path, 
     assert_no_children()
 
 
-def test_verify_equivalence_forks_every_run_from_one_zygote(fast_limits, monkeypatch):
+def count_zygotes(monkeypatch) -> list:
+    """Every _Zygote started from now on, in the order they start."""
     started = []
 
     class Counted(sandbox._Zygote):
@@ -223,14 +268,42 @@ def test_verify_equivalence_forks_every_run_from_one_zygote(fast_limits, monkeyp
             started.append(self)
             super().__init__()
 
-    def no_spawn(*args, **kwargs):
-        raise AssertionError("verify_equivalence spawned an interpreter")
-
     monkeypatch.setattr(sandbox, "_Zygote", Counted)
-    monkeypatch.setattr(sandbox, "_spawn", no_spawn)
+    return started
+
+
+def test_verify_equivalence_forks_every_run_from_one_zygote(fast_limits, monkeypatch):
+    started = count_zygotes(monkeypatch)
     unit = parse(DOUBLE)
     tests = [TestCase(b"3\n", b"6\n"), TestCase(b"4\n", b"8\n")]
     assert verify_equivalence(unit, unit, tests, fast_limits)
     assert not verify_equivalence(unit, parse("print(0)\n"), tests, fast_limits)
     assert len(started) == 2  # one per call
     assert_no_children()
+
+
+def test_one_shot_run_forks_from_a_zygote_of_its_own(fast_limits, monkeypatch):
+    started = count_zygotes(monkeypatch)
+    result = run_solution(DOUBLE, TestCase(b"3\n", b"6\n"), fast_limits)
+    assert result.verdict == "pass"
+    assert len(started) == 1
+    assert_no_children()
+
+
+def test_one_shot_run_that_kills_its_parent_spares_the_caller():
+    # In a child interpreter, so that a run which kills its caller fails
+    # this test instead of ending pytest.
+    script = (
+        "from modscore.errors import SandboxUnavailable\n"
+        "from modscore.sandbox import RunLimits, run_solution\n"
+        "from modscore.corpus import TestCase\n"
+        "try:\n"
+        f"    run_solution({KILL_PARENT!r}, TestCase(b'', b''), RunLimits(wall_time=5.0))\n"
+        "except SandboxUnavailable as exc:\n"
+        "    print('unavailable:', exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(b"unavailable: zygote exited during a run"), proc.stdout
