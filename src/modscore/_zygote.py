@@ -4,9 +4,14 @@ REQ and REP are the descriptors of its request and reply pipes. Each
 request is one line, ``tmp \\0 wall_time \\0 memory \\0 output_cap``. For
 each, the server forks one child that runs ``tmp/prog.py`` on
 ``tmp/stdin`` and writes ``tmp/stdout`` and ``tmp/stderr``. It answers
+two lines. The first, ``P <pid>``, comes before it waits for the child:
+the child leads a process group of that id once it is isolated, so a
+client whose server dies mid-run can still kill the run. The second is
 ``<returncode> <timed_out 0|1>``, the return code as ``subprocess``
 reports it, or ``E <message>`` when the child could not be isolated.
-The server exits at the end of its request stream.
+Before that reply, the server kills the child's group, so nothing the
+run started outlives it, unless it left the group with ``setsid``. The
+server exits at the end of its request stream.
 
 The server runs as a script, so it uses only the standard library. It
 keeps its imports few, because every run inherits its state. No module
@@ -154,6 +159,7 @@ def serve(requests: int, replies: int):
                     _child(tmp, int(memory), int(output_cap), wall_time, report_w)
                 finally:  # e.g. a program's sys.excepthook that raises
                     os._exit(1)
+            os.write(replies, b"P %d\n" % pid)
             os.close(report_w)
             _running, _timed_out = pid, False
             signal.setitimer(signal.ITIMER_REAL, wall_time)
@@ -162,6 +168,10 @@ def serve(requests: int, replies: int):
                 error += chunk
             _, status = os.waitpid(pid, 0)
             signal.setitimer(signal.ITIMER_REAL, 0)
+            try:  # the group outlives its reaped leader while members remain
+                os.killpg(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
             os.close(report_r)
             if error:
                 reply = b"E " + error.replace(b"\n", b" ")

@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Subcommands compose the pipeline: analyze -> classify -> singularize ->
-filter -> passk -> correlate -> ppl. Every JSON report embeds the tool
-version and the effective configuration. Exit codes: 0 success, 1 usage,
-2 malformed corpus, 3 transform unsupported, 4 sandbox unavailable.
+filter -> passk -> correlate -> ppl. Each takes a flag for every setting it
+reads and no other (``_READS``), and every JSON report embeds the tool
+version and the settings its command read, under their config-file keys.
+Exit codes: 0 success, 1 usage, 2 malformed corpus, 3 transform
+unsupported, 4 sandbox unavailable.
 """
 
 from __future__ import annotations
@@ -69,9 +71,9 @@ _TRANSFORM_ERRORS = (
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage problems exit 1; argparse's default of 2 is taken by corpus errors
+    # usage problems exit 1 with one line; argparse's default of 2 is taken
+    # by corpus errors, and -h still prints the usage
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
@@ -91,23 +93,22 @@ class RunConfig:
     def limits(self) -> RunLimits:
         return RunLimits(self.wall_time, self.memory, self.output_cap)
 
-    def to_dict(self) -> dict:
-        return {
-            "profile": self.profile,
-            "tau": self.tau,
-            "seed": self.seed,
-            "jobs": self.jobs,
-            "limits": {
-                "wall_time": self.wall_time,
-                "memory": self.memory,
-                "output_cap": self.output_cap,
-            },
-            "exact_output": self.exact_output,
-            "output_format": self.output_format,
-        }
-
 
 _CONFIG_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
+
+# The RunConfig keys each subcommand reads: it takes a flag for each, and its
+# report echoes exactly these. output_format (--json/--table) shapes only the
+# printing, so no report echoes it.
+_LIMITS = ("wall_time", "memory", "output_cap", "exact_output")
+_READS = {
+    "analyze": ("profile", "tau"),
+    "classify": ("profile", "tau", "jobs"),
+    "singularize": _LIMITS,
+    "filter": ("jobs", *_LIMITS),
+    "passk": ("jobs", *_LIMITS),
+    "correlate": ("seed",),  # also takes --jobs, unread: perfbench/passrun.py sends it
+    "ppl": (),
+}
 
 
 def _effective_jobs(jobs: int) -> int:
@@ -172,12 +173,8 @@ def _build_config(args) -> RunConfig:
             setattr(config, key, value)
     for key in _CONFIG_TYPES:
         value = getattr(args, key, None)
-        if value is not None and key != "output_format":  # set by --json/--table
+        if value is not None:
             setattr(config, key, value)
-    if getattr(args, "table", False):
-        config.output_format = "table"
-    if getattr(args, "json", False):
-        config.output_format = "json"
     env_profile = os.environ.get("MODSCORE_PROFILE")
     if env_profile:
         config.profile = env_profile
@@ -191,6 +188,8 @@ def _build_config(args) -> RunConfig:
         )
     if config.jobs < 0:
         raise ConfigError(f"jobs must be 0 (the usable cores) or more, got {config.jobs}")
+    if config.seed < 0:
+        raise ConfigError(f"seed must be 0 or more, got {config.seed}")
     try:
         config.limits()  # RunLimits rejects a limit the OS cannot hold
     except ValueError as exc:
@@ -198,8 +197,9 @@ def _build_config(args) -> RunConfig:
     return config
 
 
-def _report(payload: dict, config: RunConfig) -> dict:
-    return {"version": __version__, "config": config.to_dict(), **payload}
+def _report(payload: dict, config: RunConfig, command: str) -> dict:
+    echo = {key: getattr(config, key) for key in _READS[command]}
+    return {"version": __version__, "config": echo, **payload}
 
 
 def _emit(payload: dict, config: RunConfig):
@@ -253,7 +253,7 @@ def _cmd_analyze(args) -> int:
             "m_star": report.m_star,
             "mos": report.mos,
         })
-    _emit(_report({"units": rows}, config), config)
+    _emit(_report({"units": rows}, config, args.command), config)
     return EXIT_OK
 
 
@@ -279,16 +279,15 @@ def _cmd_classify(args) -> int:
         functools.partial(_classify_problem, profile_name=config.profile, tau=config.tau),
         problems, _effective_jobs(config.jobs),
     )
-    _emit(_report({"problems": rows}, config), config)
+    _emit(_report({"problems": rows}, config, args.command), config)
     return EXIT_OK
 
 
 def _cmd_singularize(args) -> int:
     config = _build_config(args)
-    profile = get_profile(config.profile)
     with open(args.file, "rb") as handle:
         text = handle.read()
-    unit = parse(text, profile, unit_id=args.file)
+    unit = parse(text, unit_id=args.file)  # profiles count, and do not change the rewrite
     transformed = singularize(unit)
     if args.verify:
         tests = [case_from_row(row, line_no) for line_no, row in read_jsonl(args.verify)]
@@ -315,7 +314,7 @@ def _cmd_filter(args) -> int:
     )
     kept.sort(key=lambda p: p.id)
     save_corpus(kept, args.out)
-    payload = _report({"filter": report.to_dict()}, config)
+    payload = _report({"filter": report.to_dict()}, config, args.command)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
@@ -375,7 +374,7 @@ def _cmd_passk(args) -> int:
     ]
     summary = {str(k): aggregate(results, k) for k in ks} if results else {}
     payload = _report(
-        {"problems": rows, "aggregate": summary, "skipped": skipped}, config
+        {"problems": rows, "aggregate": summary, "skipped": skipped}, config, args.command
     )
     _emit(payload, config)
     return EXIT_OK
@@ -404,7 +403,7 @@ def _cmd_correlate(args) -> int:
         "pearson": {"r": r, "p": rp},
         "spearman": {"rho": rho, "p": rhop},
         "p_value_method": "two-sided permutation test, 10000 resamples",
-    }, config)
+    }, config, args.command)
     _emit(payload, config)
     return EXIT_OK
 
@@ -432,7 +431,7 @@ def _cmd_ppl(args) -> int:
             for name, s in summaries.items()
         },
         "std_kind": "population",
-    }, config)
+    }, config, args.command)
     _emit(payload, config)
     return EXIT_OK
 
@@ -441,19 +440,17 @@ def _cmd_ppl(args) -> int:
 # argument wiring
 
 
-def _add_common(sub):
-    sub.add_argument("--profile", choices=available_profiles(), default=None)
-    sub.add_argument("--tau", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--jobs", type=int, default=None)
-    sub.add_argument("--wall-time", dest="wall_time", type=float, default=None)
-    sub.add_argument("--memory", type=int, default=None)
-    sub.add_argument("--output-cap", dest="output_cap", type=int, default=None)
-    sub.add_argument("--exact-output", dest="exact_output",
-                     action="store_const", const=True, default=None)
-    sub.add_argument("--config", default=None, help="JSON config file; flags win")
-    sub.add_argument("--json", action="store_true", help="JSON output (default)")
-    sub.add_argument("--table", action="store_true", help="plain table output")
+def _add_settings(sub, command: str, unread: tuple = ()):
+    """A flag per key the command reads (or takes ``unread``), after its RunConfig field."""
+    for key in _READS[command] + unread:
+        kind = _CONFIG_TYPES[key]
+        how = {"action": "store_const", "const": True} if kind is bool else {"type": kind}
+        sub.add_argument("--" + key.replace("_", "-"), **how)
+    sub.add_argument("--config", help="JSON config file; flags win")
+    if command != "singularize":  # it prints source, not a report
+        for const, text in (("json", "JSON output (default)"), ("table", "plain table output")):
+            sub.add_argument("--" + const, dest="output_format", action="store_const",
+                             const=const, help=text)
 
 
 def build_parser() -> _Parser:
@@ -463,26 +460,26 @@ def build_parser() -> _Parser:
 
     sub = commands.add_parser("analyze", help="complexity and modularity per file")
     sub.add_argument("files", nargs="+")
-    _add_common(sub)
+    _add_settings(sub, "analyze")
     sub.set_defaults(handler=_cmd_analyze)
 
     sub = commands.add_parser("classify", help="pick modular/singular solutions")
     sub.add_argument("corpus")
-    _add_common(sub)
+    _add_settings(sub, "classify")
     sub.set_defaults(handler=_cmd_classify)
 
     sub = commands.add_parser("singularize", help="inline every helper away")
     sub.add_argument("file")
     sub.add_argument("--verify", default=None, help="tests.jsonl to check behavior")
     sub.add_argument("--out", default=None)
-    _add_common(sub)
+    _add_settings(sub, "singularize")
     sub.set_defaults(handler=_cmd_singularize)
 
     sub = commands.add_parser("filter", help="drop failing solutions from a corpus")
     sub.add_argument("corpus")
     sub.add_argument("--out", required=True)
     sub.add_argument("--report", default=None)
-    _add_common(sub)
+    _add_settings(sub, "filter")
     sub.set_defaults(handler=_cmd_filter)
 
     sub = commands.add_parser("passk", help="pass@k over external generations")
@@ -490,19 +487,19 @@ def build_parser() -> _Parser:
     sub.add_argument("--gens", required=True)
     sub.add_argument("--k", default="1")
     sub.add_argument("--n", type=int, default=None)
-    _add_common(sub)
+    _add_settings(sub, "passk")
     sub.set_defaults(handler=_cmd_passk)
 
     sub = commands.add_parser("correlate", help="score/performance correlations")
     sub.add_argument("scored")
     sub.add_argument("--bins", type=int, default=DEFAULT_BINS)
     sub.add_argument("--per-bin", dest="per_bin", type=int, default=None)
-    _add_common(sub)
+    _add_settings(sub, "correlate", unread=("jobs",))
     sub.set_defaults(handler=_cmd_correlate)
 
     sub = commands.add_parser("ppl", help="perplexity from token log-probs")
     sub.add_argument("logprobs")
-    _add_common(sub)
+    _add_settings(sub, "ppl")
     sub.set_defaults(handler=_cmd_ppl)
 
     return parser

@@ -1,9 +1,10 @@
 """Isolated execution of candidate programs against stdin/stdout tests.
 
 Each run is a separate OS process: an isolated interpreter (-I), its own
-process group (killed wholesale on timeout), CPU and address-space
-rlimits, and stdout redirected to a size-capped file (RLIMIT_FSIZE turns
-runaway output into a resource verdict instead of filling the disk).
+process group (killed wholesale when the run ends or times out), CPU and
+address-space rlimits, and stdout redirected to a size-capped file
+(RLIMIT_FSIZE turns runaway output into a resource verdict instead of
+filling the disk).
 Network isolation is left to the surrounding environment.
 
 Every run forks from a zygote: a pre-started ``python -I`` that forks
@@ -83,7 +84,9 @@ class _Zygote:
 
     Start-up is paid once per worker instead of once per run. The child
     isolates itself (``_zygote.limit``); the zygote enforces the wall
-    time. A zygote that cannot start or dies raises SandboxUnavailable.
+    time and kills the run's process group when the run ends. A zygote
+    that cannot start or dies raises SandboxUnavailable, after the run's
+    group is killed.
     """
 
     def __init__(self):
@@ -110,12 +113,21 @@ class _Zygote:
     def run(self, tmp: str, limits: RunLimits) -> tuple[int, bool]:
         """Run tmp/prog.py in a forked child: (return code, timed out)."""
         fields = (tmp, repr(limits.wall_time), str(limits.memory), str(limits.output_cap))
+        pid = None
         try:
             self._requests.write(b"\0".join(map(os.fsencode, fields)) + b"\n")
             reply = self._replies.readline()
+            if reply.startswith(b"P "):
+                pid = int(reply[2:])
+                reply = self._replies.readline()
         except OSError as exc:
             raise SandboxUnavailable(f"zygote unreachable: {exc}") from exc
         if not reply.endswith(b"\n"):
+            if pid is not None:  # the dead zygote can no longer end the run
+                try:
+                    os.killpg(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
             raise SandboxUnavailable("zygote exited during a run")
         kind, _, rest = reply[:-1].partition(b" ")
         if kind == b"E":

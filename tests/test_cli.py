@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -113,13 +114,17 @@ def test_passk_subset(capsys, tmp_path):
     assert payload["aggregate"]["1"] == pytest.approx((0.5 + 0.75) / 2, abs=1e-12)
 
 
-def test_correlate(capsys, tmp_path):
+def write_scored(path):
     rows = [
         {"unit_id": f"u{i}", "mos": (i % 10) / 10 + 0.05, "pass1": ((i * 7) % 10) / 10}
         for i in range(60)
     ]
-    scored = tmp_path / "scored.jsonl"
-    scored.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    return path
+
+
+def test_correlate(capsys, tmp_path):
+    scored = write_scored(tmp_path / "scored.jsonl")
     code, out, _ = run_cli(capsys, "correlate", str(scored), "--seed", "7")
     assert code == 0
     payload = json.loads(out)
@@ -157,6 +162,53 @@ def test_usage_error_exits_1(capsys):
     assert main(["passk"]) == 1  # missing required --gens and corpus
 
 
+def test_usage_errors_print_one_line_and_help_prints_usage(capsys):
+    code, out, err = run_cli(capsys, "analyze", "a.py", "--bogus")
+    assert (code, out, err) == (1, "", "modscore: error: unrecognized arguments: --bogus\n")
+    code, out, err = run_cli(capsys, "passk")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "required" in err
+    code, out, _ = run_cli(capsys, "analyze", "-h")
+    assert code == 0 and out.startswith("usage: modscore analyze")
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    limits = {"--wall-time", "--memory", "--output-cap", "--exact-output"}
+    report = {"--config", "--json", "--table"}
+    want = {
+        "analyze": {"--profile", "--tau", *report},
+        "classify": {"--profile", "--tau", "--jobs", *report},
+        "singularize": {"--verify", "--out", "--config", *limits},
+        "filter": {"--out", "--report", "--jobs", *limits, *report},
+        "passk": {"--gens", "--k", "--n", "--jobs", *limits, *report},
+        "correlate": {"--bins", "--per-bin", "--seed", "--jobs", *report},
+        "ppl": report,
+    }
+    (commands,) = [action for action in cli_module.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    got = {
+        name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
+    assert got == want
+    assert sum(map(len, got.values())) == 49
+
+
+def test_the_benchmarks_argv_still_parses():
+    # The argv shapes perfbench/passrun.py sends in its study and sandbox
+    # passes: a flag they use cannot go without the benchmark changing too.
+    parser = cli_module.build_parser()
+    limits = ["--jobs", "2", "--wall-time", "1.5", "--memory", "268435456",
+              "--output-cap", "65536"]
+    for argv in (
+        ["classify", "C", "--jobs", "2"],
+        ["correlate", "S", "--seed", "7", "--jobs", "2"],
+        ["filter", "C", "--out", "K", "--report", "R", *limits],
+        ["passk", "C", "--gens", "G", "--k", "1,5", "--n", "10", *limits],
+    ):
+        assert parser.parse_args(argv).command == argv[0]
+
+
 def test_env_profile_override(capsys, tmp_path, monkeypatch):
     path = tmp_path / "a.py"
     path.write_text("def f(a, b):\n    return a and b\nprint(f(1, 2))\n")
@@ -176,11 +228,17 @@ def test_config_file_flags_win(capsys, tmp_path):
     _, out, _ = run_cli(capsys, "analyze", str(path), "--config", str(config))
     payload = json.loads(out)
     assert payload["config"]["tau"] == 9
-    assert payload["config"]["seed"] == 123
     _, out2, _ = run_cli(
         capsys, "analyze", str(path), "--config", str(config), "--tau", "3"
     )
     assert json.loads(out2)["config"]["tau"] == 3
+    scored = write_scored(tmp_path / "scored.jsonl")
+    _, out3, _ = run_cli(capsys, "correlate", str(scored), "--config", str(config))
+    assert json.loads(out3)["config"]["seed"] == 123
+    _, out4, _ = run_cli(
+        capsys, "correlate", str(scored), "--config", str(config), "--seed", "4"
+    )
+    assert json.loads(out4)["config"]["seed"] == 4
 
 
 def test_sandbox_unavailable_exits_4(capsys, monkeypatch):
@@ -304,10 +362,26 @@ BAD_INPUT_CASES = {
                                  "nested too deeply to parse"),
     "source-too-deep-to-transform": ("singularize-given", TOO_DEEP_TO_TRANSFORM, None, 3,
                                      "nested too deeply to transform"),
+    # checked before the input is read: that input is malformed, or missing
+    "negative-seed": ("correlate-seed-negative", "[1]", None, 1,
+                      "seed must be 0 or more, got -5"),
+    "negative-seed-in-config": ("correlate-missing", '{"seed": -1}', None, 1,
+                                "seed must be 0 or more, got -1"),
+    # a flag for a setting the subcommand does not read
+    "unread-flag-analyze": ("analyze-jobs", None, None, 1, "unrecognized arguments: --jobs"),
+    "unread-flag-classify": ("classify-wall-time", None, None, 1,
+                             "unrecognized arguments: --wall-time"),
+    "unread-flag-singularize": ("singularize-table", None, None, 1,
+                                "unrecognized arguments: --table"),
+    "unread-flag-filter": ("filter-tau", None, None, 1, "unrecognized arguments: --tau"),
+    "unread-flag-passk": ("passk-profile", None, None, 1, "unrecognized arguments: --profile"),
+    "unread-flag-correlate": ("correlate-memory", None, None, 1,
+                              "unrecognized arguments: --memory"),
+    "unread-flag-ppl": ("ppl-seed", None, None, 1, "unrecognized arguments: --seed"),
 }
 INPUT_COMMANDS = {
     "verify", "correlate", "correlate-bins-0", "correlate-per-bin-0", "corpus",
-    "analyze-given", "singularize-given",
+    "analyze-given", "singularize-given", "correlate-seed-negative",
 }
 
 
@@ -348,6 +422,16 @@ def test_bad_input_exits_with_one_line(capsys, monkeypatch, tmp_path, case):
         "corpus": ["classify", str(given)],
         "analyze-given": ["analyze", str(given)],
         "singularize-given": ["singularize", str(given)],
+        "correlate-seed-negative": ["correlate", str(given), "--seed", "-5"],
+        "correlate-missing": ["correlate", str(tmp_path / "missing.jsonl")],
+        "analyze-jobs": ["analyze", str(source), "--jobs", "2"],
+        "classify-wall-time": ["classify", corpus, "--wall-time", "1"],
+        "singularize-table": ["singularize", str(source), "--table"],
+        "filter-tau": ["filter", corpus, "--out", str(tmp_path / "kept.jsonl"), "--tau", "3"],
+        "passk-profile": ["passk", corpus, "--gens", str(FIXTURES / "mini_generations.jsonl"),
+                          "--profile", "py3"],
+        "correlate-memory": ["correlate", str(tmp_path / "missing.jsonl"), "--memory", "1"],
+        "ppl-seed": ["ppl", str(FIXTURES / "logprobs.jsonl"), "--seed", "1"],
     }[command]
     if text is not None and command not in INPUT_COMMANDS:
         argv += ["--config", str(given)]
@@ -362,8 +446,8 @@ def test_bad_input_exits_with_one_line(capsys, monkeypatch, tmp_path, case):
 
 def without_jobs(out: str, jobs: int) -> str:
     """The report with its echo of --jobs, the one part that may differ, masked."""
-    assert out.count(f'"jobs": {jobs},') == 1
-    return out.replace(f'"jobs": {jobs},', '"jobs": "masked",')
+    assert out.count(f'"jobs": {jobs}\n') == 1
+    return out.replace(f'"jobs": {jobs}\n', '"jobs": "masked"\n')
 
 
 def generated_corpus(path, problems: int = 12, per_problem: int = 3):
@@ -485,3 +569,51 @@ def test_only_the_statistics_commands_load_numpy(tmp_path):
         "print('numpy' in sys.modules)\n"
     )
     assert run_probe(probe).split() == ["False", "True"]
+
+
+# -- each report echoes the settings its command read -------------------------
+
+SANDBOX_FLAGS = ["--jobs", "2", "--wall-time", "3", "--memory", "268435456",
+                 "--output-cap", "65536", "--exact-output"]
+SANDBOX_ECHO = {"jobs": 2, "wall_time": 3.0, "memory": 268435456, "output_cap": 65536,
+                "exact_output": True}
+# Written out here, not read from cli._READS: (flags, the config block they give).
+ECHOES = {
+    "analyze": (["--profile", "py3-nosc", "--tau", "3"], {"profile": "py3-nosc", "tau": 3}),
+    "classify": (["--tau", "4", "--jobs", "1"], {"profile": "py3", "tau": 4, "jobs": 1}),
+    "filter": (SANDBOX_FLAGS, SANDBOX_ECHO),
+    "passk": (SANDBOX_FLAGS, SANDBOX_ECHO),
+    "correlate": (["--seed", "7", "--jobs", "2"], {"seed": 7}),  # --jobs is taken, unread
+    "ppl": ([], {}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ECHOES))
+def test_report_echoes_what_it_read_and_replays_from_it(capsys, monkeypatch, tmp_path, command):
+    monkeypatch.delenv("MODSCORE_PROFILE", raising=False)
+    flags, echo = ECHOES[command]
+    figures = sorted(str(path) for path in (FIXTURES / "figure_style").glob("*.py"))
+    written = {"filter": ["kept.jsonl", "report.json"]}.get(command, [])
+    inputs = {
+        "analyze": figures,
+        "classify": [str(FIXTURES / "mini_corpus.jsonl")],
+        "filter": [str(FIXTURES / "filter_corpus.jsonl"), "--out", "kept.jsonl",
+                   "--report", "report.json"],
+        "passk": [str(FIXTURES / "mini_corpus.jsonl"), "--gens",
+                  str(FIXTURES / "mini_generations.jsonl"), "--k", "1,2", "--n", "4"],
+        "correlate": [str(write_scored(tmp_path / "scored.jsonl"))],
+        "ppl": [str(FIXTURES / "logprobs.jsonl")],
+    }[command]
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, command, *inputs, *flags)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["config"] == echo
+    files = [(tmp_path / name).read_bytes() for name in written]
+    if command == "filter":
+        assert json.loads(files[1])["config"] == echo
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(json.loads(out)["config"]))
+    code, replayed, err = run_cli(capsys, command, *inputs, "--config", str(replay))
+    assert (code, err) == (0, "")
+    assert replayed == out
+    assert [(tmp_path / name).read_bytes() for name in written] == files

@@ -12,6 +12,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -307,3 +308,59 @@ def test_one_shot_run_that_kills_its_parent_spares_the_caller():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(b"unavailable: zygote exited during a run"), proc.stdout
+
+
+# -- a run ends with everything it started --------------------------------------
+
+
+def forks_a_late_writer(marker) -> str:
+    """A program whose one forked child writes ``marker`` after 1.5 s."""
+    return (
+        "import os, time\n"
+        "if os.fork() == 0:\n"
+        f"    time.sleep(1.5)\n    open({str(marker)!r}, 'w').close()\n    os._exit(0)\n"
+        "print(1)\n"
+    )
+
+
+def test_a_run_ends_with_the_processes_it_started(tmp_path):
+    limits = RunLimits(wall_time=1.0)
+    test = TestCase(b"", b"1\n")
+    one_shot = run_solution(forks_a_late_writer(tmp_path / "one-shot"), test, limits)
+    batch = count_correct([forks_a_late_writer(tmp_path / "batch")], [test], limits, jobs=1)
+    assert (one_shot.verdict, batch) == ("pass", 1)
+    time.sleep(2.0)
+    assert not (tmp_path / "one-shot").exists() and not (tmp_path / "batch").exists()
+    assert_no_children()
+
+
+def running(pid: int) -> bool:
+    """The process exists and has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as handle:
+            state = handle.read().rpartition(b")")[2].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state not in (b"Z", b"X")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+@pytest.mark.parametrize("batch", [False, True])
+def test_a_run_that_kills_its_zygote_is_killed_too(tmp_path, batch):
+    pid_file = tmp_path / "pid"
+    program = (
+        f"import os, signal, time\nopen({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+        "os.kill(os.getppid(), signal.SIGKILL)\ntime.sleep(8)\n"
+    )
+    limits = RunLimits(wall_time=5.0)
+    with pytest.raises(SandboxUnavailable):
+        if batch:
+            count_correct([program], [TestCase(b"", b"")], limits, jobs=1)
+        else:
+            run_solution(program, TestCase(b"", b""), limits)
+    raised = time.monotonic()
+    pid = int(pid_file.read_text())
+    while running(pid) and time.monotonic() - raised < 1.0:
+        time.sleep(0.01)
+    assert not running(pid)
+    assert_no_children()
