@@ -28,7 +28,7 @@ import ast
 from dataclasses import dataclass
 
 from .errors import UnsupportedConstruct
-from .parsing import FunctionDef
+from .parsing import TRY_NODES, FunctionDef
 from .profiles import PY3, SubjectProfile
 
 
@@ -276,7 +276,7 @@ class _Builder:
             frontier = self._prechain(items, frontier)
             head = self._node(frontier)
             return self.block(stmt.body, [head])
-        if isinstance(stmt, ast.Try):
+        if isinstance(stmt, TRY_NODES):  # except* clauses branch as except clauses do
             return self._try(stmt, frontier)
         if isinstance(stmt, ast.Match):
             return self._match(stmt, frontier)
@@ -312,7 +312,7 @@ class _Builder:
             out = [header]
         return out + loop["breaks"]
 
-    def _try(self, stmt: ast.Try, frontier: list[int]) -> list[int]:
+    def _try(self, stmt, frontier: list[int]) -> list[int]:
         guard = self._node(frontier)
         gate = self._new() if stmt.finalbody else None
         if gate is not None:

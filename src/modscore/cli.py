@@ -34,6 +34,7 @@ from .errors import (
     DynamicCallUnsupported,
     EncodingError,
     ExternalNameCollision,
+    InvalidLogProb,
     ModscoreError,
     RecursionUnsupported,
     SandboxUnavailable,
@@ -145,11 +146,13 @@ def _map_jobs(fn, items: list, jobs: int) -> list:
 
 def _read_config(path: str) -> dict:
     """The settings of a config file, checked against RunConfig's fields."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-        except ValueError as exc:
-            raise ConfigError(f"config {path}: not valid JSON: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"config {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ConfigError(f"config {path}: not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config {path}: must hold a JSON object")
     for key, value in data.items():
@@ -186,6 +189,8 @@ def _build_config(args) -> RunConfig:
         raise ConfigError(
             f"unknown profile {config.profile!r}; available: {available_profiles()}"
         )
+    if config.tau < 1:
+        raise ConfigError(f"tau must be 1 or more, got {config.tau}")
     if config.jobs < 0:
         raise ConfigError(f"jobs must be 0 (the usable cores) or more, got {config.jobs}")
     if config.seed < 0:
@@ -418,7 +423,7 @@ def _cmd_ppl(args) -> int:
                 category=str(row["category"]),
                 token_logprobs=tuple(float(v) for v in row["token_logprobs"]),
             ))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, InvalidLogProb) as exc:
             raise CorpusFormatError(f"line {line_no}: {exc}") from exc
     summaries = ppl_compare(records)
     payload = _report({

@@ -28,7 +28,11 @@ dynamically invocable), call sites in deferred or repeated positions
 (lambda bodies, comprehensions, while-tests, short-circuit operands,
 ternary arms), hoists that would run a call ahead of an effectful
 expression, calls that run before their helper's ``def`` in the same
-block, and sources nested too deeply for the rewrite's recursion.
+block, calls in an ``except`` clause's type (it runs only when an
+exception propagates), annotations without a value (``x: T``) in a
+function, and sources nested too deeply for the rewrite's recursion.
+An annotated local ``x: T = v`` becomes ``x = v``: a function never
+evaluates the annotation, and the spliced copy must not either.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .errors import (
     RecursionUnsupported,
     TransformUnsupported,
 )
-from .parsing import SourceUnit, parse
+from .parsing import TRY_NODES, SourceUnit, parse, statement_blocks
 from .sandbox import RunLimits, _in_zygotes, outputs_match, run_solution
 
 HEADER_COMMENT = (
@@ -69,6 +73,7 @@ _SCOPE_READERS = frozenset({"eval", "exec", "globals", "locals"})
 _BARE_SCOPE_READERS = frozenset({"vars", "dir"})
 
 _DEF_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
+_LOOPS = (ast.While, ast.For, ast.AsyncFor)
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 # The field through which each node type binds a name. A Name binds when
@@ -341,10 +346,11 @@ def _helpers_run_by(stmt, calls_of: dict[str, set[str]]) -> set[str]:
 def _check_definition_order(tree: ast.Module, calls_of: dict[str, set[str]]):
     """Reject a call that runs before the ``def`` of its helper: as written
     it raises NameError, inlined it would not."""
-    for node in ast.walk(tree):
-        for _, stmts in ast.iter_fields(node):
-            if not (isinstance(stmts, list) and stmts and isinstance(stmts[0], ast.stmt)):
-                continue
+    pending = [tree]
+    while pending:
+        for holder, field in statement_blocks(pending.pop()):
+            stmts = getattr(holder, field)
+            pending.extend(stmts)
             later = {s.name for s in stmts if isinstance(s, _DEF_NODES)}
             for stmt in stmts:
                 if not later:
@@ -555,6 +561,9 @@ def _stmt_eval_parts(stmt) -> list[tuple[ast.expr, str]]:
         if stmt.msg is not None:
             parts.append((stmt.msg, "conditional"))
         return parts
+    if isinstance(stmt, TRY_NODES):
+        # a handler's type is evaluated only when an exception propagates
+        return [(h.type, "conditional") for h in stmt.handlers if h.type is not None]
     if isinstance(stmt, ast.Match):
         parts = [(stmt.subject, "plain")]
         for case in stmt.cases:
@@ -680,31 +689,42 @@ class _BlockCtx:
 
 def _rewrite_blocks(node, fn, ctx: _BlockCtx = _BlockCtx()):
     """Apply fn(stmt, ctx) -> list | None over every statement list."""
-    for field_name, value in ast.iter_fields(node):
-        if isinstance(value, list) and value and isinstance(value[0], ast.stmt):
-            new_list: list[ast.stmt] = []
-            for stmt in value:
-                replacement = fn(stmt, ctx)
-                if replacement is None:
-                    new_list.append(stmt)
-                else:
-                    new_list.extend(replacement)
-            if not new_list:
-                new_list.append(ast.copy_location(ast.Pass(), node))
-            setattr(node, field_name, new_list)
-            for stmt in new_list:
-                if isinstance(stmt, _DEF_NODES):
-                    child_ctx = _BlockCtx(in_class=False, in_function=True)
-                elif isinstance(stmt, ast.ClassDef):
-                    child_ctx = _BlockCtx(in_class=True, in_function=ctx.in_function)
-                else:
-                    child_ctx = ctx
-                _rewrite_blocks(stmt, fn, child_ctx)
-        elif isinstance(value, list):
-            # expressions hold no statements; only handlers and case arms do
-            for item in value:
-                if isinstance(item, (ast.excepthandler, ast.match_case)):
-                    _rewrite_blocks(item, fn, ctx)
+    for holder, field in statement_blocks(node):
+        new_list: list[ast.stmt] = []
+        for stmt in getattr(holder, field):
+            replacement = fn(stmt, ctx)
+            if replacement is None:
+                new_list.append(stmt)
+            else:
+                new_list.extend(replacement)
+        if not new_list:
+            new_list.append(ast.copy_location(ast.Pass(), holder))
+        setattr(holder, field, new_list)
+        for stmt in new_list:
+            if isinstance(stmt, _DEF_NODES):
+                child_ctx = _BlockCtx(in_class=False, in_function=True)
+            elif isinstance(stmt, ast.ClassDef):
+                child_ctx = _BlockCtx(in_class=True, in_function=ctx.in_function)
+            else:
+                child_ctx = ctx
+            _rewrite_blocks(stmt, fn, child_ctx)
+
+
+def _strip_local_annotations(stmt, ctx: _BlockCtx):
+    """``x: T = v`` in a def's own scope becomes ``x = v``.
+
+    Python never evaluates an annotation in a function scope; spliced into
+    its caller, it would run. A bare ``x: T`` is refused: it makes ``x``
+    local, and dropping it would turn the def's reads of ``x`` into global
+    reads.
+    """
+    if type(stmt) is not ast.AnnAssign or not ctx.in_function or ctx.in_class:
+        return None
+    if stmt.value is None:
+        raise TransformUnsupported(
+            f"annotation without a value in a function (line {stmt.lineno})"
+        )
+    return [ast.copy_location(ast.Assign(targets=[stmt.target], value=stmt.value), stmt)]
 
 
 # ---------------------------------------------------------------------------
@@ -771,14 +791,14 @@ def _assign(name: str, value: ast.expr, like) -> ast.stmt:
 
 
 def _rewrite_returns(body, ret_name: str, done_name: str):
-    """Returns (new_body, uses_flag)."""
+    """(new_body, whether the body returns anywhere)."""
     total = _count_returns(body)
     if total == 0:
         return list(body), False
     if total == 1 and isinstance(body[-1], ast.Return):
         tail = body[-1]
         value = tail.value if tail.value is not None else _none()
-        return list(body[:-1]) + [_assign(ret_name, value, tail)], False
+        return list(body[:-1]) + [_assign(ret_name, value, tail)], True
 
     def rw_block(stmts, in_loop):
         out: list[ast.stmt] = []
@@ -790,9 +810,8 @@ def _rewrite_returns(body, ret_name: str, done_name: str):
                 if in_loop:
                     out.append(ast.copy_location(ast.Break(), s))
                 return out, True
-            sub, early = rw_stmt(s, in_loop)
-            out.extend(sub)
-            if early:
+            out.append(s)
+            if rw_stmt(s, in_loop):
                 rest = stmts[idx + 1:]
                 if in_loop:
                     guard = ast.If(
@@ -819,42 +838,17 @@ def _rewrite_returns(body, ret_name: str, done_name: str):
                 return out, True
         return out, False
 
-    def rw_stmt(s, in_loop):
-        if isinstance(s, ast.If):
-            body2, e1 = rw_block(s.body, in_loop)
-            orelse2, e2 = rw_block(s.orelse, in_loop) if s.orelse else ([], False)
-            s.body, s.orelse = body2, orelse2
-            return [s], e1 or e2
-        if isinstance(s, (ast.While, ast.For, ast.AsyncFor)):
-            body2, e1 = rw_block(s.body, True)
-            orelse2, e2 = rw_block(s.orelse, in_loop) if s.orelse else ([], False)
-            s.body, s.orelse = body2, orelse2
-            return [s], e1 or e2
-        if isinstance(s, (ast.With, ast.AsyncWith)):
-            body2, e1 = rw_block(s.body, in_loop)
-            s.body = body2
-            return [s], e1
-        if isinstance(s, ast.Try):
-            e_any = False
-            s.body, e = rw_block(s.body, in_loop)
-            e_any |= e
-            for handler in s.handlers:
-                handler.body, e = rw_block(handler.body, in_loop)
-                e_any |= e
-            if s.orelse:
-                s.orelse, e = rw_block(s.orelse, in_loop)
-                e_any |= e
-            if s.finalbody:
-                s.finalbody, e = rw_block(s.finalbody, in_loop)
-                e_any |= e
-            return [s], e_any
-        if isinstance(s, ast.Match):
-            e_any = False
-            for case in s.cases:
-                case.body, e = rw_block(case.body, in_loop)
-                e_any |= e
-            return [s], e_any
-        return [s], False
+    def rw_stmt(s, in_loop) -> bool:
+        """Rewrite the blocks of ``s`` in place; True if any returned."""
+        if isinstance(s, (*_DEF_NODES, ast.ClassDef)):
+            return False
+        early = False
+        for holder, field in statement_blocks(s):
+            loop_body = field == "body" and isinstance(holder, _LOOPS)
+            new, returned = rw_block(getattr(holder, field), in_loop or loop_body)
+            setattr(holder, field, new)
+            early |= returned
+        return early
 
     new_body, _ = rw_block(list(body), False)
     init = [
@@ -950,11 +944,10 @@ def _splice_one(stmt, call, def_node, fresh, default_temps, into_function):
 
     ret_name = fresh.make(f"{fname}_ret")
     done_name = fresh.make(f"{fname}_done")
-    new_body, _ = _rewrite_returns(body, ret_name, done_name)
+    new_body, had_return = _rewrite_returns(body, ret_name, done_name)
     parts.extend(new_body)
 
     if isinstance(stmt, ast.Assign):
-        had_return = _count_returns(def_node.body) > 0
         value = (
             ast.Name(id=ret_name, ctx=ast.Load()) if had_return else _none()
         )
@@ -1012,6 +1005,7 @@ def singularize(unit: SourceUnit) -> SourceUnit:
 
 def _singularize(unit: SourceUnit) -> SourceUnit:
     tree = ast.parse(unit.text)
+    _rewrite_blocks(tree, _strip_local_annotations)
     planned = _analyze(tree)
     _check_transformable(tree, planned)
 

@@ -15,6 +15,9 @@ from .profiles import PY3, SubjectProfile
 
 TOPLEVEL_NAME = "<toplevel>"
 
+# ``try ... except*`` has a node type of its own from Python 3.11 on
+TRY_NODES = (ast.Try, ast.TryStar) if hasattr(ast, "TryStar") else (ast.Try,)
+
 
 @dataclass(eq=False)
 class FunctionDef:
@@ -59,10 +62,28 @@ def _decode(text: bytes | str) -> str:
         raise EncodingError(f"input is not valid UTF-8: {exc}") from exc
 
 
-# the fields that hold a statement list, on a statement, an except handler
-# or a match arm, in source order; a ``def`` is always a statement, so no
-# other field can hold one
+# the fields of a statement or module that hold statements, in source
+# order; ``handlers`` and ``cases`` hold them through each item's ``body``
 _BLOCK_FIELDS = ("body", "handlers", "orelse", "finalbody", "cases")
+
+
+def statement_blocks(node: ast.stmt | ast.Module):
+    """(holder, field) of each non-empty statement list right under a
+    statement or module, in source order.
+
+    ``getattr(holder, field)`` is the list. ``holder`` is ``node`` itself,
+    or the except handler or match arm that holds the body. A def or a
+    class yields its body too; a caller that must not enter one checks it.
+    """
+    for field in _BLOCK_FIELDS:
+        inner = getattr(node, field, None)
+        if not inner:
+            continue
+        if field == "handlers" or field == "cases":
+            for item in inner:
+                yield item, "body"
+        else:
+            yield node, field
 
 
 def _extract(stmts: list[ast.stmt]) -> list[FunctionDef]:
@@ -77,6 +98,7 @@ def _extract(stmts: list[ast.stmt]) -> list[FunctionDef]:
     def visit(block, path: list[str], depth: int):
         for node in block:
             kind = type(node)
+            inner_path, inner_depth = path, depth
             if kind is ast.FunctionDef or kind is ast.AsyncFunctionDef:
                 found.append(FunctionDef(
                     name=node.name,
@@ -84,14 +106,11 @@ def _extract(stmts: list[ast.stmt]) -> list[FunctionDef]:
                     node=node,
                     nesting_depth=depth,
                 ))
-                visit(node.body, path + [node.name], depth + 1)
+                inner_path, inner_depth = path + [node.name], depth + 1
             elif kind is ast.ClassDef:
-                visit(node.body, path + [node.name], depth)
-            else:
-                for field in _BLOCK_FIELDS:
-                    inner = getattr(node, field, None)
-                    if inner:
-                        visit(inner, path, depth)
+                inner_path = path + [node.name]
+            for holder, field in statement_blocks(node):
+                visit(getattr(holder, field), inner_path, inner_depth)
 
     visit(stmts, [], 0)
     return found

@@ -1,4 +1,5 @@
 import ast
+import sys
 
 import pytest
 
@@ -39,6 +40,27 @@ def test_while_break_inside_if_matches_decision_oracle():
     )
     fn = fn_of(src)
     assert cc_from_cfg(build_cfg(fn)) == cc_decision_points(fn)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="except* is 3.11+")
+@pytest.mark.parametrize("profile", [PY3, PY3_NO_SHORT_CIRCUIT])
+def test_except_star_matches_decision_oracle(profile):
+    src = (
+        "def f(x):\n"
+        "    try:\n"
+        "        x = 1 / x\n"
+        "    except* ZeroDivisionError:\n"
+        "        x = 0\n"
+        "    except* (TypeError, ValueError):\n"
+        "        x = -1 if x and x > 0 else -2\n"
+        "    else:\n"
+        "        x += 1\n"
+        "    finally:\n"
+        "        print(x)\n"
+        "    return x\n"
+    )
+    fn = parse(src, profile).functions[0]
+    assert cc_from_cfg(build_cfg(fn, profile)) == cc_decision_points(fn, profile)
 
 
 def test_graph_counts_single_block():

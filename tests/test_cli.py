@@ -362,7 +362,18 @@ BAD_INPUT_CASES = {
                                  "nested too deeply to parse"),
     "source-too-deep-to-transform": ("singularize-given", TOO_DEEP_TO_TRANSFORM, None, 3,
                                      "nested too deeply to transform"),
+    "ppl-positive-log-prob": ("ppl-given", '{"id": "a", "category": "MC", "token_logprobs": [0.5]}\n',
+                              None, 2, "line 1: record a: positive log-prob 0.5"),
+    "ppl-no-tokens": ("ppl-given", '{"id": "a", "category": "MC", "token_logprobs": []}\n',
+                      None, 2, "line 1: record a: no tokens"),
+    "config-missing": ("analyze-config-missing", None, None, 1,
+                       "No such file or directory"),
+    "config-is-directory": ("analyze-config-dir", None, None, 1, "Is a directory"),
     # checked before the input is read: that input is malformed, or missing
+    "zero-tau": ("classify-tau-0", '{"id": "p1", "solutions": ["def f(:\\n"]}\n', None, 1,
+                 "tau must be 1 or more, got 0"),
+    "zero-tau-in-config": ("correlate-missing", '{"tau": 0}', None, 1,
+                           "tau must be 1 or more, got 0"),
     "negative-seed": ("correlate-seed-negative", "[1]", None, 1,
                       "seed must be 0 or more, got -5"),
     "negative-seed-in-config": ("correlate-missing", '{"seed": -1}', None, 1,
@@ -381,7 +392,8 @@ BAD_INPUT_CASES = {
 }
 INPUT_COMMANDS = {
     "verify", "correlate", "correlate-bins-0", "correlate-per-bin-0", "corpus",
-    "analyze-given", "singularize-given", "correlate-seed-negative",
+    "analyze-given", "singularize-given", "correlate-seed-negative", "ppl-given",
+    "classify-tau-0",
 }
 
 
@@ -424,6 +436,11 @@ def test_bad_input_exits_with_one_line(capsys, monkeypatch, tmp_path, case):
         "singularize-given": ["singularize", str(given)],
         "correlate-seed-negative": ["correlate", str(given), "--seed", "-5"],
         "correlate-missing": ["correlate", str(tmp_path / "missing.jsonl")],
+        "ppl-given": ["ppl", str(given)],
+        "classify-tau-0": ["classify", str(given), "--tau", "0"],
+        "analyze-config-missing": ["analyze", str(source), "--config",
+                                   str(tmp_path / "missing.json")],
+        "analyze-config-dir": ["analyze", str(source), "--config", str(tmp_path)],
         "analyze-jobs": ["analyze", str(source), "--jobs", "2"],
         "classify-wall-time": ["classify", corpus, "--wall-time", "1"],
         "singularize-table": ["singularize", str(source), "--table"],

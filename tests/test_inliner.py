@@ -241,6 +241,47 @@ def test_dynamic_name_reads_keep_their_output(case, fast_limits):
     assert (after.verdict, after.stdout) == (before.verdict, before.stdout)
 
 
+# Each unit holds an expression that Python evaluates only in some cases:
+# an annotation in a function scope never, an except clause's type only
+# when an exception propagates. The flat form must print what the
+# original prints, or the unit must be refused; the refused ones must be.
+DEFERRED_EVALUATION_CASES = {
+    "local-annotation-calls-helper": (
+        "def g():\n    print('g ran')\n    return int\n"
+        "def f():\n    x: g() = 5\n    return x\nprint(f())\n"
+    ),
+    "local-annotation-calls-helper-defined-later": (
+        "def f():\n    x: g() = 5\n    return x\nprint(f())\n"
+        "def g():\n    return int\n"
+    ),
+    "local-annotation-names-undefined": (
+        "def f():\n    x: Undefined = 5\n    return x\nprint(f())\n"
+    ),
+    "refused-bare-local-annotation": (
+        "def f():\n    x: Undefined\n    x = 1\n    return x\nprint(f())\n"
+    ),
+    "refused-helper-call-in-except-type": (
+        "def exc_type():\n    return ValueError\n"
+        "try:\n    int('x')\nexcept exc_type():\n    print('caught')\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", DEFERRED_EVALUATION_CASES)
+def test_deferred_evaluation_keeps_its_output(case, fast_limits):
+    src = DEFERRED_EVALUATION_CASES[case]
+    try:
+        flat = singularize(parse(src)).text
+    except TransformUnsupported:
+        assert case.startswith("refused")
+        return
+    assert not case.startswith("refused")
+    before, after = _in_zygotes(
+        lambda code: run_program(code, b"", fast_limits), [src, flat], jobs=1
+    )
+    assert (after.verdict, after.stdout) == (before.verdict, before.stdout)
+
+
 # -- singularize: behavior preservation ---------------------------------------
 
 
@@ -649,12 +690,58 @@ CONTROL_FLOW_CASES = [
     "    r.append('b')\n"
     "    return ','.join(r)\n"
     "print(steps(5))\nprint(steps(2))\nprint(steps(0))\n",
+    # early return inside with: the context still exits first
+    "import contextlib\n"
+    "def f(x):\n"
+    "    with contextlib.ExitStack() as stack:\n"
+    "        stack.callback(print, 'exit')\n"
+    "        if x:\n"
+    "            return 'early'\n"
+    "        print('body')\n"
+    "    return 'late'\n"
+    "print(f(1))\nprint(f(0))\n",
+    # early returns inside try ... else
+    "def parse_int(s):\n"
+    "    try:\n"
+    "        n = int(s)\n"
+    "    except ValueError:\n"
+    "        return 'bad'\n"
+    "    else:\n"
+    "        if n < 0:\n"
+    "            return 'neg'\n"
+    "        print('ok')\n"
+    "    return n\n"
+    "print(parse_int('x'), parse_int('-3'), parse_int('7'))\n",
+    # early return inside a match arm within a loop
+    "def first_pair(items):\n"
+    "    for item in items:\n"
+    "        match item:\n"
+    "            case (a, b):\n"
+    "                return a + b\n"
+    "            case _:\n"
+    "                print('skip', item)\n"
+    "    return None\n"
+    "print(first_pair([1, (2, 3), 4]))\nprint(first_pair([5]))\n",
+    # early return inside try ... except*
+    pytest.param(
+        "def f(x):\n"
+        "    try:\n"
+        "        if x:\n"
+        "            return 1\n"
+        "    except* ValueError:\n"
+        "        pass\n"
+        "    return 2\n"
+        "print(f(1), f(0))\n",
+        marks=pytest.mark.skipif(sys.version_info < (3, 11), reason="except* is 3.11+"),
+    ),
 ]
 
 
-@pytest.mark.parametrize("index", range(len(CONTROL_FLOW_CASES)))
-def test_control_flow_shapes_preserved(index):
-    assert_same_behavior(CONTROL_FLOW_CASES[index])
+@pytest.mark.parametrize(
+    "src", CONTROL_FLOW_CASES, ids=[str(i) for i in range(len(CONTROL_FLOW_CASES))]
+)
+def test_control_flow_shapes_preserved(src):
+    assert_same_behavior(src)
 
 
 # -- randomized semantic preservation ----------------------------------------
