@@ -5,8 +5,11 @@ The transform is behavior-preserving or loudly rejected, never silently
 wrong. Mechanics:
 
   - call sites are normalized first: a call buried in a larger expression
-    is hoisted into a fresh temp assignment, in evaluation order, and only
-    when everything evaluated before it is effect-free;
+    is hoisted into a fresh temp assignment, and only when everything
+    evaluated before it is effect-free; hoisted calls keep Python's
+    evaluation order, which ``_EVALUATES`` lists per statement type (a
+    class's decorators before its bases, an assignment's value before its
+    targets, an annotated target before its annotation);
   - parameters become assignments of the argument expressions, one per
     written argument (so each argument is evaluated exactly once, in call
     order); unsupplied parameters read from hoisted default temps that
@@ -29,15 +32,22 @@ dynamically invocable), call sites in deferred or repeated positions
 ternary arms), hoists that would run a call ahead of an effectful
 expression, calls that run before their helper's ``def`` in the same
 block, calls in an ``except`` clause's type (it runs only when an
-exception propagates), annotations without a value (``x: T``) in a
-function, and sources nested too deeply for the rewrite's recursion.
-An annotated local ``x: T = v`` becomes ``x = v``: a function never
-evaluates the annotation, and the spliced copy must not either.
+exception propagates) or in a module-level annotation, annotations
+without a value (``x: T``) in a function, and sources nested too deeply
+for the rewrite's recursion. An annotated local ``x: T = v`` becomes
+``x = v``: a function never evaluates the annotation, and the spliced
+copy must not either. A helper's parameter and return annotations run
+when its ``def`` does, unless annotations are deferred (Python 3.14,
+``from __future__ import annotations``), so neither hoisting nor dropping
+them is sound: a helper keeps only constants and builtin names the unit
+never binds there, and any other annotation is refused. An output that
+still names a helper is refused as an internal error.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 from dataclasses import dataclass
 
 from .errors import (
@@ -379,7 +389,7 @@ def _walk_own(body):
         stack.extend(ast.iter_child_nodes(n))
 
 
-def _check_transformable(tree: ast.Module, planned: dict[str, ast.AST]):
+def _check_transformable(tree: ast.Module, planned: dict[str, ast.AST], stored: set[str]):
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Call)
@@ -407,12 +417,17 @@ def _check_transformable(tree: ast.Module, planned: dict[str, ast.AST]):
         args = node.args
         if args.vararg or args.kwarg:
             raise TransformUnsupported(f"{name!r} takes *args/**kwargs")
-        annotations = [a.annotation for a in args.posonlyargs + args.args + args.kwonlyargs]
-        annotations.append(node.returns)
-        for annotation in annotations:
-            if annotation is not None and not isinstance(annotation, (ast.Name, ast.Constant)):
+        # Python evaluates these when the def runs, unless annotations are
+        # deferred (Python 3.14, ``from __future__ import annotations``):
+        # keep only those whose evaluation can neither fail nor act
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        for annotation in [p.annotation for p in params] + [node.returns]:
+            if not (annotation is None or type(annotation) is ast.Constant
+                    or _reads(annotation) and annotation.id not in stored
+                    and hasattr(builtins, annotation.id)):
                 raise TransformUnsupported(
-                    f"{name!r} has a non-trivial annotation"
+                    f"{name!r} has an annotation that is neither a constant nor "
+                    f"a builtin name (line {annotation.lineno})"
                 )
         for n in _walk_own(node.body):
             if isinstance(n, (ast.Yield, ast.YieldFrom)):
@@ -518,67 +533,48 @@ def _worse(a: str, b: str) -> str:
     return a if _CTX_RANK[a] >= _CTX_RANK[b] else b
 
 
-def _stmt_eval_parts(stmt) -> list[tuple[ast.expr, str]]:
-    """(expression, context) pairs in evaluation order for one statement."""
-    if isinstance(stmt, ast.Expr):
-        return [(stmt.value, "plain")]
-    if isinstance(stmt, ast.Assign):
-        return [(stmt.value, "plain")] + [(t, "plain") for t in stmt.targets]
-    if isinstance(stmt, ast.AugAssign):
-        return [(stmt.target, "plain"), (stmt.value, "plain")]
-    if isinstance(stmt, ast.AnnAssign):
-        parts = []
-        if stmt.value is not None:
-            parts.append((stmt.value, "plain"))
-        parts.append((stmt.annotation, "plain"))
-        return parts
-    if isinstance(stmt, ast.Return):
-        return [(stmt.value, "plain")] if stmt.value is not None else []
-    if isinstance(stmt, ast.Delete):
-        return [(t, "plain") for t in stmt.targets]
-    if isinstance(stmt, ast.If):
-        return [(stmt.test, "plain")]
-    if isinstance(stmt, ast.While):
-        return [(stmt.test, "repeated")]
-    if isinstance(stmt, (ast.For, ast.AsyncFor)):
-        return [(stmt.iter, "plain"), (stmt.target, "repeated")]
-    if isinstance(stmt, (ast.With, ast.AsyncWith)):
-        parts = []
-        for item in stmt.items:
-            parts.append((item.context_expr, "plain"))
-            if item.optional_vars is not None:
-                parts.append((item.optional_vars, "plain"))
-        return parts
-    if isinstance(stmt, ast.Raise):
-        parts = []
-        if stmt.exc is not None:
-            parts.append((stmt.exc, "plain"))
-        if stmt.cause is not None:
-            parts.append((stmt.cause, "plain"))
-        return parts
-    if isinstance(stmt, ast.Assert):
-        parts = [(stmt.test, "plain")]
-        if stmt.msg is not None:
-            parts.append((stmt.msg, "conditional"))
-        return parts
-    if isinstance(stmt, TRY_NODES):
-        # a handler's type is evaluated only when an exception propagates
-        return [(h.type, "conditional") for h in stmt.handlers if h.type is not None]
-    if isinstance(stmt, ast.Match):
-        parts = [(stmt.subject, "plain")]
-        for case in stmt.cases:
-            for n in ast.walk(case.pattern):
-                if isinstance(n, ast.expr):
-                    parts.append((n, "repeated"))
-            if case.guard is not None:
-                parts.append((case.guard, "conditional"))
-        return parts
-    if isinstance(stmt, ast.ClassDef):
-        parts = [(b, "plain") for b in stmt.bases]
-        parts += [(k.value, "plain") for k in stmt.keywords]
-        parts += [(d, "plain") for d in stmt.decorator_list]
-        return parts
-    return []
+# The (field, context) pairs each statement type evaluates itself, in the
+# order CPython evaluates them; a type not listed evaluates nothing of its
+# own (a def's defaults are hoisted before this table is read, and a
+# decorated def is refused). A field holding a with-item, keyword, except
+# handler or match arm reaches ``_linearize``'s generic branch, which
+# visits that node's expressions in order; match patterns hold no call.
+# A handler's type runs only when an exception propagates, a guard only
+# when its pattern matches, an assert's message only when the test fails.
+# An annotation is ``deferred``: ``from __future__ import annotations``
+# skips it, and Python 3.14 defers it; ``_strip_local_annotations`` has
+# already dropped the ones in a def.
+_EVALUATES = {
+    ast.Expr: (("value", "plain"),),
+    ast.Assign: (("value", "plain"), ("targets", "plain")),
+    ast.AugAssign: (("target", "plain"), ("value", "plain")),
+    ast.AnnAssign: (("value", "plain"), ("target", "plain"), ("annotation", "deferred")),
+    ast.Return: (("value", "plain"),),
+    ast.Delete: (("targets", "plain"),),
+    ast.If: (("test", "plain"),),
+    ast.While: (("test", "repeated"),),
+    ast.For: (("iter", "plain"), ("target", "repeated")),
+    ast.AsyncFor: (("iter", "plain"), ("target", "repeated")),
+    ast.With: (("items", "plain"),),
+    ast.AsyncWith: (("items", "plain"),),
+    ast.Raise: (("exc", "plain"), ("cause", "plain")),
+    ast.Assert: (("test", "plain"), ("msg", "conditional")),
+    ast.Match: (("subject", "plain"), ("cases", "conditional")),
+    ast.ClassDef: (("decorator_list", "plain"), ("bases", "plain"), ("keywords", "plain")),
+    **{t: (("handlers", "conditional"),) for t in TRY_NODES},
+}
+if hasattr(ast, "TypeAlias"):
+    # ``type X = v`` (Python 3.12 on) evaluates ``v`` when it is first read
+    _EVALUATES[ast.TypeAlias] = (("value", "deferred"),)
+
+
+def _stmt_eval_parts(stmt) -> list[tuple[ast.AST, str]]:
+    """(node, context) pairs in evaluation order for one statement."""
+    parts = []
+    for field, ctx in _EVALUATES.get(type(stmt), ()):
+        value = getattr(stmt, field)
+        parts += [(v, ctx) for v in (value if type(value) is list else [value])]
+    return parts
 
 
 def _canonical_root_call(stmt, planned) -> ast.Call | None:
@@ -739,35 +735,17 @@ def _hoist_defaults(tree, planned_names, fresh) -> dict[tuple[str, str], str]:
         if not isinstance(stmt, _DEF_NODES) or stmt.name not in planned_names:
             return None
         args = stmt.args
-        prelude: list[ast.stmt] = []
         positional = args.posonlyargs + args.args
-        for param, default in zip(positional[len(positional) - len(args.defaults):], args.defaults):
-            temp = fresh.make(f"{stmt.name}_{param.arg}_default")
-            temp_of[(stmt.name, param.arg)] = temp
-            assign = ast.Assign(
-                targets=[ast.Name(id=temp, ctx=ast.Store())], value=default
-            )
-            prelude.append(ast.copy_location(assign, stmt))
-        for param, default in zip(args.kwonlyargs, args.kw_defaults):
+        pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+        pairs += zip(args.kwonlyargs, args.kw_defaults)
+        prelude: list[ast.stmt] = []
+        for param, default in pairs:
             if default is None:
                 continue
             temp = fresh.make(f"{stmt.name}_{param.arg}_default")
             temp_of[(stmt.name, param.arg)] = temp
-            assign = ast.Assign(
-                targets=[ast.Name(id=temp, ctx=ast.Store())], value=default
-            )
-            prelude.append(ast.copy_location(assign, stmt))
-        if not prelude:
-            return None
-        args.defaults = [
-            ast.Name(id=temp_of[(stmt.name, p.arg)], ctx=ast.Load())
-            for p in positional[len(positional) - len(args.defaults):]
-        ]
-        args.kw_defaults = [
-            None if d is None else ast.Name(id=temp_of[(stmt.name, p.arg)], ctx=ast.Load())
-            for p, d in zip(args.kwonlyargs, args.kw_defaults)
-        ]
-        return prelude + [stmt]
+            prelude.append(_assign(temp, default, stmt))
+        return prelude + [stmt] if prelude else None
 
     _rewrite_blocks(tree, visit)
     return temp_of
@@ -1007,9 +985,9 @@ def _singularize(unit: SourceUnit) -> SourceUnit:
     tree = ast.parse(unit.text)
     _rewrite_blocks(tree, _strip_local_annotations)
     planned = _analyze(tree)
-    _check_transformable(tree, planned)
-
     names, stored = _identifiers(tree)
+    _check_transformable(tree, planned, stored)
+
     fresh = _FreshNames(names)
     pure_names = PURE_BUILTINS - stored
     default_temps = _hoist_defaults(tree, planned, fresh)
@@ -1020,11 +998,15 @@ def _singularize(unit: SourceUnit) -> SourceUnit:
     _rewrite_blocks(tree, normalize)
     _splice_all(tree, planned, fresh, default_temps)
 
+    # every def is a helper: a name of one left in the output is a call
+    # site the rewrite missed, or a def it kept
+    for n in ast.walk(tree):
+        if _name_of(n) in planned:
+            raise TransformUnsupported(
+                f"internal: the output still names {_name_of(n)!r} (line {n.lineno})"
+            )
     text = HEADER_COMMENT + "\n" + ast.unparse(tree) + "\n"
-    result = parse(text, unit.profile, unit_id=f"{unit.id}:singular")
-    if result.function_count != 0:
-        raise TransformUnsupported("internal: output still defines functions")
-    return result
+    return parse(text, unit.profile, unit_id=f"{unit.id}:singular")
 
 
 def verify_equivalence(

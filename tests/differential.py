@@ -6,8 +6,9 @@
 ``dump`` imports ``src/`` of the checkout this file sits in, runs a fixed
 unit set through it and writes one JSON file. ``compare`` reads two such
 files (say, from a copy of this file placed in the parent commit's
-``tests/``, and from the change) and prints the counts; it exits 1 when
-they differ in anything but the allowed qualname change below.
+``tests/``, and from the change) and prints the counts, with each dump's
+singularize refusals per error class; it exits 1 when they differ in
+anything but the allowed qualname change below.
 
 The unit set, 2,388 units:
   - ``structured_function(0..999)`` and ``runnable_program(0..199)``;
@@ -33,6 +34,7 @@ import ast
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -172,6 +174,10 @@ def compare(a_path: str, b_path: str) -> int:
             print(f"singularize differs: {key}")
     print(f"singularize: {same}/{len(a['singularize'])} units identical "
           f"({refused} of them refused with the same class and message)")
+    for path, dumped in ((a_path, a), (b_path, b)):
+        by_class = Counter(v["refused"] for v in dumped["singularize"].values() if "refused" in v)
+        counts = ", ".join(f"{name} {n}" for name, n in sorted(by_class.items()))
+        print(f"singularize refusals in {path}: {counts or 'none'}")
     return 1 if bad else 0
 
 

@@ -362,6 +362,9 @@ BAD_INPUT_CASES = {
                                  "nested too deeply to parse"),
     "source-too-deep-to-transform": ("singularize-given", TOO_DEEP_TO_TRANSFORM, None, 3,
                                      "nested too deeply to transform"),
+    "helper-annotation-undefined": ("singularize-given",
+                                    "def f(x: Undefined) -> int:\n    return x\nprint(f(1))\n",
+                                    None, 3, "'f' has an annotation that is neither"),
     "ppl-positive-log-prob": ("ppl-given", '{"id": "a", "category": "MC", "token_logprobs": [0.5]}\n',
                               None, 2, "line 1: record a: positive log-prob 0.5"),
     "ppl-no-tokens": ("ppl-given", '{"id": "a", "category": "MC", "token_logprobs": []}\n',

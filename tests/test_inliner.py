@@ -14,9 +14,12 @@ from modscore.errors import (
     TransformUnsupported,
 )
 from modscore.inliner import (
+    _EVALUATES,
     _FreshNames,
     _identifiers,
+    _linearize,
     _splice_one,
+    _stmt_eval_parts,
     singularize,
     verify_equivalence,
 )
@@ -267,9 +270,9 @@ DEFERRED_EVALUATION_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", DEFERRED_EVALUATION_CASES)
-def test_deferred_evaluation_keeps_its_output(case, fast_limits):
-    src = DEFERRED_EVALUATION_CASES[case]
+def assert_flat_keeps_output(case: str, src: str, limits):
+    """The flat form of ``src`` prints what ``src`` prints, or ``src`` is
+    refused; it is refused exactly when ``case`` starts with "refused"."""
     try:
         flat = singularize(parse(src)).text
     except TransformUnsupported:
@@ -277,9 +280,145 @@ def test_deferred_evaluation_keeps_its_output(case, fast_limits):
         return
     assert not case.startswith("refused")
     before, after = _in_zygotes(
-        lambda code: run_program(code, b"", fast_limits), [src, flat], jobs=1
+        lambda code: run_program(code, b"", limits), [src, flat], jobs=1
     )
     assert (after.verdict, after.stdout) == (before.verdict, before.stdout)
+
+
+@pytest.mark.parametrize("case", DEFERRED_EVALUATION_CASES)
+def test_deferred_evaluation_keeps_its_output(case, fast_limits):
+    assert_flat_keeps_output(case, DEFERRED_EVALUATION_CASES[case], fast_limits)
+
+
+# Each unit calls a helper, or names something, where a statement
+# evaluates it: a class's decorators run before its bases, an annotated
+# target is evaluated like any other, and a helper's annotations run when
+# its def does (unless annotations are deferred, so a helper keeps only
+# annotations that can neither fail nor act). A module-level annotation
+# is deferred under ``from __future__ import annotations``.
+STATEMENT_EVALUATION_CASES = {
+    "class-decorator-runs-before-base": (
+        "def f():\n    print('f')\n    return lambda c: c\n"
+        "def g():\n    print('g')\n    return object\n"
+        "@f()\nclass C(g()):\n    pass\nprint(C.__name__)\n"
+    ),
+    "annotated-subscript-target-calls-helper": (
+        "a = [0]\ndef f():\n    print('f')\n    return 0\na[f()]: int = 5\nprint(a)\n"
+    ),
+    "bare-annotated-subscript-target-calls-helper": (
+        "a = [0]\ndef f():\n    print('f')\n    return 0\na[f()]: int\nprint(a)\n"
+    ),
+    "refused-helper-annotation-names-undefined": (
+        "def f(x: Undefined) -> int:\n    return x\nprint(f(1))\n"
+    ),
+    "refused-helper-annotation-names-later-binding": (
+        "def f(x: T):\n    return x\nT = int\nprint(f(1))\n"
+    ),
+    "refused-module-annotation-calls-helper-under-future-import": (
+        "from __future__ import annotations\n"
+        "def f():\n    print('f')\n    return int\nx: f() = 5\nprint(x)\n"
+    ),
+    "control-helper-annotations-are-builtins": (
+        "def f(x: int, y: 'str' = 'b') -> int:\n    return x\nprint(f(1))\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", STATEMENT_EVALUATION_CASES)
+def test_statement_evaluation_keeps_its_output(case, fast_limits):
+    assert_flat_keeps_output(case, STATEMENT_EVALUATION_CASES[case], fast_limits)
+
+
+def test_missed_call_site_refused_not_left_calling_a_removed_def(monkeypatch):
+    # with the target out of the table the call in it is never hoisted,
+    # and its def is removed all the same
+    monkeypatch.setitem(_EVALUATES, ast.AnnAssign, (("value", "plain"), ("annotation", "deferred")))
+    src = STATEMENT_EVALUATION_CASES["annotated-subscript-target-calls-helper"]
+    with pytest.raises(TransformUnsupported, match="^internal: the output still names 'f'"):
+        singularize(parse(src))
+
+
+# Each statement's evaluated slots hold ``log(i, value)`` calls, numbered
+# in source order. The order in which ``_linearize`` meets them must be
+# the order CPython runs them.
+EVALUATION_ORDER_CASES = {
+    "assign": (ast.Assign, "a[log(0, 0)] = a[log(1, 1)] = log(2, 5)\n"),
+    "augmented-assign": (ast.AugAssign, "a[log(0, 0)] += log(1, 1)\n"),
+    "annotated-assign": (ast.AnnAssign, "a[log(0, 0)]: log(1, int) = log(2, 5)\n"),
+    "bare-annotation": (ast.AnnAssign, "a[log(0, 0)]: log(1, int)\n"),
+    "for": (ast.For, "for a[log(0, 0)] in log(1, [7]):\n    pass\n"),
+    "async-for": (ast.AsyncFor, (
+        "async def items():\n    yield 7\n"
+        "async def main():\n    async for a[log(0, 0)] in log(1, items()):\n        pass\n"
+    )),
+    "with": (ast.With, (
+        "from contextlib import nullcontext\n"
+        "with log(0, nullcontext()) as a[log(1, 0)], log(2, nullcontext()):\n    pass\n"
+    )),
+    "raise": (ast.Raise, "raise log(0, ValueError) from log(1, None)\n"),
+    "assert": (ast.Assert, "assert log(0, False), log(1, 'why')\n"),
+    "try": (ast.Try, (
+        "try:\n    raise KeyError\n"
+        "except log(0, ValueError):\n    pass\nexcept log(1, KeyError):\n    pass\n"
+    )),
+    "match": (ast.Match, "match log(0, 1):\n    case 1 if log(1, True):\n        pass\n"),
+    "class": (ast.ClassDef, (
+        "@log(0, lambda c: c)\n@log(1, lambda c: c)\n"
+        "class C(log(2, object), metaclass=log(3, type)):\n    pass\n"
+    )),
+}
+
+
+def run_logged(src: str) -> list[int]:
+    """The ``i`` of each ``log(i, value)`` call, in the order ``src`` runs them;
+    a coroutine ``main``, if ``src`` defines one, is run to its end."""
+    ran: list[int] = []
+
+    def log(i, value=None):
+        ran.append(i)
+        return value
+
+    namespace = {"log": log, "a": [0, 0]}
+    try:
+        exec(compile(src, "<case>", "exec"), namespace)
+        if "main" in namespace:
+            namespace["main"]().send(None)
+    except (StopIteration, ValueError, AssertionError):
+        pass
+    return ran
+
+
+@pytest.mark.parametrize("case", EVALUATION_ORDER_CASES)
+def test_linearized_order_is_cpython_order(case):
+    kind, src = EVALUATION_ORDER_CASES[case]
+    stmt = next(n for n in ast.walk(ast.parse(src)) if type(n) is kind)
+    events: list = []
+    for node, ctx in _stmt_eval_parts(stmt):
+        _linearize(node, ctx, [], set(), frozenset(), events)
+    linearized = [e.node.args[0].value for e in events
+                  if type(e.node) is ast.Call and getattr(e.node.func, "id", None) == "log"]
+    ran = run_logged(src)
+    assert len(ran) == len(set(ran)) > 1
+    assert linearized == ran
+
+
+def test_order_cases_cover_every_statement_with_two_slots():
+    with_two = {kind for kind, slots in _EVALUATES.items() if len(slots) > 1}
+    assert with_two <= {kind for kind, _ in EVALUATION_ORDER_CASES.values()}
+
+
+# statements that evaluate nothing themselves: a def's defaults are
+# hoisted before the table is read, and a decorated def is refused
+EVALUATES_NOTHING = {
+    ast.FunctionDef, ast.AsyncFunctionDef, ast.Import, ast.ImportFrom,
+    ast.Global, ast.Nonlocal, ast.Pass, ast.Break, ast.Continue,
+}
+
+
+def test_every_statement_type_is_in_the_table_or_evaluates_nothing():
+    kinds = set(ast.stmt.__subclasses__())
+    assert set(_EVALUATES) == kinds - EVALUATES_NOTHING
+    assert EVALUATES_NOTHING <= kinds
 
 
 # -- singularize: behavior preservation ---------------------------------------
