@@ -9,10 +9,21 @@ Network isolation is left to the surrounding environment.
 
 Every run forks from a zygote: a pre-started ``python -I`` that forks
 one child per run (``_zygote.py``), so a run costs a fork instead of an
-interpreter start-up. Batches (``passes_each``, ``count_correct``) go
-through one job queue of programs served by worker threads, each owning
-a zygote; a run outside a batch starts a zygote of its own and closes it
-after the run.
+interpreter start-up. Batches go through one job queue served by worker
+threads, each owning a zygote (``_in_zygotes``); a job may add follow-up
+jobs to the back of that queue. A run outside a batch starts a zygote of
+its own and closes it after the run.
+
+``passes_each`` (and ``count_correct`` through it) queues single test
+runs. Each program's first test is queued in program order. Once it
+passes, the program's other tests join the back of the queue, so any
+free worker can take them. Once a test fails, the program's tests with a
+later index are never started, or killed if they are running; a killed
+run gives no verdict. Its tests with an earlier index still run, as they
+would under ``passes_all``, which walks the tests in order and stops at
+the first failure. So every run ``passes_all`` makes is made, with the
+same verdict, a program that fails its first test costs one run, and
+each program's verdict is the one ``passes_all`` gives.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ import sys
 import tempfile
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +47,7 @@ except ImportError:  # non-POSIX
     resource = None
 
 _ZYGOTE_MAIN = str(Path(__file__).with_name("_zygote.py"))
+_STDERR_TAIL = 4096  # bytes of a run's stderr that are judged
 
 # The zygote of the current worker thread, if any. run_program keeps its
 # signature, so a worker hands it the zygote through the thread it runs on.
@@ -86,7 +99,8 @@ class _Zygote:
     isolates itself (``_zygote.limit``); the zygote enforces the wall
     time and kills the run's process group when the run ends. A zygote
     that cannot start or dies raises SandboxUnavailable, after the run's
-    group is killed.
+    group is killed. Another thread may ``stop`` the run: its group is
+    killed and ``run`` raises ``_Stopped`` instead of returning.
     """
 
     def __init__(self):
@@ -109,6 +123,24 @@ class _Zygote:
             os.close(reply_w)
         self._requests = open(request_w, "wb", buffering=0)
         self._replies = open(reply_r, "rb")
+        self._lock = threading.Lock()
+        self._pid = None  # of the run in flight: from its P line until its reply
+        self._stopped = False
+
+    def stop(self):
+        """Kill the current run, now if it is in flight, else once it starts.
+
+        The flag holds until ``resume``, so a caller stops only a run it
+        knows this zygote is about to make or is making.
+        """
+        with self._lock:
+            self._stopped = True
+            if self._pid is not None:
+                _kill_run(self._pid)
+
+    def resume(self):
+        with self._lock:
+            self._stopped = False
 
     def run(self, tmp: str, limits: RunLimits) -> tuple[int, bool]:
         """Run tmp/prog.py in a forked child: (return code, timed out)."""
@@ -119,19 +151,26 @@ class _Zygote:
             reply = self._replies.readline()
             if reply.startswith(b"P "):
                 pid = int(reply[2:])
+                with self._lock:
+                    self._pid = pid
+                    if self._stopped:
+                        _kill_run(pid)
                 reply = self._replies.readline()
         except OSError as exc:
             raise SandboxUnavailable(f"zygote unreachable: {exc}") from exc
+        finally:
+            with self._lock:
+                self._pid = None
+                stopped = self._stopped
         if not reply.endswith(b"\n"):
             if pid is not None:  # the dead zygote can no longer end the run
-                try:
-                    os.killpg(pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
+                _kill_run(pid)
             raise SandboxUnavailable("zygote exited during a run")
         kind, _, rest = reply[:-1].partition(b" ")
         if kind == b"E":
             raise SandboxUnavailable(f"cannot isolate run: {rest.decode('utf-8', 'replace')}")
+        if stopped:
+            raise _Stopped
         return int(kind), rest == b"1"
 
     def close(self):
@@ -139,6 +178,20 @@ class _Zygote:
         self._requests.close()
         self._replies.close()
         self._proc.wait()
+
+
+class _Stopped(Exception):
+    """A run killed by ``_Zygote.stop``: it gives no verdict."""
+
+
+def _kill_run(pid: int):
+    # The run's group once its child has called setsid; the pid alone
+    # before that, when the child has no children yet.
+    for kill in (os.killpg, os.kill):
+        try:
+            kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
 
 
 def _classify(returncode: int, timed_out: bool, stdout: bytes, stderr: bytes,
@@ -181,7 +234,10 @@ def run_program(code: str, stdin_data: bytes, limits: RunLimits) -> RunResult:
                 zygote.close()
         duration = time.monotonic() - start
         stdout = (tmp_path / "stdout").read_bytes()[: limits.output_cap]
-        stderr = (tmp_path / "stderr").read_bytes()[:4096]
+        with open(tmp_path / "stderr", "rb") as handle:
+            # the end holds what _classify reads: the traceback's last line
+            handle.seek(max(0, handle.seek(0, os.SEEK_END) - _STDERR_TAIL))
+            stderr = handle.read()
     return _classify(returncode, timed_out, stdout, stderr, duration, limits)
 
 
@@ -196,6 +252,7 @@ def run_solution(code: str, test, limits: RunLimits, exact: bool = False) -> Run
 
 
 def passes_all(code: str, tests, limits: RunLimits, exact: bool = False) -> bool:
+    """The tests run in order, up to the first failure: the walk passes_each keeps."""
     for test in tests:
         if run_solution(code, test, limits, exact=exact).verdict != "pass":
             return False
@@ -203,30 +260,52 @@ def passes_all(code: str, tests, limits: RunLimits, exact: bool = False) -> bool
 
 
 def _in_zygotes(fn, items: list, jobs: int) -> list:
-    """[fn(item) for item in items] over min(jobs, len(items)) worker threads.
+    """[fn(item) for item in items] over up to ``jobs`` worker threads."""
+    return _queue_in_zygotes(lambda item, queue: fn(item), items, jobs)
 
-    Each worker starts its own zygote on its first item, so ``run_program``
-    calls made by ``fn`` fork from it. Every zygote started is closed and
-    reaped before this returns, also when ``fn`` raises.
+
+def _queue_in_zygotes(fn, items: list, jobs: int) -> list:
+    """[fn(item, queue) for item in items] over up to ``jobs`` worker threads.
+
+    ``queue(item)`` puts a follow-up job ``fn(item, queue)`` at the back of
+    the same queue; its result is dropped, and what it raises is raised
+    here. A worker starts only when a job finds no idle one, and starts
+    its own zygote on its first job, so ``run_program`` calls made by
+    ``fn`` fork from it. Every zygote started is closed and reaped before
+    this returns, also when a job raises.
     """
     if not items:
         return []
     from concurrent.futures import ThreadPoolExecutor
 
     zygotes: list[_Zygote] = []
+    follow_ups = deque()
+    lock = threading.Lock()
+    closing = False
 
     def job(item):
         if getattr(_worker, "zygote", None) is None:
             _worker.zygote = _Zygote()
             zygotes.append(_worker.zygote)
-        return fn(item)
+        return fn(item, queue)
+
+    def queue(item):
+        with lock:
+            if not closing:
+                follow_ups.append(pool.submit(job, item))
 
     try:
-        with ThreadPoolExecutor(max_workers=max(1, min(jobs, len(items)))) as pool:
+        with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
             futures = [pool.submit(job, item) for item in items]
             try:
-                return [future.result() for future in futures]
+                results = [future.result() for future in futures]
+                # a job queues its follow-ups before it ends
+                while follow_ups:
+                    follow_ups.popleft().result()
+                return results
             except BaseException:
+                with lock:
+                    closing = True
                 pool.shutdown(cancel_futures=True)
                 raise
     finally:
@@ -235,11 +314,47 @@ def _in_zygotes(fn, items: list, jobs: int) -> list:
 
 
 def passes_each(programs, limits: RunLimits, exact: bool = False, jobs: int = 0) -> list[bool]:
-    """passes_all for each (code, tests) pair, fanned out over one job queue."""
-    return _in_zygotes(
-        lambda program: passes_all(program[0], program[1], limits, exact=exact),
-        list(programs), jobs,
-    )
+    """passes_all for each (code, tests) pair, one test run per job.
+
+    Each program's first test is queued in program order; once it passes,
+    the program's other tests join the back of the queue. A failure stops
+    the program's later tests: queued ones never start, running ones are
+    killed.
+    """
+    programs = list(programs)
+    # per program, the lowest index of a failed test, len(tests) while none has
+    failed_at = [len(tests) for _, tests in programs]
+    running = {}  # (program, test index) -> zygote of the worker running it
+    lock = threading.Lock()
+
+    def run(job, queue):
+        program, index = job
+        code, tests = programs[program]
+        zygote = _worker.zygote
+        with lock:
+            if index > failed_at[program]:
+                return
+            zygote.resume()
+            running[job] = zygote
+        try:
+            passed = run_solution(code, tests[index], limits, exact=exact).verdict == "pass"
+        except _Stopped:
+            return
+        finally:
+            with lock:
+                del running[job]
+        if not passed:
+            with lock:
+                failed_at[program] = min(failed_at[program], index)
+                for (other, later), worker in running.items():
+                    if other == program and later > index:
+                        worker.stop()
+        elif index == 0:
+            for later in range(1, len(tests)):
+                queue((program, later))
+
+    _queue_in_zygotes(run, [(i, 0) for i, (_, tests) in enumerate(programs) if tests], jobs)
+    return [first == len(tests) for first, (_, tests) in zip(failed_at, programs)]
 
 
 def count_correct(candidates, tests, limits: RunLimits, exact: bool = False, jobs: int = 0) -> int:

@@ -1,15 +1,26 @@
-import pytest
+import sys
+import threading
+import time
 
+import pytest
+from hypothesis import given, seed, settings, strategies as st
+
+from conftest import assert_no_children
+from modscore import sandbox
 from modscore.corpus import TestCase
 from modscore.sandbox import (
     RunLimits,
     count_correct,
     normalize_output,
     outputs_match,
+    passes_all,
+    passes_each,
     run_solution,
 )
 
 DOUBLE = "print(int(input()) * 2)\n"
+# 8 KiB of stderr before what the judge must read at its end
+WARNINGS = "import sys\nsys.stderr.write('warn: x\\n' * 1024)\n"
 
 
 def test_limits_must_be_positive():
@@ -57,6 +68,18 @@ def test_memory_limit_exceeded():
     hog = "data = bytearray(512 * 1024 * 1024)\nprint(len(data))\n"
     result = run_solution(hog, TestCase(b"", b"x\n"), limits)
     assert result.verdict == "resource_exceeded"
+
+
+def test_memory_error_after_long_stderr_is_resource_exceeded():
+    limits = RunLimits(wall_time=5.0, memory=128 * 1024 * 1024, output_cap=64 * 1024)
+    result = run_solution(WARNINGS + "bytearray(1 << 30)\n", TestCase(b"", b""), limits)
+    assert (result.verdict, result.detail) == ("resource_exceeded", "memory")
+
+
+def test_runtime_error_detail_is_the_last_line_of_long_stderr(fast_limits):
+    result = run_solution(WARNINGS + "raise ValueError('bad')\n", TestCase(b"", b""),
+                          fast_limits)
+    assert (result.verdict, result.detail) == ("runtime_error", "ValueError: bad")
 
 
 def test_output_cap_exceeded():
@@ -124,3 +147,143 @@ def test_sandbox_unavailable_never_degrades(fast_limits, monkeypatch):
     monkeypatch.setattr(sandbox_module, "resource", None)
     with pytest.raises(SandboxUnavailable):
         sandbox_module.run_program("print(1)\n", b"", fast_limits)
+
+
+# -- the queue of test runs ---------------------------------------------------
+
+
+def count_runs(monkeypatch) -> list:
+    """(code, stdin, verdict or exception name, start, end) of every run from now on."""
+    runs = []
+    lock = threading.Lock()
+    original = sandbox.run_solution
+
+    def counted(code, test, limits, exact=False):
+        start = time.monotonic()
+        try:
+            result = original(code, test, limits, exact=exact)
+        except Exception as exc:
+            outcome = type(exc).__name__
+            raise
+        else:
+            outcome = result.verdict
+            return result
+        finally:
+            with lock:
+                runs.append((code, test.input, outcome, start, time.monotonic()))
+
+    monkeypatch.setattr(sandbox, "run_solution", counted)
+    return runs
+
+
+def numbered_tests(count: int) -> list[TestCase]:
+    return [TestCase(f"{i}\n".encode(), f"{2 * i}\n".encode()) for i in range(count)]
+
+
+def test_a_program_that_fails_its_first_test_runs_once(fast_limits, monkeypatch):
+    runs = count_runs(monkeypatch)
+    assert passes_each([("print(-1)\n", numbered_tests(3))], fast_limits, jobs=2) == [False]
+    assert len(runs) == 1
+
+
+def test_a_passing_program_runs_every_test_once(fast_limits, monkeypatch):
+    runs = count_runs(monkeypatch)
+    assert passes_each([(DOUBLE, numbered_tests(3))], fast_limits, jobs=2) == [True]
+    assert sorted(run[1] for run in runs) == [b"0\n", b"1\n", b"2\n"]
+
+
+def test_passes_all_stops_at_the_first_failure(fast_limits, monkeypatch):
+    runs = count_runs(monkeypatch)
+    wrong_on_1 = "n = int(input())\nprint(-1 if n == 1 else 2 * n)\n"
+    assert not passes_all(wrong_on_1, numbered_tests(3), fast_limits)
+    assert [run[1:3] for run in runs] == [(b"0\n", "pass"), (b"1\n", "wrong_output")]
+
+
+def test_the_tests_after_the_first_spread_over_the_workers(fast_limits, monkeypatch):
+    runs = count_runs(monkeypatch)
+    slow_double = "import time\ntime.sleep(0.4)\nprint(int(input()) * 2)\n"
+    start = time.monotonic()
+    assert passes_each([(slow_double, numbered_tests(3))], fast_limits, jobs=2) == [True]
+    assert time.monotonic() - start < 3 * 0.4
+    second, third = sorted(runs, key=lambda run: run[3])[1:]
+    assert third[3] < second[4]  # they overlap
+
+
+@pytest.mark.parametrize("delay", [0.0, 0.3])
+def test_a_failure_kills_the_later_tests_in_flight(delay, monkeypatch):
+    runs = count_runs(monkeypatch)
+    # passes test 0, fails test 1 after `delay`, loops forever on test 2
+    program = (
+        "import time\nn = int(input())\n"
+        f"if n == 1:\n    time.sleep({delay})\n    print(-1)\n"
+        "while n == 2:\n    pass\nprint(2 * n)\n"
+    )
+    start = time.monotonic()
+    assert passes_each([(program, numbered_tests(3))], RunLimits(wall_time=10.0),
+                       jobs=2) == [False]
+    assert time.monotonic() - start < 3.0
+    outcomes = {run[1]: run[2] for run in runs}
+    assert outcomes[b"0\n"] == "pass" and outcomes[b"1\n"] == "wrong_output"
+    if delay:  # test 2 was surely running when test 1 failed
+        assert outcomes[b"2\n"] == "_Stopped"
+    else:
+        assert outcomes.get(b"2\n", "_Stopped") == "_Stopped"
+    assert_no_children()
+
+
+def test_a_failure_lets_the_earlier_tests_finish(fast_limits, monkeypatch):
+    runs = count_runs(monkeypatch)
+    # test 1 takes 0.3 s and passes; test 2 fails at once
+    program = (
+        "import time\nn = int(input())\nif n == 1:\n    time.sleep(0.3)\n"
+        "print(-1 if n == 2 else 2 * n)\n"
+    )
+    assert passes_each([(program, numbered_tests(3))], fast_limits, jobs=2) == [False]
+    assert sorted(run[1:3] for run in runs) == [
+        (b"0\n", "pass"), (b"1\n", "pass"), (b"2\n", "wrong_output")]
+
+
+KINDS = st.one_of(
+    st.just(("pass", 0)),
+    st.tuples(st.sampled_from(["wrong", "raise"]), st.integers(0, 3)),
+)
+
+
+def planted(kind: str, at: int) -> str:
+    """Doubles its input, except on input ``at``: wrong output or an exception."""
+    if kind == "pass":
+        return DOUBLE
+    bad = "print(-1)" if kind == "wrong" else "raise ValueError(n)"
+    return f"n = int(input())\nif n == {at}:\n    {bad}\nelse:\n    print(2 * n)\n"
+
+
+@seed(14)
+@settings(max_examples=25, deadline=None, database=None)
+@given(st.lists(st.tuples(KINDS, st.integers(1, 3)), min_size=1, max_size=6),
+       st.integers(1, 3))
+def test_queue_gives_the_serial_early_exit_verdicts(programs, jobs):
+    limits = RunLimits(wall_time=5.0)
+    batch = [(planted(kind, at) + f"# {i}\n", numbered_tests(count))
+             for i, ((kind, at), count) in enumerate(programs)]
+    serial = []  # the tests passes_all runs, with their verdicts, per program
+    for (kind, at), count in programs:
+        fails = kind != "pass" and at < count
+        bad = "wrong_output" if kind == "wrong" else "runtime_error"
+        serial.append([(f"{i}\n".encode(), "pass") for i in range(at if fails else count)]
+                      + ([(f"{at}\n".encode(), bad)] if fails else []))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # let the workers' threads interleave often
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            runs = count_runs(patch)
+            verdicts = passes_each(batch, limits, jobs=jobs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert verdicts == [len(expected) == count and expected[-1][1] == "pass"
+                        for expected, (_, count) in zip(serial, programs)]
+    for (code, _), expected in zip(batch, serial):
+        made = sorted((run[1], run[2]) for run in runs if run[0] == code)
+        # every test serial early exit runs, then at most later tests
+        assert made[: len(expected)] == expected
+        if expected[-1][1] != "pass" and (jobs == 1 or len(expected) == 1):
+            assert len(made) == len(expected)

@@ -173,6 +173,20 @@ def test_edge_cases_agree():
     assert forked["atexit_after_error"].stdout == b"bye\n"
 
 
+def test_long_stderr_is_judged_by_its_end():
+    # more stderr than the 4 KiB the judge reads, less than the output cap
+    limits = RunLimits(wall_time=5.0, memory=128 * 1024 * 1024, output_cap=64 * 1024)
+    warnings = "import sys\nsys.stderr.write('warn: x\\n' * 1024)\n"
+    cases = [(warnings + end, TestCase(b"", b""))
+             for end in ("bytearray(1 << 30)\n", "raise ValueError('bad')\n")]
+    assert_same_on_both_paths(cases, limits)
+    memory, error = sandbox._in_zygotes(
+        lambda case: run_solution(case[0], case[1], limits), cases, jobs=2
+    )
+    assert (memory.verdict, memory.detail) == ("resource_exceeded", "memory")
+    assert (error.verdict, error.detail) == ("runtime_error", "ValueError: bad")
+
+
 # -- process hygiene ----------------------------------------------------------
 
 
@@ -257,6 +271,22 @@ def test_large_jobs_start_one_zygote_per_program_at_most(monkeypatch, tmp_path, 
                  "--jobs", "64"])
     assert code == 0
     assert 1 <= len(started) <= 2
+    assert_no_children()
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+@pytest.mark.parametrize("programs, runs", [
+    ([("print(-1)\n", 3)], 1),
+    ([(DOUBLE, 2)], 2),
+    ([(DOUBLE, 3), ("print(-1)\n", 1)], 4),
+])
+def test_no_more_zygotes_than_workers_or_runs(fast_limits, monkeypatch, programs, runs, jobs):
+    started = count_zygotes(monkeypatch)
+    tests = [TestCase(f"{i}\n".encode(), f"{2 * i}\n".encode()) for i in range(3)]
+    verdicts = sandbox.passes_each([(code, tests[:count]) for code, count in programs],
+                                   fast_limits, jobs=jobs)
+    assert verdicts == [code == DOUBLE for code, _ in programs]
+    assert 1 <= len(started) <= min(jobs, runs)
     assert_no_children()
 
 
