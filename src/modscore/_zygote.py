@@ -10,8 +10,11 @@ client whose server dies mid-run can still kill the run. The second is
 ``<returncode> <timed_out 0|1>``, the return code as ``subprocess``
 reports it, or ``E <message>`` when the child could not be isolated.
 Before that reply, the server kills the child's group, so nothing the
-run started outlives it, unless it left the group with ``setsid``. The
-server exits at the end of its request stream.
+run started outlives it, unless it left the group with ``setsid``. It
+reaps the child only when the next request or the end of the stream
+comes: until then the child's pid, and so its group's id, is not free,
+and a client that still holds the pid may signal it. The server exits
+at the end of its request stream.
 
 The server runs as a script, so it uses only the standard library. It
 keeps its imports few, because every run inherits its state. No module
@@ -147,8 +150,11 @@ def _finalize(status: int) -> int:
 def serve(requests: int, replies: int):
     global _running, _timed_out
     signal.signal(signal.SIGALRM, _expire)
+    ended = None  # the last run's child, exited but not reaped
     with open(requests, "rb", closefd=False) as stream:
         for line in stream:
+            if ended is not None:
+                os.waitpid(ended, 0)
             tmp, wall_time, memory, output_cap = line.rstrip(b"\n").split(b"\0")
             wall_time = float(wall_time)
             report_r, report_w = os.pipe()
@@ -166,9 +172,10 @@ def serve(requests: int, replies: int):
             error = b""
             while chunk := os.read(report_r, 4096):
                 error += chunk
-            _, status = os.waitpid(pid, 0)
+            info = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
             signal.setitimer(signal.ITIMER_REAL, 0)
-            try:  # the group outlives its reaped leader while members remain
+            ended = pid
+            try:  # the group outlives its exited leader while members remain
                 os.killpg(pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
@@ -176,9 +183,11 @@ def serve(requests: int, replies: int):
             if error:
                 reply = b"E " + error.replace(b"\n", b" ")
             else:
-                code = os.waitstatus_to_exitcode(status)
+                code = info.si_status if info.si_code == os.CLD_EXITED else -info.si_status
                 reply = f"{code} {int(_timed_out)}".encode()
             os.write(replies, reply + b"\n")
+    if ended is not None:
+        os.waitpid(ended, 0)
 
 
 if __name__ == "__main__":

@@ -10,20 +10,25 @@ Network isolation is left to the surrounding environment.
 Every run forks from a zygote: a pre-started ``python -I`` that forks
 one child per run (``_zygote.py``), so a run costs a fork instead of an
 interpreter start-up. Batches go through one job queue served by worker
-threads, each owning a zygote (``_in_zygotes``); a job may add follow-up
-jobs to the back of that queue. A run outside a batch starts a zygote of
-its own and closes it after the run.
+threads, each owning a zygote that starts on the worker's first run
+(``_in_zygotes``); a job may add follow-up jobs behind every item of the
+batch. A run outside a batch starts a zygote of its own and closes it
+after the run.
 
-``passes_each`` (and ``count_correct`` through it) queues single test
-runs. Each program's first test is queued in program order. Once it
-passes, the program's other tests join the back of the queue, so any
-free worker can take them. Once a test fails, the program's tests with a
+``passes_each`` (and ``count_correct`` through it) makes one job per
+program, queued in program order, that walks the program's tests in
+order and stops at the first failure, as ``passes_all`` does. Once the
+first test has passed, and after each test that passes, the job queues
+a helper (one at a time per program) that walks on from the next test
+not yet taken. A helper starts only on a worker that no program's job
+is left for, so on a full queue the runs are exactly those of
+``passes_all``, and near the end of a batch the idle workers spread a
+slow program's tests. Once a test fails, the program's tests with a
 later index are never started, or killed if they are running; a killed
-run gives no verdict. Its tests with an earlier index still run, as they
-would under ``passes_all``, which walks the tests in order and stops at
-the first failure. So every run ``passes_all`` makes is made, with the
-same verdict, a program that fails its first test costs one run, and
-each program's verdict is the one ``passes_all`` gives.
+run gives no verdict. Its tests with an earlier index still run. So
+every run ``passes_all`` makes is made, with the same verdict; a program
+that fails its first test costs one run; and each program's verdict is
+the one ``passes_all`` gives.
 """
 
 from __future__ import annotations
@@ -93,17 +98,24 @@ def outputs_match(actual: bytes, expected: bytes, exact: bool = False) -> bool:
 
 
 class _Zygote:
-    """A pre-started ``python -I`` that forks one child per run (``_zygote.py``).
+    """A ``python -I`` that forks one child per run (``_zygote.py``).
 
-    Start-up is paid once per worker instead of once per run. The child
-    isolates itself (``_zygote.limit``); the zygote enforces the wall
-    time and kills the run's process group when the run ends. A zygote
-    that cannot start or dies raises SandboxUnavailable, after the run's
-    group is killed. Another thread may ``stop`` the run: its group is
-    killed and ``run`` raises ``_Stopped`` instead of returning.
+    It starts on its first run, so start-up is paid once per worker that
+    runs something instead of once per run. The child isolates itself
+    (``_zygote.limit``); the zygote enforces the wall time and kills the
+    run's process group when the run ends. A zygote that cannot start or
+    dies raises SandboxUnavailable, after the run's group is killed.
+    Another thread may ``stop`` the run: its group is killed and ``run``
+    raises ``_Stopped`` instead of returning.
     """
 
     def __init__(self):
+        self._proc = None  # until the first run
+        self._lock = threading.Lock()
+        self._pid = None  # of the run in flight: from its P line until its reply
+        self._stopped = False
+
+    def _start(self):
         request_r, request_w = os.pipe()
         reply_r, reply_w = os.pipe()
         try:
@@ -123,15 +135,15 @@ class _Zygote:
             os.close(reply_w)
         self._requests = open(request_w, "wb", buffering=0)
         self._replies = open(reply_r, "rb")
-        self._lock = threading.Lock()
-        self._pid = None  # of the run in flight: from its P line until its reply
-        self._stopped = False
 
     def stop(self):
         """Kill the current run, now if it is in flight, else once it starts.
 
         The flag holds until ``resume``, so a caller stops only a run it
-        knows this zygote is about to make or is making.
+        knows this zygote is about to make or is making. The pid is safe
+        to signal: the zygote reaps a run's child only once the next
+        request or the end of its requests comes, and ``run`` drops the
+        pid before it sends either.
         """
         with self._lock:
             self._stopped = True
@@ -144,6 +156,11 @@ class _Zygote:
 
     def run(self, tmp: str, limits: RunLimits) -> tuple[int, bool]:
         """Run tmp/prog.py in a forked child: (return code, timed out)."""
+        with self._lock:
+            if self._stopped:
+                raise _Stopped
+        if self._proc is None:
+            self._start()
         fields = (tmp, repr(limits.wall_time), str(limits.memory), str(limits.output_cap))
         pid = None
         try:
@@ -175,6 +192,8 @@ class _Zygote:
 
     def close(self):
         """End the zygote (EOF on its requests) and reap it."""
+        if self._proc is None:
+            return
         self._requests.close()
         self._replies.close()
         self._proc.wait()
@@ -268,11 +287,12 @@ def _queue_in_zygotes(fn, items: list, jobs: int) -> list:
     """[fn(item, queue) for item in items] over up to ``jobs`` worker threads.
 
     ``queue(item)`` puts a follow-up job ``fn(item, queue)`` at the back of
-    the same queue; its result is dropped, and what it raises is raised
-    here. A worker starts only when a job finds no idle one, and starts
-    its own zygote on its first job, so ``run_program`` calls made by
-    ``fn`` fork from it. Every zygote started is closed and reaped before
-    this returns, also when a job raises.
+    the same queue, behind every item, so it starts only on a worker that
+    no item is left for; its result is dropped, and what it raises is
+    raised here. Each worker has a zygote that starts on its first run,
+    so ``run_program`` calls made by ``fn`` fork from it, and no call
+    starts more zygotes than ``min(jobs, runs)``. Every zygote started is
+    closed and reaped before this returns, also when a job raises.
     """
     if not items:
         return []
@@ -296,7 +316,8 @@ def _queue_in_zygotes(fn, items: list, jobs: int) -> list:
 
     try:
         with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-            futures = [pool.submit(job, item) for item in items]
+            with lock:  # no follow-up goes ahead of an item
+                futures = [pool.submit(job, item) for item in items]
             try:
                 results = [future.result() for future in futures]
                 # a job queues its follow-ups before it ends
@@ -314,46 +335,56 @@ def _queue_in_zygotes(fn, items: list, jobs: int) -> list:
 
 
 def passes_each(programs, limits: RunLimits, exact: bool = False, jobs: int = 0) -> list[bool]:
-    """passes_all for each (code, tests) pair, one test run per job.
+    """passes_all for each (code, tests) pair, one job per program.
 
-    Each program's first test is queued in program order; once it passes,
-    the program's other tests join the back of the queue. A failure stops
-    the program's later tests: queued ones never start, running ones are
-    killed.
+    A job walks its program's tests in order. Once the first test has
+    passed, a helper job behind every program's job walks on from the
+    next test not taken yet. A failure stops the program's later tests:
+    untaken ones never start, running ones are killed.
     """
     programs = list(programs)
+    taken = [0] * len(programs)  # per program, its tests taken so far, in order
     # per program, the lowest index of a failed test, len(tests) while none has
     failed_at = [len(tests) for _, tests in programs]
     running = {}  # (program, test index) -> zygote of the worker running it
+    helped = set()  # programs with a helper job queued that has not started
     lock = threading.Lock()
 
-    def run(job, queue):
-        program, index = job
+    def walk(program, queue):
         code, tests = programs[program]
         zygote = _worker.zygote
         with lock:
-            if index > failed_at[program]:
+            helped.discard(program)
+        while True:
+            with lock:
+                index = taken[program]
+                if index >= failed_at[program]:  # none left, or after a failure
+                    return
+                taken[program] += 1
+                zygote.resume()
+                running[program, index] = zygote
+            try:
+                passed = run_solution(code, tests[index], limits, exact=exact).verdict == "pass"
+            except _Stopped:
                 return
-            zygote.resume()
-            running[job] = zygote
-        try:
-            passed = run_solution(code, tests[index], limits, exact=exact).verdict == "pass"
-        except _Stopped:
-            return
-        finally:
-            with lock:
-                del running[job]
-        if not passed:
-            with lock:
-                failed_at[program] = min(failed_at[program], index)
-                for (other, later), worker in running.items():
-                    if other == program and later > index:
-                        worker.stop()
-        elif index == 0:
-            for later in range(1, len(tests)):
-                queue((program, later))
+            finally:
+                with lock:
+                    del running[program, index]
+            if not passed:
+                with lock:
+                    failed_at[program] = min(failed_at[program], index)
+                    for (other, later), worker in running.items():
+                        if other == program and later > index:
+                            worker.stop()
+                return
+            with lock:  # this job takes the next test, a helper the one after
+                wanted = program not in helped and len(tests) - taken[program] >= 2
+                if wanted:
+                    helped.add(program)
+            if wanted:
+                queue(program)
 
-    _queue_in_zygotes(run, [(i, 0) for i, (_, tests) in enumerate(programs) if tests], jobs)
+    _queue_in_zygotes(walk, [i for i, (_, tests) in enumerate(programs) if tests], jobs)
     return [first == len(tests) for first, (_, tests) in zip(failed_at, programs)]
 
 

@@ -1,5 +1,7 @@
 import os
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,32 @@ def assert_no_children():
     """This process has no child left, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def count_runs(monkeypatch) -> list:
+    """(code, stdin, verdict or exception name, start, end) of every run from now on."""
+    from modscore import sandbox
+
+    runs = []
+    lock = threading.Lock()
+    original = sandbox.run_solution
+
+    def counted(code, test, limits, exact=False):
+        start = time.monotonic()
+        try:
+            result = original(code, test, limits, exact=exact)
+        except Exception as exc:
+            outcome = type(exc).__name__
+            raise
+        else:
+            outcome = result.verdict
+            return result
+        finally:
+            with lock:
+                runs.append((code, test.input, outcome, start, time.monotonic()))
+
+    monkeypatch.setattr(sandbox, "run_solution", counted)
+    return runs
 
 
 @pytest.fixture

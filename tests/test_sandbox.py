@@ -1,11 +1,10 @@
 import sys
-import threading
 import time
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from conftest import assert_no_children
+from conftest import assert_no_children, count_runs
 from modscore import sandbox
 from modscore.corpus import TestCase
 from modscore.sandbox import (
@@ -152,30 +151,6 @@ def test_sandbox_unavailable_never_degrades(fast_limits, monkeypatch):
 # -- the queue of test runs ---------------------------------------------------
 
 
-def count_runs(monkeypatch) -> list:
-    """(code, stdin, verdict or exception name, start, end) of every run from now on."""
-    runs = []
-    lock = threading.Lock()
-    original = sandbox.run_solution
-
-    def counted(code, test, limits, exact=False):
-        start = time.monotonic()
-        try:
-            result = original(code, test, limits, exact=exact)
-        except Exception as exc:
-            outcome = type(exc).__name__
-            raise
-        else:
-            outcome = result.verdict
-            return result
-        finally:
-            with lock:
-                runs.append((code, test.input, outcome, start, time.monotonic()))
-
-    monkeypatch.setattr(sandbox, "run_solution", counted)
-    return runs
-
-
 def numbered_tests(count: int) -> list[TestCase]:
     return [TestCase(f"{i}\n".encode(), f"{2 * i}\n".encode()) for i in range(count)]
 
@@ -202,11 +177,38 @@ def test_passes_all_stops_at_the_first_failure(fast_limits, monkeypatch):
 def test_the_tests_after_the_first_spread_over_the_workers(fast_limits, monkeypatch):
     runs = count_runs(monkeypatch)
     slow_double = "import time\ntime.sleep(0.4)\nprint(int(input()) * 2)\n"
-    start = time.monotonic()
     assert passes_each([(slow_double, numbered_tests(3))], fast_limits, jobs=2) == [True]
-    assert time.monotonic() - start < 3 * 0.4
-    second, third = sorted(runs, key=lambda run: run[3])[1:]
-    assert third[3] < second[4]  # they overlap
+    first, second, third = sorted(runs, key=lambda run: run[3])
+    assert first[1] == b"0\n" and second[3] >= first[4]  # the first test runs alone
+    assert third[3] < second[4]  # the other two overlap
+
+
+def test_a_full_queue_walks_a_programs_tests_in_order(fast_limits, monkeypatch):
+    runs = count_runs(monkeypatch)
+    # passes test 0, fails test 1 after 0.3 s; test 2 would pass
+    wrong_on_1 = (
+        "import time\nn = int(input())\nif n == 1:\n    time.sleep(0.3)\n"
+        "print(-1 if n == 1 else 2 * n)\n"
+    )
+    # keeps the other worker busy until wrong_on_1 has failed
+    slow = "import time\ntime.sleep(1.0)\nprint(int(input()) * 2)\n"
+    batch = [(wrong_on_1, numbered_tests(3)), (slow, numbered_tests(1)),
+             (DOUBLE, numbered_tests(1))]
+    assert passes_each(batch, fast_limits, jobs=2) == [False, True, True]
+    assert [run[1:3] for run in runs if run[0] == wrong_on_1] == [
+        (b"0\n", "pass"), (b"1\n", "wrong_output")]
+
+
+def test_follow_ups_start_after_every_item():
+    order = []
+
+    def job(item, queue):
+        order.append(item)
+        if item == "a":
+            queue("x")
+
+    assert sandbox._queue_in_zygotes(job, ["a", "b", "c"], jobs=1) == [None] * 3
+    assert order == ["a", "b", "c", "x"]
 
 
 @pytest.mark.parametrize("delay", [0.0, 0.3])

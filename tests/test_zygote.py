@@ -26,7 +26,7 @@ from modscore.inliner import verify_equivalence
 from modscore.parsing import parse
 from modscore.sandbox import RunLimits, count_correct, run_solution
 
-from conftest import FIXTURES, SRC, assert_no_children
+from conftest import FIXTURES, SRC, assert_no_children, count_runs
 from gen_programs import runnable_program
 
 # kills the zygote it was forked from
@@ -274,20 +274,67 @@ def test_large_jobs_start_one_zygote_per_program_at_most(monkeypatch, tmp_path, 
     assert_no_children()
 
 
+WRONG_ON_1 = "n = int(input())\nprint(-1 if n == 1 else 2 * n)\n"
+
+
 @pytest.mark.parametrize("jobs", [1, 2, 3])
-@pytest.mark.parametrize("programs, runs", [
-    ([("print(-1)\n", 3)], 1),
-    ([(DOUBLE, 2)], 2),
-    ([(DOUBLE, 3), ("print(-1)\n", 1)], 4),
+@pytest.mark.parametrize("programs", [
+    [("print(-1)\n", 3)],
+    [(DOUBLE, 2)],
+    [(DOUBLE, 3), ("print(-1)\n", 1)],
+    [(WRONG_ON_1, 3)],  # a helper may run test 2, be stopped in it, or skip it
 ])
-def test_no_more_zygotes_than_workers_or_runs(fast_limits, monkeypatch, programs, runs, jobs):
+def test_no_more_zygotes_than_workers_or_runs(fast_limits, monkeypatch, programs, jobs):
     started = count_zygotes(monkeypatch)
+    runs = count_runs(monkeypatch)
     tests = [TestCase(f"{i}\n".encode(), f"{2 * i}\n".encode()) for i in range(3)]
     verdicts = sandbox.passes_each([(code, tests[:count]) for code, count in programs],
                                    fast_limits, jobs=jobs)
     assert verdicts == [code == DOUBLE for code, _ in programs]
-    assert 1 <= len(started) <= min(jobs, runs)
+    assert 1 <= len(started) <= min(jobs, len(runs))
     assert_no_children()
+
+
+def test_a_zygote_starts_on_its_first_run(fast_limits, monkeypatch):
+    started = count_zygotes(monkeypatch)
+    assert sandbox._queue_in_zygotes(lambda item, queue: item, [1, 2, 3], jobs=3) == [1, 2, 3]
+    assert started == []
+    zygote = sandbox._Zygote()
+    zygote.stop()
+    with pytest.raises(sandbox._Stopped):
+        zygote.run("/nonexistent", fast_limits)
+    zygote.close()
+    assert started == []
+
+
+def test_a_run_keeps_its_pid_until_the_next_request(fast_limits, tmp_path):
+    """The zygote reaps a run's child only once the next request comes."""
+    zygote = sandbox._Zygote()
+    zygote._start()
+    request = b"\0".join([os.fsencode(tmp_path), b"5.0", str(fast_limits.memory).encode(),
+                          str(fast_limits.output_cap).encode()]) + b"\n"
+    pids = []
+    try:
+        for code in ("print(1)\n", "print(2)\n"):
+            (tmp_path / "prog.py").write_text(code)
+            (tmp_path / "stdin").write_bytes(b"")
+            zygote._requests.write(request)
+            pids.append(int(zygote._replies.readline()[2:]))
+            assert zygote._replies.readline() == b"0 0\n"
+            assert process_state(pids[-1]) == "Z"  # exited, its pid still held
+        assert process_state(pids[0]) is None
+    finally:
+        zygote.close()
+    assert process_state(pids[1]) is None
+
+
+def process_state(pid: int):
+    """The state letter of a process, or None once its pid is free."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return None
+    return stat.rsplit(")", 1)[1].split()[0]
 
 
 def count_zygotes(monkeypatch) -> list:
@@ -295,9 +342,9 @@ def count_zygotes(monkeypatch) -> list:
     started = []
 
     class Counted(sandbox._Zygote):
-        def __init__(self):
+        def _start(self):
             started.append(self)
-            super().__init__()
+            super()._start()
 
     monkeypatch.setattr(sandbox, "_Zygote", Counted)
     return started
