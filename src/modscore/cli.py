@@ -533,8 +533,7 @@ def main(argv: list[str] | None = None) -> int:
     except SandboxUnavailable as exc:
         print(f"modscore: sandbox unavailable: {exc}", file=sys.stderr)
         return EXIT_SANDBOX
-    except (CorpusFormatError, EncodingError, FileNotFoundError, IsADirectoryError,
-            SyntaxError) as exc:
+    except (CorpusFormatError, EncodingError, OSError, SyntaxError) as exc:
         print(f"modscore: {exc}", file=sys.stderr)
         return EXIT_CORPUS
     except ModscoreError as exc:

@@ -5,8 +5,10 @@ The transform is behavior-preserving or loudly rejected, never silently
 wrong. Mechanics:
 
   - call sites are normalized first: a call buried in a larger expression
-    is hoisted into a fresh temp assignment, and only when everything
-    evaluated before it is effect-free; hoisted calls keep Python's
+    is hoisted into a fresh temp assignment, and it may move ahead only of
+    constants and of names that no ``global`` statement in the unit
+    declares (what an attribute, subscript or operator reads is not
+    checked against what the helper changes); hoisted calls keep Python's
     evaluation order, which ``_EVALUATES`` lists per statement type (a
     class's decorators before its bases, an assignment's value before its
     targets, an annotated target before its annotation);
@@ -29,12 +31,13 @@ units that read names dynamically anywhere (a call of the builtin
 without an argument), classes with methods (methods are modules but only
 dynamically invocable), call sites in deferred or repeated positions
 (lambda bodies, comprehensions, while-tests, short-circuit operands,
-ternary arms), hoists that would run a call ahead of an effectful
-expression, calls that run before their helper's ``def`` in the same
-block, calls in an ``except`` clause's type (it runs only when an
-exception propagates) or in a module-level annotation, annotations
-without a value (``x: T``) in a function, and sources nested too deeply
-for the rewrite's recursion. An annotated local ``x: T = v`` becomes
+ternary arms), hoists that would run a call ahead of anything else (any
+other call, a name some ``global`` statement declares, a walrus, a
+``yield`` or ``await``, or a with-item's ``__enter__``), calls that run
+before their helper's ``def`` in the same block, calls in an ``except``
+clause's type (it runs only when an exception propagates) or in a
+module-level annotation, annotations without a value (``x: T``) in a
+function, and sources nested too deeply for the rewrite's recursion. An annotated local ``x: T = v`` becomes
 ``x = v``: a function never evaluates the annotation, and the spliced
 copy must not either. A helper's parameter and return annotations run
 when its ``def`` does, unless annotations are deferred (Python 3.14,
@@ -63,16 +66,6 @@ HEADER_COMMENT = (
     "# de-modularized output: every helper was inlined at its call sites;"
     " fresh identifiers carry the __inl<N> suffix"
 )
-
-# builtins treated as effect-free when deciding whether a call can be
-# hoisted past them; dropped from the set if the unit rebinds the name
-PURE_BUILTINS = frozenset({
-    "abs", "all", "any", "bool", "chr", "dict", "divmod", "enumerate",
-    "filter", "float", "frozenset", "hash", "int", "isinstance",
-    "issubclass", "len", "list", "map", "max", "min", "ord", "pow",
-    "range", "repr", "reversed", "round", "set", "sorted", "str", "sum",
-    "tuple", "type", "zip",
-})
 
 # builtins that look names up in the calling scope at run time: spliced
 # into a caller, a helper's call would see the renamed copies of its
@@ -170,15 +163,19 @@ def _scope_names(node) -> tuple[set[str], set[str]]:
     return local_names, used - local_names
 
 
-def _identifiers(tree) -> tuple[set[str], set[str]]:
-    """Every identifier in the tree, and those it binds."""
+def _identifiers(tree) -> tuple[set[str], set[str], set[str]]:
+    """Every identifier in the tree, those it binds, and those a ``global``
+    statement declares."""
     loaded: set[str] = set()
     stored: set[str] = set()
+    shared: set[str] = set()
     for n in ast.walk(tree):
         name = _name_of(n)
         if name is not None:
             (loaded if _reads(n) else stored).add(name)
-    return loaded | stored, stored
+        elif type(n) is ast.Global:
+            shared.update(n.names)
+    return loaded | stored, stored, shared
 
 
 class _FreshNames:
@@ -451,79 +448,66 @@ def _check_transformable(tree: ast.Module, planned: dict[str, ast.AST], stored: 
 
 
 class _EvalEvent:
-    __slots__ = ("kind", "node", "ctx", "owners")
+    __slots__ = ("node", "ctx", "owners")
 
-    def __init__(self, kind, node, ctx, owners):
-        self.kind = kind  # "impure" | "call"
-        self.node = node
+    def __init__(self, node, ctx, owners):
+        self.node = node  # a call, name, walrus, yield, yield from, await or with-item
         self.ctx = ctx  # "plain" | "conditional" | "deferred" | "repeated"
-        self.owners = owners  # enclosing planned-call nodes, outermost first
+        self.owners = owners  # enclosing call nodes, outermost first
 
 
-def _linearize(expr, ctx, owners, planned, pure_names, events):
-    """Append evaluation-order events for one expression."""
+# a with-item stands for the call of its context manager's ``__enter__``
+_EVENT_NODES = (ast.Call, ast.Name, ast.NamedExpr, ast.Yield, ast.YieldFrom, ast.Await,
+                ast.withitem)
+
+
+def _linearize(expr, ctx, owners, events):
+    """Append an event for each call, name, walrus, yield, await and
+    with-item of one expression, in evaluation order."""
     if expr is None:
         return
     if isinstance(expr, ast.BoolOp):
-        _linearize(expr.values[0], ctx, owners, planned, pure_names, events)
+        _linearize(expr.values[0], ctx, owners, events)
         for v in expr.values[1:]:
-            _linearize(v, _worse(ctx, "conditional"), owners, planned, pure_names, events)
+            _linearize(v, _worse(ctx, "conditional"), owners, events)
         return
     if isinstance(expr, ast.IfExp):
-        _linearize(expr.test, ctx, owners, planned, pure_names, events)
-        _linearize(expr.body, _worse(ctx, "conditional"), owners, planned, pure_names, events)
-        _linearize(expr.orelse, _worse(ctx, "conditional"), owners, planned, pure_names, events)
+        _linearize(expr.test, ctx, owners, events)
+        _linearize(expr.body, _worse(ctx, "conditional"), owners, events)
+        _linearize(expr.orelse, _worse(ctx, "conditional"), owners, events)
         return
     if isinstance(expr, ast.Compare):
-        _linearize(expr.left, ctx, owners, planned, pure_names, events)
+        _linearize(expr.left, ctx, owners, events)
         for i, comp in enumerate(expr.comparators):
             sub_ctx = ctx if i == 0 else _worse(ctx, "conditional")
-            _linearize(comp, sub_ctx, owners, planned, pure_names, events)
+            _linearize(comp, sub_ctx, owners, events)
         return
     if isinstance(expr, ast.Lambda):
         for d in expr.args.defaults + [d for d in expr.args.kw_defaults if d]:
-            _linearize(d, ctx, owners, planned, pure_names, events)
-        _linearize(expr.body, _worse(ctx, "deferred"), owners, planned, pure_names, events)
+            _linearize(d, ctx, owners, events)
+        _linearize(expr.body, _worse(ctx, "deferred"), owners, events)
         return
     if isinstance(expr, _COMPREHENSIONS):
         lazy = isinstance(expr, ast.GeneratorExp)
         inner = _worse(ctx, "deferred" if lazy else "repeated")
         for i, gen in enumerate(expr.generators):
-            _linearize(gen.iter, ctx if i == 0 else inner, owners, planned, pure_names, events)
+            _linearize(gen.iter, ctx if i == 0 else inner, owners, events)
             for cond in gen.ifs:
-                _linearize(cond, inner, owners, planned, pure_names, events)
+                _linearize(cond, inner, owners, events)
         if isinstance(expr, ast.DictComp):
-            _linearize(expr.key, inner, owners, planned, pure_names, events)
-            _linearize(expr.value, inner, owners, planned, pure_names, events)
+            _linearize(expr.key, inner, owners, events)
+            _linearize(expr.value, inner, owners, events)
         else:
-            _linearize(expr.elt, inner, owners, planned, pure_names, events)
+            _linearize(expr.elt, inner, owners, events)
         return
-    if isinstance(expr, ast.Call):
-        is_planned = isinstance(expr.func, ast.Name) and expr.func.id in planned
-        inner_owners = owners + [expr] if is_planned else owners
-        _linearize(expr.func, ctx, inner_owners, planned, pure_names, events)
-        for a in expr.args:
-            _linearize(a, ctx, inner_owners, planned, pure_names, events)
-        for kw in expr.keywords:
-            _linearize(kw.value, ctx, inner_owners, planned, pure_names, events)
-        if is_planned:
-            events.append(_EvalEvent("call", expr, ctx, owners))
-        elif not (isinstance(expr.func, ast.Name) and expr.func.id in pure_names):
-            events.append(_EvalEvent("impure", expr, ctx, owners))
-        return
-    if isinstance(expr, ast.NamedExpr):
-        _linearize(expr.value, ctx, owners, planned, pure_names, events)
-        events.append(_EvalEvent("impure", expr, ctx, owners))
-        return
-    if isinstance(expr, (ast.Yield, ast.YieldFrom, ast.Await)):
-        for child in ast.iter_child_nodes(expr):
-            if isinstance(child, ast.expr):
-                _linearize(child, ctx, owners, planned, pure_names, events)
-        events.append(_EvalEvent("impure", expr, ctx, owners))
-        return
+    inner = owners + [expr] if isinstance(expr, ast.Call) else owners
     for child in ast.iter_child_nodes(expr):
-        if isinstance(child, ast.expr):
-            _linearize(child, ctx, owners, planned, pure_names, events)
+        # a walrus stores its target after its value, as its own event
+        if isinstance(child, (ast.expr, ast.keyword)) and not (
+                isinstance(expr, ast.NamedExpr) and child is expr.target):
+            _linearize(child, ctx, inner, events)
+    if isinstance(expr, _EVENT_NODES):
+        events.append(_EvalEvent(expr, ctx, owners))
 
 
 _CTX_RANK = {"plain": 0, "conditional": 1, "repeated": 2, "deferred": 3}
@@ -577,6 +561,10 @@ def _stmt_eval_parts(stmt) -> list[tuple[ast.AST, str]]:
     return parts
 
 
+def _is_helper_call(node, planned) -> bool:
+    return type(node) is ast.Call and type(node.func) is ast.Name and node.func.id in planned
+
+
 def _canonical_root_call(stmt, planned) -> ast.Call | None:
     """The statement's own call when it is already in splice position."""
     value = None
@@ -584,13 +572,7 @@ def _canonical_root_call(stmt, planned) -> ast.Call | None:
         value = stmt.value
     elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
         value = stmt.value
-    if (
-        isinstance(value, ast.Call)
-        and isinstance(value.func, ast.Name)
-        and value.func.id in planned
-    ):
-        return value
-    return None
+    return value if _is_helper_call(value, planned) else None
 
 
 class _CallSwap(ast.NodeTransformer):
@@ -605,12 +587,17 @@ class _CallSwap(ast.NodeTransformer):
         return node
 
 
-def _normalize_stmt(stmt, planned, pure_names, fresh, in_class_body):
-    """Hoist unit calls out of compound positions; None means keep as is."""
+def _normalize_stmt(stmt, planned, shared, fresh, in_class_body):
+    """Hoist unit calls out of compound positions; None means keep as is.
+
+    A hoisted call may move ahead of constants and of names outside
+    ``shared`` (the names a ``global`` statement declares); any other event
+    it would move ahead of refuses the hoist.
+    """
     events: list[_EvalEvent] = []
     for expr, ctx in _stmt_eval_parts(stmt):
-        _linearize(expr, ctx, [], planned, pure_names, events)
-    calls = [e for e in events if e.kind == "call"]
+        _linearize(expr, ctx, [], events)
+    calls = [e for e in events if _is_helper_call(e.node, planned)]
     if not calls:
         return None
     if in_class_body:
@@ -618,7 +605,7 @@ def _normalize_stmt(stmt, planned, pure_names, fresh, in_class_body):
             "call to a unit function inside a class body"
         )
     root = _canonical_root_call(stmt, planned)
-    hoisted = [e for e in calls if e.node is not root]
+    hoisted = [e.node for e in calls if e.node is not root]
     for event in calls:
         if event.ctx != "plain":
             raise TransformUnsupported(
@@ -628,39 +615,27 @@ def _normalize_stmt(stmt, planned, pure_names, fresh, in_class_body):
     if not hoisted:
         return None
 
-    # a hoisted call's final position is its event rank; an expression
-    # that stays put runs after every hoist, and one that moves inside an
-    # enclosing hoisted call runs at that call's rank -- reject whenever a
-    # hoist would jump ahead of an effect it originally followed
-    hoisted_ids = {id(e.node) for e in hoisted}
-    rank = {id(e.node): i for i, e in enumerate(hoisted)}
-    positions: dict[int, int] = {}
-    for pos, event in enumerate(events):
-        if event.kind == "call" and id(event.node) in hoisted_ids:
-            positions[id(event.node)] = pos
-    for pos, event in enumerate(events):
-        if event.kind != "impure":
-            continue
-        owner = next(
-            (o for o in reversed(event.owners) if id(o) in hoisted_ids), None
-        )
-        for call_event in hoisted:
-            call_pos = positions[id(call_event.node)]
-            if call_pos <= pos:
-                continue  # call precedes the effect: order preserved
-            if owner is call_event.node:
-                continue  # effect travels with this call
-            if owner is not None and rank[id(owner)] < rank[id(call_event.node)]:
-                continue  # effect's carrier hoists first
-            raise TransformUnsupported(
-                f"cannot hoist call to {call_event.node.func.id!r} past an "
-                f"effectful expression (line {stmt.lineno})"
-            )
+    # a hoisted call runs at its rank; an effect runs at the rank of its
+    # innermost hoisted owner, or after every hoist when it has none;
+    # ``latest`` is the furthest such position of the effects met so far
+    rank = {id(call): i for i, call in enumerate(hoisted)}
+    latest = -1
+    for event in events:
+        node = event.node
+        if id(node) in rank:
+            if latest > rank[id(node)]:
+                raise TransformUnsupported(
+                    f"cannot hoist call to {node.func.id!r} past an "
+                    f"effectful expression (line {stmt.lineno})"
+                )
+        elif node is not root and (type(node) is not ast.Name or node.id in shared):
+            owner = next((rank[id(o)] for o in reversed(event.owners) if id(o) in rank),
+                         len(hoisted))
+            latest = max(latest, owner)
 
     swap: dict[int, str] = {}
     prelude: list[ast.stmt] = []
-    for event in hoisted:
-        call_node = event.node
+    for call_node in hoisted:
         # inner hoisted calls were already swapped to temp names in place
         pulled = _CallSwap(swap).visit(call_node)
         temp = fresh.make("tmp")
@@ -985,15 +960,14 @@ def _singularize(unit: SourceUnit) -> SourceUnit:
     tree = ast.parse(unit.text)
     _rewrite_blocks(tree, _strip_local_annotations)
     planned = _analyze(tree)
-    names, stored = _identifiers(tree)
+    names, stored, shared = _identifiers(tree)
     _check_transformable(tree, planned, stored)
 
     fresh = _FreshNames(names)
-    pure_names = PURE_BUILTINS - stored
     default_temps = _hoist_defaults(tree, planned, fresh)
 
     def normalize(stmt, ctx):
-        return _normalize_stmt(stmt, planned, pure_names, fresh, ctx.in_class)
+        return _normalize_stmt(stmt, planned, shared, fresh, ctx.in_class)
 
     _rewrite_blocks(tree, normalize)
     _splice_all(tree, planned, fresh, default_temps)

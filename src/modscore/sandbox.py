@@ -214,11 +214,13 @@ def _kill_run(pid: int):
 
 
 def _classify(returncode: int, timed_out: bool, stdout: bytes, stderr: bytes,
-              duration: float, limits: RunLimits) -> RunResult:
+              stderr_size: int, duration: float, limits: RunLimits) -> RunResult:
+    """The verdict of one run; ``stderr`` is the end of a file of
+    ``stderr_size`` bytes."""
     if timed_out:
         return RunResult("timeout", stdout, duration)
     if returncode != 0:
-        if returncode == -signal.SIGXFSZ or len(stdout) >= limits.output_cap:
+        if returncode == -signal.SIGXFSZ or max(len(stdout), stderr_size) >= limits.output_cap:
             return RunResult("resource_exceeded", stdout, duration, "output cap")
         if returncode == -signal.SIGKILL or b"MemoryError" in stderr:
             return RunResult("resource_exceeded", stdout, duration, "memory")
@@ -255,9 +257,10 @@ def run_program(code: str, stdin_data: bytes, limits: RunLimits) -> RunResult:
         stdout = (tmp_path / "stdout").read_bytes()[: limits.output_cap]
         with open(tmp_path / "stderr", "rb") as handle:
             # the end holds what _classify reads: the traceback's last line
-            handle.seek(max(0, handle.seek(0, os.SEEK_END) - _STDERR_TAIL))
+            stderr_size = handle.seek(0, os.SEEK_END)
+            handle.seek(max(0, stderr_size - _STDERR_TAIL))
             stderr = handle.read()
-    return _classify(returncode, timed_out, stdout, stderr, duration, limits)
+    return _classify(returncode, timed_out, stdout, stderr, stderr_size, duration, limits)
 
 
 def run_solution(code: str, test, limits: RunLimits, exact: bool = False) -> RunResult:

@@ -345,6 +345,8 @@ BAD_INPUT_CASES = {
     "unknown-output-format": ("analyze", '{"output_format": "xml"}', None, 1,
                               "output_format must be 'json' or 'table'"),
     "corpus-is-directory": ("classify-dir", None, None, 2, "Is a directory"),
+    "input-path-too-long": ("analyze-long-path", None, None, 2, "File name too long"),
+    "out-path-too-long": ("singularize-long-out", None, None, 2, "File name too long"),
     "verify-not-json": ("verify", "nope", None, 2, "line 1: invalid JSON"),
     "verify-lacks-output": ("verify", '{"input": "1"}', None, 2, "line 1: test needs input/output"),
     "scored-row-not-object": ("correlate", "[1]", None, 2, "line 1: "),
@@ -430,6 +432,8 @@ def test_bad_input_exits_with_one_line(capsys, monkeypatch, tmp_path, case):
                                "--memory", "99999999999999999999"],
         "filter-jobs-negative": ["filter", corpus, "--out", "-", "--jobs", "-3"],
         "classify-dir": ["classify", str(tmp_path)],
+        "analyze-long-path": ["analyze", str(tmp_path / ("x" * 5000))],
+        "singularize-long-out": ["singularize", str(source), "--out", str(tmp_path / ("x" * 5000))],
         "verify": ["singularize", str(source), "--verify", str(given)],
         "correlate": ["correlate", str(given)],
         "correlate-bins-0": ["correlate", str(given), "--per-bin", "1", "--bins", "0"],

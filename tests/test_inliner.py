@@ -394,7 +394,7 @@ def test_linearized_order_is_cpython_order(case):
     stmt = next(n for n in ast.walk(ast.parse(src)) if type(n) is kind)
     events: list = []
     for node, ctx in _stmt_eval_parts(stmt):
-        _linearize(node, ctx, [], set(), frozenset(), events)
+        _linearize(node, ctx, [], events)
     linearized = [e.node.args[0].value for e in events
                   if type(e.node) is ast.Call and getattr(e.node.func, "id", None) == "log"]
     ran = run_logged(src)
@@ -653,6 +653,57 @@ def test_hoist_past_builtin_rebound_by_except_or_match_rejected(binder):
     src = "def f(x):\n    print('f ran')\n    return x\n" + binder + "y = len([1]) + f(1)\n"
     with pytest.raises(TransformUnsupported):
         singularize(parse(src))
+
+
+# A helper call hoisted out of a statement may move ahead of constants
+# and of names no ``global`` statement declares; it is refused ahead of
+# anything else evaluated before it: another call (builtin or not), a
+# name some ``global`` statement declares, a walrus, or a context
+# manager's ``__enter__``.
+HOIST_CASES = {
+    "refused-global-read-before-call": (
+        "x = 0\ndef f():\n    global x\n    x = 10\n    return 1\nprint(x, f())\n"
+    ),
+    "refused-global-augmented-target": (
+        "x = 0\ndef f():\n    global x\n    x = 10\n    return 1\nx += f()\nprint(x)\n"
+    ),
+    "refused-builtin-call-before-call": (
+        "a = [0]\ndef f():\n    a.append(1)\n    return 1\nprint(len(a), f())\n"
+    ),
+    "refused-builtin-call-before-a-call-with-an-effect-inside": (
+        "a = [0]\ndef k(v):\n    return v\ndef f():\n    a.append(1)\n    return 1\n"
+        "print(len(a), k(len(a)), f())\n"
+    ),
+    "refused-context-entered-before-call": (
+        "import contextlib, io\nbuf = io.StringIO()\ncm = contextlib.redirect_stdout(buf)\n"
+        "def f():\n    print('f')\n    return contextlib.nullcontext()\n"
+        "with cm, f():\n    pass\nprint(repr(buf.getvalue()))\n"
+    ),
+    "control-argument-read-before-call": (
+        "def solve(n):\n    return n * 2\nn = 4\nprint(n, solve(n))\n"
+    ),
+    "control-method-call-around-call": (
+        "def flip(w):\n    return w[::-1]\nout = []\n"
+        "for w in ['ab', 'cd']:\n    out.append(flip(w))\nprint(out)\n"
+    ),
+    "control-augmented-target-not-declared-global": (
+        "def f(i):\n    return i * i\ntotal = 0\n"
+        "for i in range(4):\n    total += f(i)\nprint(total)\n"
+    ),
+    "control-global-read-after-call": (
+        "hits = 0\nx = 5\ndef f(v):\n    global hits\n    hits += 1\n    return v\n"
+        "print(x, f(1), hits)\n"
+    ),
+    "control-walrus-target-is-a-store": (
+        "def f(v):\n    global x\n    x = 0\n    return v + 1\n"
+        "y = (x := f(1))\nprint(x, y)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", HOIST_CASES)
+def test_hoist_keeps_output_or_is_refused(case, fast_limits):
+    assert_flat_keeps_output(case, HOIST_CASES[case], fast_limits)
 
 
 def test_dotted_import_in_helper_rejected():

@@ -88,6 +88,14 @@ def test_output_cap_exceeded():
     assert result.verdict == "resource_exceeded"
 
 
+def test_stderr_over_the_output_cap_is_resource_exceeded():
+    # the write past the cap fails, so the traceback cannot be written and
+    # the end of stderr is a warning, not the error
+    limits = RunLimits(wall_time=5.0, memory=512 * 1024 * 1024, output_cap=4096)
+    result = run_solution(WARNINGS + "print('done')\n", TestCase(b"", b"done\n"), limits)
+    assert (result.verdict, result.detail) == ("resource_exceeded", "output cap")
+
+
 def test_trailing_whitespace_normalization(fast_limits):
     prog = "print('6 ')\n"
     assert run_solution(prog, TestCase(b"", b"6\n"), fast_limits).verdict == "pass"

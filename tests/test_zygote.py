@@ -145,6 +145,7 @@ EDGE_CASES = {
     ),
     "output_cap": "for _ in range(100000):\n    print('spam' * 20)\n",
     "output_cap_at_exit": "print('x' * 10000)\n",
+    "stderr_cap": "import sys\nsys.stderr.write('warn: x\\n' * 1024)\nprint('done')\n",
     "memory_cap": "data = bytearray(512 * 1024 * 1024)\nprint(len(data))\n",
     "timeout_with_child": (
         "import subprocess, sys, time\n"
@@ -167,6 +168,8 @@ def test_edge_cases_agree():
     assert forked["timeout_with_child"].verdict == "timeout"
     assert forked["memory_cap"].verdict == "resource_exceeded"
     assert forked["output_cap_at_exit"].verdict == "resource_exceeded"
+    assert (forked["stderr_cap"].verdict, forked["stderr_cap"].detail) == (
+        "resource_exceeded", "output cap")
     assert forked["flush_fails"].detail == "OSError: flush failed"
     assert forked["exit_message"].detail == "bad input"
     assert forked["thread"].stdout == b"early\nlate\n"
