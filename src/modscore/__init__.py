@@ -28,6 +28,7 @@ from .stats import (
     LogProbRecord,
     ScoredSample,
     binned_sample,
+    correlations,
     pearson,
     perplexity,
     ppl_compare,
@@ -47,6 +48,6 @@ __all__ = [
     "PY3", "SubjectProfile", "get_profile",
     "assemble_prompt",
     "RunLimits", "RunResult", "count_correct", "run_solution",
-    "LogProbRecord", "ScoredSample", "binned_sample", "pearson",
+    "LogProbRecord", "ScoredSample", "binned_sample", "correlations", "pearson",
     "perplexity", "ppl_compare", "spearman",
 ]

@@ -48,13 +48,13 @@ from .profiles import available_profiles, get_profile
 from .sandbox import RunLimits, passes_each
 from .stats import (
     DEFAULT_BINS,
+    DEFAULT_PERMUTATIONS,
     LogProbRecord,
     ScoredSample,
     binned_sample,
-    pearson,
+    correlations,
     perplexity,
     ppl_compare,
-    spearman,
 )
 
 EXIT_OK = 0
@@ -401,13 +401,12 @@ def _cmd_correlate(args) -> int:
         samples = binned_sample(samples, args.bins, args.per_bin, config.seed)
     xs = [s.mos for s in samples]
     ys = [s.pass1 for s in samples]
-    r, rp = pearson(xs, ys, seed=config.seed)
-    rho, rhop = spearman(xs, ys, seed=config.seed)
+    (r, rp), (rho, rhop) = correlations(xs, ys, DEFAULT_PERMUTATIONS, config.seed)
     payload = _report({
         "samples": len(samples),
         "pearson": {"r": r, "p": rp},
         "spearman": {"rho": rho, "p": rhop},
-        "p_value_method": "two-sided permutation test, 10000 resamples",
+        "p_value_method": f"two-sided permutation test, {DEFAULT_PERMUTATIONS} resamples",
     }, config, args.command)
     _emit(payload, config)
     return EXIT_OK

@@ -45,6 +45,14 @@ when its ``def`` does, unless annotations are deferred (Python 3.14,
 them is sound: a helper keeps only constants and builtin names the unit
 never binds there, and any other annotation is refused. An output that
 still names a helper is refused as an internal error.
+
+The checks read the unit through one walk over the whole tree
+(``_gather``), which collects its definitions, the names it binds and
+reads, the names its ``global`` statements declare, and its scope-reading
+calls and classes, each in ``ast.walk`` order, so the first reason to
+refuse is still the first one raised. What the call sites of a helper read
+of it (its locals, its returns, whether it declares ``global``) is taken
+once, when its body has been flattened (``_helper_facts``).
 """
 
 from __future__ import annotations
@@ -163,19 +171,49 @@ def _scope_names(node) -> tuple[set[str], set[str]]:
     return local_names, used - local_names
 
 
-def _identifiers(tree) -> tuple[set[str], set[str], set[str]]:
-    """Every identifier in the tree, those it binds, and those a ``global``
-    statement declares."""
+@dataclass(frozen=True)
+class _UnitFacts:
+    defs: dict[str, ast.AST]  # every def by name, in ``ast.walk`` order
+    names: set[str]  # every identifier the unit binds or reads
+    stored: set[str]  # those it binds
+    shared: set[str]  # those a ``global`` statement declares
+    suspects: list[ast.AST]  # scope-reading calls and classes, in walk order
+
+
+def _is_scope_reader(node) -> bool:
+    """A call by the name of a builtin that reads the calling scope (the
+    name may still be a helper's)."""
+    if type(node) is not ast.Call or type(node.func) is not ast.Name:
+        return False
+    name = node.func.id
+    return name in _SCOPE_READERS or (
+        name in _BARE_SCOPE_READERS and not (node.args or node.keywords))
+
+
+def _gather(tree: ast.Module) -> _UnitFacts:
+    """The unit-wide facts the checks and the rewrite read, in one walk.
+
+    Raises DynamicCallUnsupported on the first definition, in walk order,
+    whose name an earlier one already took.
+    """
+    defs: dict[str, ast.AST] = {}
     loaded: set[str] = set()
     stored: set[str] = set()
     shared: set[str] = set()
-    for n in ast.walk(tree):
-        name = _name_of(n)
+    suspects: list[ast.AST] = []
+    for node in ast.walk(tree):
+        name = _name_of(node)
         if name is not None:
-            (loaded if _reads(n) else stored).add(name)
-        elif type(n) is ast.Global:
-            shared.update(n.names)
-    return loaded | stored, stored, shared
+            (loaded if _reads(node) else stored).add(name)
+        if isinstance(node, _DEF_NODES):
+            if name in defs:
+                raise DynamicCallUnsupported(f"function name {name!r} is defined more than once")
+            defs[name] = node
+        elif type(node) is ast.Global:
+            shared.update(node.names)
+        elif type(node) is ast.ClassDef or _is_scope_reader(node):
+            suspects.append(node)
+    return _UnitFacts(defs, loaded | stored, stored, shared, suspects)
 
 
 class _FreshNames:
@@ -196,21 +234,14 @@ class _FreshNames:
 # call-graph analysis
 
 
-def _analyze(tree: ast.Module) -> dict[str, ast.AST]:
-    """Every definition by name, once the call graph is known to be inlinable.
+def _analyze(tree: ast.Module, defs: dict[str, ast.AST]):
+    """Check that the call graph of ``defs``, every definition by name, is
+    inlinable.
 
     Raises RecursionUnsupported, DynamicCallUnsupported,
     ExternalNameCollision, or TransformUnsupported (a call that runs before
     its helper is defined) when the unit cannot be inlined soundly.
     """
-    defs: dict[str, ast.AST] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, _DEF_NODES):
-            if node.name in defs:
-                raise DynamicCallUnsupported(
-                    f"function name {node.name!r} is defined more than once"
-                )
-            defs[node.name] = node
     planned = set(defs)
 
     sites: dict[str, list[ast.Call]] = {name: [] for name in planned}
@@ -323,7 +354,6 @@ def _analyze(tree: ast.Module) -> dict[str, ast.AST]:
                 )
 
     _check_definition_order(tree, calls_of)
-    return defs
 
 
 def _helpers_run_by(stmt, calls_of: dict[str, set[str]]) -> set[str]:
@@ -386,20 +416,16 @@ def _walk_own(body):
         stack.extend(ast.iter_child_nodes(n))
 
 
-def _check_transformable(tree: ast.Module, planned: dict[str, ast.AST], stored: set[str]):
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and type(node.func) is ast.Name
-            and node.func.id not in planned
-            and (node.func.id in _SCOPE_READERS
-                 or node.func.id in _BARE_SCOPE_READERS and not (node.args or node.keywords))
-        ):
-            raise TransformUnsupported(
-                f"the unit reads names dynamically through {node.func.id}() "
-                f"(line {node.lineno})"
-            )
-        if isinstance(node, ast.ClassDef):
+def _check_transformable(facts: _UnitFacts):
+    planned = facts.defs
+    for node in facts.suspects:
+        if type(node) is ast.Call:
+            if node.func.id not in planned:
+                raise TransformUnsupported(
+                    f"the unit reads names dynamically through {node.func.id}() "
+                    f"(line {node.lineno})"
+                )
+        else:
             for n in ast.walk(node):
                 if isinstance(n, _DEF_NODES):
                     raise TransformUnsupported(
@@ -420,7 +446,7 @@ def _check_transformable(tree: ast.Module, planned: dict[str, ast.AST], stored: 
         params = args.posonlyargs + args.args + args.kwonlyargs
         for annotation in [p.annotation for p in params] + [node.returns]:
             if not (annotation is None or type(annotation) is ast.Constant
-                    or _reads(annotation) and annotation.id not in stored
+                    or _reads(annotation) and annotation.id not in facts.stored
                     and hasattr(builtins, annotation.id)):
                 raise TransformUnsupported(
                     f"{name!r} has an annotation that is neither a constant nor "
@@ -730,10 +756,6 @@ def _hoist_defaults(tree, planned_names, fresh) -> dict[tuple[str, str], str]:
 # return rewriting
 
 
-def _count_returns(body) -> int:
-    return sum(isinstance(n, ast.Return) for n in _walk_own(body))
-
-
 def _none() -> ast.expr:
     return ast.Constant(value=None)
 
@@ -743,12 +765,12 @@ def _assign(name: str, value: ast.expr, like) -> ast.stmt:
     return ast.copy_location(node, like)
 
 
-def _rewrite_returns(body, ret_name: str, done_name: str):
-    """(new_body, whether the body returns anywhere)."""
-    total = _count_returns(body)
-    if total == 0:
+def _rewrite_returns(body, returns: int, ret_name: str, done_name: str):
+    """(new_body, whether the body returns anywhere), given the number of
+    ``return`` statements in the body."""
+    if returns == 0:
         return list(body), False
-    if total == 1 and isinstance(body[-1], ast.Return):
+    if returns == 1 and isinstance(body[-1], ast.Return):
         tail = body[-1]
         value = tail.value if tail.value is not None else _none()
         return list(body[:-1]) + [_assign(ret_name, value, tail)], True
@@ -884,20 +906,38 @@ def _copy_tree(node, rename: dict[str, str]):
     return new
 
 
-def _splice_one(stmt, call, def_node, fresh, default_temps, into_function):
+@dataclass(frozen=True)
+class _HelperFacts:
+    locals: list[str]  # the names bound in its own scope, sorted
+    returns: int  # its ``return`` statements
+    declares_global: bool
+
+
+def _helper_facts(def_node) -> _HelperFacts:
+    """What every call site of a flattened helper reads of it."""
+    returns = 0
+    declares_global = False
+    for n in _walk_own(def_node.body):
+        returns += type(n) is ast.Return
+        declares_global |= type(n) is ast.Global
+    local_names, _ = _scope_names(def_node)
+    return _HelperFacts(sorted(local_names), returns, declares_global)
+
+
+def _splice_one(stmt, call, def_node, facts: _HelperFacts, fresh, default_temps,
+                into_function):
     """Expand one canonical call site into a statement list."""
     fname = def_node.name
-    local_names, _ = _scope_names(def_node)
-    rename = {name: fresh.make(name) for name in sorted(local_names)}
+    rename = {name: fresh.make(name) for name in facts.locals}
     parts = _bind_arguments(call, def_node, rename, default_temps, fname)
 
     body = _copy_tree(def_node.body, rename)
-    if not into_function:
+    if facts.declares_global and not into_function:
         body = [_GlobalStripper().visit(s) for s in body]
 
     ret_name = fresh.make(f"{fname}_ret")
     done_name = fresh.make(f"{fname}_done")
-    new_body, had_return = _rewrite_returns(body, ret_name, done_name)
+    new_body, had_return = _rewrite_returns(body, facts.returns, ret_name, done_name)
     parts.extend(new_body)
 
     if isinstance(stmt, ast.Assign):
@@ -914,10 +954,11 @@ def _splice_all(tree, planned, fresh, default_temps):
 
     The first time a call site of a helper is reached, the helper's own
     body gets its callees spliced, so every copy of it is already flat;
-    ``_analyze`` has rejected cycles, so this recursion ends. A helper
-    that is never called is dropped unspliced.
+    ``_analyze`` has rejected cycles, so this recursion ends. What the
+    call sites read of the flat helper (``_helper_facts``) is taken then,
+    once. A helper that is never called is dropped unspliced.
     """
-    flat: set[str] = set()
+    flat: dict[str, _HelperFacts] = {}
 
     def visit(stmt, ctx):
         if isinstance(stmt, _DEF_NODES):
@@ -926,10 +967,12 @@ def _splice_all(tree, planned, fresh, default_temps):
         if call is None:
             return None
         def_node = planned[call.func.id]
-        if def_node.name not in flat:
-            flat.add(def_node.name)
+        facts = flat.get(def_node.name)
+        if facts is None:
             _rewrite_blocks(def_node, visit, _BlockCtx(in_function=True))
-        return _splice_one(stmt, call, def_node, fresh, default_temps, ctx.in_function)
+            facts = flat[def_node.name] = _helper_facts(def_node)
+        return _splice_one(stmt, call, def_node, facts, fresh, default_temps,
+                           ctx.in_function)
 
     _rewrite_blocks(tree, visit)
 
@@ -959,15 +1002,16 @@ def singularize(unit: SourceUnit) -> SourceUnit:
 def _singularize(unit: SourceUnit) -> SourceUnit:
     tree = ast.parse(unit.text)
     _rewrite_blocks(tree, _strip_local_annotations)
-    planned = _analyze(tree)
-    names, stored, shared = _identifiers(tree)
-    _check_transformable(tree, planned, stored)
+    facts = _gather(tree)
+    planned = facts.defs
+    _analyze(tree, planned)
+    _check_transformable(facts)
 
-    fresh = _FreshNames(names)
+    fresh = _FreshNames(facts.names)
     default_temps = _hoist_defaults(tree, planned, fresh)
 
     def normalize(stmt, ctx):
-        return _normalize_stmt(stmt, planned, shared, fresh, ctx.in_class)
+        return _normalize_stmt(stmt, planned, facts.shared, fresh, ctx.in_class)
 
     _rewrite_blocks(tree, normalize)
     _splice_all(tree, planned, fresh, default_temps)

@@ -10,16 +10,17 @@ files (say, from a copy of this file placed in the parent commit's
 singularize refusals per error class; it exits 1 when they differ in
 anything but the allowed qualname change below.
 
-The unit set, 2,388 units:
+The unit set, 6,868 units:
   - ``structured_function(0..999)`` and ``runnable_program(0..199)``;
-  - ``perfbench/workloads.make_units`` seeds 1-10 at full size;
+  - ``perfbench/workloads.make_units`` seeds 1-50 at full size;
   - every solution of the three fixture corpora.
 
-Each unit is parsed under ``py3`` and ``py3-nosc`` and gets graph-route
-``unit_complexity``: per-function CC in document order, ``toplevel_cc``,
-``cc_total`` and ``cc_avg``, plus each function's qualname. Every unit
-but the ``structured_function`` ones (1,388) is also singularized under
-``py3``: the output text, or the refusal's class and message.
+Every unit but those of ``make_units`` seeds 11-50 (2,388) is parsed
+under ``py3`` and ``py3-nosc`` and gets graph-route ``unit_complexity``:
+per-function CC in document order, ``toplevel_cc``, ``cc_total`` and
+``cc_avg``, plus each function's qualname. Every unit but the
+``structured_function`` ones (5,868) is also singularized under ``py3``:
+the output text, or the refusal's class and message.
 
 Qualnames may differ only for a definition enclosed by a function that is
 itself inside a class: before the enclosing classes were kept in the
@@ -46,21 +47,25 @@ PROFILES = ("py3", "py3-nosc")
 CORPORA = ("filter_corpus.jsonl", "mini_corpus.jsonl", "singularize_corpus.jsonl")
 
 
-def units() -> list[tuple[str, str, bool]]:
-    """(key, source, singularized) for every unit, in a fixed order."""
+def units() -> list[tuple[str, str, bool, bool]]:
+    """(key, source, measured, singularized) for every unit, in a fixed
+    order; ``measured`` units get ``unit_complexity``."""
     import gen_programs as gp
     import workloads
 
-    out = [(f"structured:{i}", gp.structured_function(i), False) for i in range(1000)]
-    out += [(f"runnable:{i}", gp.runnable_program(i)[0], True) for i in range(200)]
+    out = [(f"structured:{i}", gp.structured_function(i), True, False) for i in range(1000)]
+    out += [(f"runnable:{i}", gp.runnable_program(i)[0], True, True) for i in range(200)]
     for seed in range(1, 11):
         made, _ = workloads.make_units(seed, workloads.SIZES["full"])
-        out += [(f"units{seed}:{u['id']}", u["source"], True) for u in made]
+        out += [(f"units{seed}:{u['id']}", u["source"], True, True) for u in made]
     for name in CORPORA:
         lines = (ROOT / "tests" / "fixtures" / name).read_text(encoding="utf-8").splitlines()
         for row in map(json.loads, lines):
             for i, source in enumerate(row["solutions"]):
-                out.append((f"{name}:{row['id']}[{i}]", source, True))
+                out.append((f"{name}:{row['id']}[{i}]", source, True, True))
+    for seed in range(11, 51):
+        made, _ = workloads.make_units(seed, workloads.SIZES["full"])
+        out += [(f"units{seed}:{u['id']}", u["source"], False, True) for u in made]
     return out
 
 
@@ -97,8 +102,8 @@ def dump(out_path: str) -> int:
     cc: dict[str, dict] = {}
     singular: dict[str, dict] = {}
     cc_cpu = singularize_cpu = 0.0
-    for key, source, singularized in units():
-        for name in PROFILES:
+    for key, source, measured, singularized in units():
+        for name in PROFILES if measured else ():
             start = time.process_time()
             try:
                 unit = parse(source, get_profile(name), unit_id=key)

@@ -13,10 +13,12 @@ from modscore.errors import (
     RecursionUnsupported,
     TransformUnsupported,
 )
+import modscore.inliner as inliner_module
 from modscore.inliner import (
     _EVALUATES,
     _FreshNames,
-    _identifiers,
+    _gather,
+    _helper_facts,
     _linearize,
     _splice_one,
     _stmt_eval_parts,
@@ -108,6 +110,74 @@ def test_free_name_capture_rejected():
     )
     with pytest.raises(ExternalNameCollision):
         singularize(parse(src))
+
+
+# Units with two reasons to refuse each: the refusal raised must be the
+# first in the checks' order. That order is the duplicate def in
+# ``ast.walk`` order, then the call graph (recursion among it), then the
+# scope readers and classes with methods in ``ast.walk`` order, then each
+# helper in the same order. Several units put the two reasons in one order
+# by the walk and in the other by the text.
+REFUSAL_ORDER_CASES = {
+    "duplicate-def-then-eval": (
+        "print(eval('1'))\ndef f():\n    return 1\ndef f():\n    return 2\nprint(f())\n",
+        DynamicCallUnsupported, "function name 'f' is defined more than once"),
+    "duplicate-def-walk-order": (
+        "def a():\n    def b():\n        return 1\n    return b()\n"
+        "def b():\n    return 2\ndef c():\n    return 3\ndef c():\n    return 4\n"
+        "print(a(), b(), c())\n",
+        DynamicCallUnsupported, "function name 'c' is defined more than once"),
+    "class-method-then-generator": (
+        "def g():\n    yield 1\nclass C:\n    def m(self):\n        return 1\n"
+        "print(list(g()))\n",
+        TransformUnsupported,
+        "class 'C' defines method 'm'; methods are only dynamically invocable"),
+    "reader-and-recursion": (
+        "def f(n):\n    if n:\n        return f(n - 1)\n    return eval('0')\nprint(f(2))\n",
+        RecursionUnsupported, "recursive call chain: f -> f"),
+    "class-before-deeper-reader": (
+        "def f():\n    return eval('1')\nclass C:\n    def m(self):\n        return 1\n"
+        "print(f())\n",
+        TransformUnsupported,
+        "class 'C' defines method 'm'; methods are only dynamically invocable"),
+    "reader-before-generator": (
+        "def f():\n    yield 1\nprint(list(f()), eval('1'))\n",
+        TransformUnsupported, "the unit reads names dynamically through eval() (line 3)"),
+    "helpers-in-walk-order": (
+        "def outer():\n    def inner():\n        yield 1\n    return list(inner())\n"
+        "async def later():\n    return 1\nprint(outer())\n",
+        TransformUnsupported, "'later' is an async function"),
+    "rebound-builtin-annotation": (
+        "def f(x: list) -> int:\n    return 1\nlist = 3\nprint(f(1))\n",
+        TransformUnsupported,
+        "'f' has an annotation that is neither a constant nor a builtin name (line 1)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSAL_ORDER_CASES))
+def test_first_refusal_in_check_order_is_raised(case):
+    src, error, message = REFUSAL_ORDER_CASES[case]
+    with pytest.raises(error) as raised:
+        singularize(parse(src))
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
+def test_helper_scope_taken_once_however_many_call_sites(monkeypatch):
+    # once by the capture check, once flattened; never per call site
+    seen = []
+    scope_names = inliner_module._scope_names
+
+    def counted(node):
+        seen.append(node.name)
+        return scope_names(node)
+
+    monkeypatch.setattr(inliner_module, "_scope_names", counted)
+    src = "def sq(v):\n    w = v * v\n    return w\n"
+    src += "".join(f"a{i} = sq({i})\n" for i in range(6)) + "print(a1 + a5)\n"
+    out = assert_same_behavior(src)
+    assert out.text.count("w__inl") >= 6
+    assert seen == ["sq", "sq"]
 
 
 # Each unit is helpers, a caller, then print, and binds or reads a name
@@ -529,9 +599,10 @@ def test_helper_spliced_at_two_sites_gets_independent_copies():
     tree = ast.parse("def sq(v):\n    w = [v, -v]\n    return w[0] * w[1]\na = sq(2)\nb = sq(3)\n")
     helper, site_a, site_b = tree.body
     before = ast.dump(helper, include_attributes=True)
-    fresh = _FreshNames(_identifiers(tree)[0])
-    first = _splice_one(site_a, site_a.value, helper, fresh, {}, False)
-    second = _splice_one(site_b, site_b.value, helper, fresh, {}, False)
+    fresh = _FreshNames(_gather(tree).names)
+    facts = _helper_facts(helper)
+    first = _splice_one(site_a, site_a.value, helper, facts, fresh, {}, False)
+    second = _splice_one(site_b, site_b.value, helper, facts, fresh, {}, False)
 
     def owned(stmts):
         # nodes with fields; contexts and operators are shared singletons

@@ -18,6 +18,7 @@ from modscore.stats import (
     average_ranks,
     bin_index,
     binned_sample,
+    correlations,
     pearson,
     perplexity,
     ppl_compare,
@@ -127,6 +128,12 @@ def test_permutation_p_reproducible():
     assert p1 != p3 or p1 < 0.05  # different seed resamples differently
 
 
+def _pinned_pair(seed, n, slope):
+    rng = random.Random(seed)
+    xs = [rng.random() for _ in range(n)]
+    return xs, [slope * x + rng.random() for x in xs]
+
+
 # (seed, n, slope, permutations, pearson hits + 1, spearman hits + 1): the
 # counts from permuting every resample in one matrix; the resample counts
 # straddle the block size the test works in, so blocking must not move them
@@ -141,13 +148,40 @@ PINNED_P = [
 
 @pytest.mark.parametrize("seed, n, slope, permutations, pearson_hits, spearman_hits", PINNED_P)
 def test_permutation_p_pinned(seed, n, slope, permutations, pearson_hits, spearman_hits):
-    rng = random.Random(seed)
-    xs = [rng.random() for _ in range(n)]
-    ys = [slope * x + rng.random() for x in xs]
-    _, p = pearson(xs, ys, permutations=permutations, seed=seed)
-    _, rho_p = spearman(xs, ys, permutations=permutations, seed=seed)
+    xs, ys = _pinned_pair(seed, n, slope)
+    r, p = pearson(xs, ys, permutations=permutations, seed=seed)
+    rho, rho_p = spearman(xs, ys, permutations=permutations, seed=seed)
     assert p == pearson_hits / (permutations + 1)
     assert rho_p == spearman_hits / (permutations + 1)
+    # both tests on one stream give the same two answers
+    assert correlations(xs, ys, permutations, seed) == ((r, p), (rho, rho_p))
+
+
+# resample counts on both sides of the 256-row block, one block and several
+@pytest.mark.parametrize("permutations", [1, 100, 255, 256, 257, 600])
+@pytest.mark.parametrize("n", [3, 501])
+def test_correlations_share_one_stream_at_any_block_count(n, permutations):
+    xs, ys = _pinned_pair(n + permutations, n, 0.1)
+    ys = [round(y, 1) for y in ys]  # ties, so the ranks differ from the values
+    for seed in (0, 9):
+        assert correlations(xs, ys, permutations, seed) == (
+            pearson(xs, ys, permutations, seed), spearman(xs, ys, permutations, seed))
+
+
+def test_permuted_shuffles_indices_as_it_shuffles_values():
+    # the p-values are those of permuting the values only if a row's
+    # shuffle does not depend on its dtype; a numpy that breaks this
+    # fails here
+    for seed in range(30):
+        rows = (1, 2, 255, 257, 1_000, 2_500)[seed % 6]
+        for n in (3, 7, 100, 501):
+            values = np.random.default_rng(1000 + seed).random(n)
+            shuffled = np.tile(values, (rows, 1))
+            np.random.default_rng(seed).permuted(shuffled, axis=1, out=shuffled)
+            idx = np.tile(np.arange(n), (rows, 1))
+            np.random.default_rng(seed).permuted(idx, axis=1, out=idx)
+            assert idx.dtype == np.intp
+            assert np.array_equal(values[idx], shuffled), (seed, n, rows)
 
 
 def test_pearson_against_scipy():
