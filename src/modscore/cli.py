@@ -15,7 +15,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .corpus import (
@@ -319,7 +319,7 @@ def _cmd_filter(args) -> int:
     )
     kept.sort(key=lambda p: p.id)
     save_corpus(kept, args.out)
-    payload = _report({"filter": report.to_dict()}, config, args.command)
+    payload = _report({"filter": asdict(report)}, config, args.command)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
@@ -387,6 +387,11 @@ def _cmd_passk(args) -> int:
 
 def _cmd_correlate(args) -> int:
     config = _build_config(args)
+    # checked before any input is read, as tau is
+    if args.bins < 1 or args.per_bin is not None and args.per_bin < 1:
+        raise DomainError(
+            f"bins and per_bin must be positive, got {args.bins} and {args.per_bin}"
+        )
     samples = []
     for line_no, row in read_jsonl(args.scored):
         try:

@@ -141,15 +141,6 @@ class FilterReport:
     solutions_after: int = 0
     dropped: list[dict] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "problems_before": self.problems_before,
-            "problems_after": self.problems_after,
-            "solutions_before": self.solutions_before,
-            "solutions_after": self.solutions_after,
-            "dropped": list(self.dropped),
-        }
-
 
 def filter_corpus(
     problems: list[Problem],

@@ -91,7 +91,7 @@ class InvalidLogProb(ModscoreError):
 
 
 class EmptyCategory(ModscoreError):
-    """A category summary was requested for a category with no records."""
+    """A perplexity summary was requested for no records."""
 
 
 class ConfigError(ModscoreError):

@@ -50,9 +50,13 @@ The checks read the unit through one walk over the whole tree
 (``_gather``), which collects its definitions, the names it binds and
 reads, the names its ``global`` statements declare, and its scope-reading
 calls and classes, each in ``ast.walk`` order, so the first reason to
-refuse is still the first one raised. What the call sites of a helper read
-of it (its locals, its returns, whether it declares ``global``) is taken
-once, when its body has been flattened (``_helper_facts``).
+refuse is still the first one raised. The helper call graph is walked
+once, depth first (``_analyze``): the walk meets the first cycle and gives
+each helper the free names it reads through its callees, for the capture
+check, and the helpers it runs, for the definition-order check. What the
+call sites of a helper read of it (its locals, its returns, whether it
+declares ``global``) is taken once, when its body has been flattened
+(``_helper_facts``).
 """
 
 from __future__ import annotations
@@ -238,151 +242,105 @@ def _analyze(tree: ast.Module, defs: dict[str, ast.AST]):
     """Check that the call graph of ``defs``, every definition by name, is
     inlinable.
 
+    One scan of the tree finds each helper's call sites and the defs that
+    enclose them; one depth-first walk of the call graph, in sorted order,
+    meets the first cycle and gives each helper its locals, the free names
+    it reads itself or through its callees, and the helpers it runs.
+
     Raises RecursionUnsupported, DynamicCallUnsupported,
     ExternalNameCollision, or TransformUnsupported (a call that runs before
     its helper is defined) when the unit cannot be inlined soundly.
     """
     planned = set(defs)
-
-    sites: dict[str, list[ast.Call]] = {name: [] for name in planned}
-    site_owners: dict[int, list[str]] = {}
+    # per call site of a helper, the defs that enclose it, outermost first
+    sites: dict[str, list[list[str]]] = {name: [] for name in planned}
     parent_def: dict[str, str | None] = {}
 
-    def scan(node, stack: list[str], call_func_of: ast.Call | None):
+    def scan(node, owners: list[str], call: ast.Call | None):
+        """``call`` is the call whose ``func`` is ``node``, if any."""
         if isinstance(node, _DEF_NODES):
-            parent_def[node.name] = stack[-1] if stack else None
-            stack = stack + [node.name]
-            for child in ast.iter_child_nodes(node):
-                scan(child, stack, None)
-            return
-        name = _name_of(node)
-        if name in planned:
+            parent_def[node.name] = owners[-1] if owners else None
+            owners = owners + [node.name]
+        elif (name := _name_of(node)) in planned:
             if not _reads(node):
                 raise DynamicCallUnsupported(
                     f"function name {name!r} is rebound by {type(node).__name__} "
                     f"(line {node.lineno})"
                 )
-            if call_func_of is None:
+            if call is None:
                 raise DynamicCallUnsupported(
                     f"function {name!r} is used as a value, not called"
                 )
-            sites[name].append(call_func_of)
-            site_owners[id(call_func_of)] = list(stack)
+            sites[name].append(owners)
             return
-        if isinstance(node, (ast.Global, ast.Nonlocal)):
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
             hit = planned.intersection(node.names)
             if hit:
                 raise DynamicCallUnsupported(
                     f"global/nonlocal declaration of function name {sorted(hit)[0]!r}"
                 )
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            scan(node.func, stack, node)
-            for child in ast.iter_child_nodes(node):
-                if child is not node.func:
-                    scan(child, stack, None)
-            return
+        func = node.func if type(node) is ast.Call else None
         for child in ast.iter_child_nodes(node):
-            scan(child, stack, None)
+            scan(child, owners, node if child is func else None)
 
     for stmt in tree.body:
         scan(stmt, [], None)
 
-    # visibility: a nested definition may only be called from inside the
-    # function that defines it
-    for name in planned:
-        parent = parent_def.get(name)
-        if parent is None:
-            continue
-        for call in sites[name]:
-            if parent not in site_owners[id(call)]:
+    # owner -> callee; a nested def may only be called inside its parent.
+    # This check and the capture check go through ``defs`` in walk order,
+    # so the error raised first does not depend on the hash seed.
+    calls_of: dict[str, set[str]] = {name: set() for name in planned}
+    for name in defs:
+        parent = parent_def[name]
+        for owners in sites[name]:
+            if parent is not None and parent not in owners:
                 raise DynamicCallUnsupported(
                     f"{name!r} is called outside the scope that defines it"
                 )
-
-    # call graph: owner -> callee, cycle check, callee-first order
-    calls_of: dict[str, set[str]] = {name: set() for name in planned}
-    for name in planned:
-        for call in sites[name]:
-            owners = site_owners[id(call)]
             if owners:
                 calls_of[owners[-1]].add(name)
 
-    # cycle check and callee-first topological order in one DFS
-    state: dict[str, int] = {}
+    locals_of: dict[str, set[str]] = {}
+    free_of: dict[str, set[str]] = {}  # read by it or by a helper it calls
+    runs: dict[str, set[str]] = {}  # itself and every helper it calls
     trail: list[str] = []
-    order: list[str] = []
 
-    def dfs(name: str):
-        state[name] = 1
+    def walk(name: str):
         trail.append(name)
+        locals_of[name], free = _scope_names(defs[name])
+        free -= planned
+        ran = {name}
         for callee in sorted(calls_of[name]):
-            if state.get(callee) == 1:
-                cycle = trail[trail.index(callee):] + [callee]
-                raise RecursionUnsupported(cycle)
-            if state.get(callee, 0) == 0:
-                dfs(callee)
+            if callee in trail:
+                raise RecursionUnsupported(trail[trail.index(callee):] + [callee])
+            if callee not in runs:
+                walk(callee)
+            free |= free_of[callee]
+            ran |= runs[callee]
         trail.pop()
-        state[name] = 2
-        order.append(name)
+        free_of[name], runs[name] = free, ran
 
     for name in sorted(planned):
-        if state.get(name, 0) == 0:
-            dfs(name)
+        if name not in runs:
+            walk(name)
 
-    locals_of: dict[str, set[str]] = {}
-    free_of: dict[str, set[str]] = {}
-    for name in planned:
-        locals_of[name], free_of[name] = _scope_names(defs[name])
-    effective_free: dict[str, set[str]] = {}
-    for name in order:
-        free = free_of[name] - planned
-        for callee in calls_of[name]:
-            free |= effective_free[callee]
-        effective_free[name] = free
-
-    for name in planned:
-        for call in sites[name]:
-            enclosing = site_owners[id(call)]
-            caller_locals: set[str] = set()
-            for owner in enclosing:
-                caller_locals |= locals_of[owner]
-            captured = effective_free[name] & caller_locals
+    for name in defs:
+        for owners in sites[name]:
+            captured = free_of[name] & set().union(*(locals_of[o] for o in owners))
             if captured:
                 raise ExternalNameCollision(
                     f"inlining {name!r} would capture {sorted(captured)[0]!r} "
-                    f"bound in {enclosing[-1]!r}"
+                    f"bound in {owners[-1]!r}"
                 )
 
-    _check_definition_order(tree, calls_of)
+    _check_definition_order(tree, runs)
 
 
-def _helpers_run_by(stmt, calls_of: dict[str, set[str]]) -> set[str]:
-    """Helpers a statement calls when it executes, directly or through the
-    helpers it calls. A definition runs only its defaults and decorators."""
-    pending: set[str] = set()
-    stack = [stmt]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, _DEF_NODES):
-            args = n.args
-            stack.extend(args.defaults + [d for d in args.kw_defaults if d])
-            stack.extend(n.decorator_list)
-            continue
-        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in calls_of:
-            pending.add(n.func.id)
-        stack.extend(ast.iter_child_nodes(n))
-    reached: set[str] = set()
-    while pending:
-        name = pending.pop()
-        if name not in reached:
-            reached.add(name)
-            pending |= calls_of[name]
-    return reached
-
-
-def _check_definition_order(tree: ast.Module, calls_of: dict[str, set[str]]):
+def _check_definition_order(tree: ast.Module, runs: dict[str, set[str]]):
     """Reject a call that runs before the ``def`` of its helper: as written
-    it raises NameError, inlined it would not."""
+    it raises NameError, inlined it would not. A statement runs ``runs[h]``
+    for each helper ``h`` it calls; a definition runs only its defaults and
+    decorators."""
     pending = [tree]
     while pending:
         for holder, field in statement_blocks(pending.pop()):
@@ -392,7 +350,18 @@ def _check_definition_order(tree: ast.Module, calls_of: dict[str, set[str]]):
             for stmt in stmts:
                 if not later:
                     break
-                early = later & _helpers_run_by(stmt, calls_of)
+                early: set[str] = set()
+                stack = [stmt]
+                while stack:
+                    n = stack.pop()
+                    if isinstance(n, _DEF_NODES):
+                        args = n.args
+                        stack += args.defaults + [d for d in args.kw_defaults if d]
+                        stack += n.decorator_list
+                        continue
+                    if _is_helper_call(n, runs):
+                        early |= later & runs[n.func.id]
+                    stack.extend(ast.iter_child_nodes(n))
                 if early:
                     raise TransformUnsupported(
                         f"{sorted(early)[0]!r} is called before its definition runs"

@@ -198,24 +198,18 @@ class CategorySummary:
     count: int
 
 
-def ppl_compare(
-    records: list[LogProbRecord],
-    categories: list[str] | None = None,
-) -> dict[str, CategorySummary]:
-    """Per-category mean and population std of per-record perplexity."""
+def ppl_compare(records: list[LogProbRecord]) -> dict[str, CategorySummary]:
+    """Per-category mean and population std of per-record perplexity, in
+    category name order."""
     import numpy as np
 
     grouped: dict[str, list[float]] = {}
     for record in records:
         grouped.setdefault(record.category, []).append(perplexity(record))
-    wanted = categories if categories is not None else sorted(grouped)
-    if not wanted:
+    if not grouped:
         raise EmptyCategory("no records to summarize")
     summaries: dict[str, CategorySummary] = {}
-    for category in wanted:
-        values = grouped.get(category)
-        if not values:
-            raise EmptyCategory(f"no records in category {category!r}")
+    for category, values in sorted(grouped.items()):
         arr = np.asarray(values, dtype=float)
         summaries[category] = CategorySummary(
             mean=float(arr.mean()),

@@ -10,17 +10,22 @@ files (say, from a copy of this file placed in the parent commit's
 singularize refusals per error class; it exits 1 when they differ in
 anything but the allowed qualname change below.
 
-The unit set, 6,868 units:
+The unit set, 7,068 units:
   - ``structured_function(0..999)`` and ``runnable_program(0..199)``;
   - ``perfbench/workloads.make_units`` seeds 1-50 at full size;
-  - every solution of the three fixture corpora.
+  - every solution of the three fixture corpora;
+  - ``runnable_program(0..199)`` again, each with two of ``TRIGGERS``
+    appended (unit ``i`` takes triggers ``i % 10`` and ``i // 10 % 10``),
+    so the set holds refusals of every class and units with two reasons
+    to refuse.
 
-Every unit but those of ``make_units`` seeds 11-50 (2,388) is parsed
-under ``py3`` and ``py3-nosc`` and gets graph-route ``unit_complexity``:
-per-function CC in document order, ``toplevel_cc``, ``cc_total`` and
-``cc_avg``, plus each function's qualname. Every unit but the
-``structured_function`` ones (5,868) is also singularized under ``py3``:
-the output text, or the refusal's class and message.
+Every unit but those of ``make_units`` seeds 11-50 and the triggered
+ones (2,388) is parsed under ``py3`` and ``py3-nosc`` and gets
+graph-route ``unit_complexity``: per-function CC in document order,
+``toplevel_cc``, ``cc_total`` and ``cc_avg``, plus each function's
+qualname. Every unit but the ``structured_function`` ones (6,068) is also
+singularized under ``py3``: the output text, or the refusal's class and
+message.
 
 Qualnames may differ only for a definition enclosed by a function that is
 itself inside a class: before the enclosing classes were kept in the
@@ -47,6 +52,26 @@ PROFILES = ("py3", "py3-nosc")
 CORPORA = ("filter_corpus.jsonl", "mini_corpus.jsonl", "singularize_corpus.jsonl")
 
 
+# Each appends a reason to refuse to a ``runnable_program``, whose helpers
+# are ``fn1``, ``fn2``, ...; ``k`` tells two copies of one trigger apart.
+TRIGGERS = (
+    lambda k: f"print(eval('{k}'))\n",
+    lambda k: f"def fn1(a):\n    return a + {k}\n",
+    lambda k: f"class K{k}:\n    def m(self):\n        return 1\n",
+    lambda k: f"def gen{k}():\n    yield 1\nprint(list(gen{k}()))\n",
+    lambda k: (f"def outer{k}():\n    v = 1\n    def bump{k}():\n        nonlocal v\n"
+               f"        v += 1\n    return v\nprint(outer{k}())\n"),
+    lambda k: (f"def cyc{k}a(n):\n    return cyc{k}b(n - 1) if n else 0\n"
+               f"def cyc{k}b(n):\n    return cyc{k}a(n)\nprint(cyc{k}a(3))\n"),
+    lambda k: f"print(late{k}())\ndef late{k}():\n    return {k}\n",
+    lambda k: (f"def par{k}():\n    def kid{k}():\n        return 1\n    return kid{k}()\n"
+               f"print(par{k}(), kid{k}())\n"),
+    lambda k: (f"cap{k} = 1\ndef rd{k}():\n    return cap{k}\n"
+               f"def wr{k}():\n    cap{k} = 2\n    return rd{k}()\nprint(wr{k}())\n"),
+    lambda k: f"fn1 = {k}\n",
+)
+
+
 def units() -> list[tuple[str, str, bool, bool]]:
     """(key, source, measured, singularized) for every unit, in a fixed
     order; ``measured`` units get ``unit_complexity``."""
@@ -66,6 +91,10 @@ def units() -> list[tuple[str, str, bool, bool]]:
     for seed in range(11, 51):
         made, _ = workloads.make_units(seed, workloads.SIZES["full"])
         out += [(f"units{seed}:{u['id']}", u["source"], False, True) for u in made]
+    for i in range(200):
+        source = gp.runnable_program(i)[0]
+        source += TRIGGERS[i % 10](0) + TRIGGERS[i // 10 % 10](1)
+        out.append((f"triggered:{i}", source, False, True))
     return out
 
 

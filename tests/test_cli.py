@@ -383,6 +383,10 @@ BAD_INPUT_CASES = {
                       "seed must be 0 or more, got -5"),
     "negative-seed-in-config": ("correlate-missing", '{"seed": -1}', None, 1,
                                 "seed must be 0 or more, got -1"),
+    "correlate-zero-bins-alone": ("correlate-bins-0-alone", "[1]", None, 1,
+                                  "bins and per_bin must be positive, got 0 and None"),
+    "correlate-negative-bins-alone": ("correlate-bins-negative", None, None, 1,
+                                      "bins and per_bin must be positive, got -2 and None"),
     # a flag for a setting the subcommand does not read
     "unread-flag-analyze": ("analyze-jobs", None, None, 1, "unrecognized arguments: --jobs"),
     "unread-flag-classify": ("classify-wall-time", None, None, 1,
@@ -398,7 +402,7 @@ BAD_INPUT_CASES = {
 INPUT_COMMANDS = {
     "verify", "correlate", "correlate-bins-0", "correlate-per-bin-0", "corpus",
     "analyze-given", "singularize-given", "correlate-seed-negative", "ppl-given",
-    "classify-tau-0",
+    "classify-tau-0", "correlate-bins-0-alone",
 }
 
 
@@ -438,6 +442,9 @@ def test_bad_input_exits_with_one_line(capsys, monkeypatch, tmp_path, case):
         "correlate": ["correlate", str(given)],
         "correlate-bins-0": ["correlate", str(given), "--per-bin", "1", "--bins", "0"],
         "correlate-per-bin-0": ["correlate", str(given), "--per-bin", "0"],
+        "correlate-bins-0-alone": ["correlate", str(given), "--bins", "0"],
+        "correlate-bins-negative": ["correlate", str(tmp_path / "missing.jsonl"),
+                                    "--bins", "-2"],
         "corpus": ["classify", str(given)],
         "analyze-given": ["analyze", str(given)],
         "singularize-given": ["singularize", str(given)],

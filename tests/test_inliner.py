@@ -1,8 +1,10 @@
 import ast
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -114,7 +116,8 @@ def test_free_name_capture_rejected():
 
 # Units with two reasons to refuse each: the refusal raised must be the
 # first in the checks' order. That order is the duplicate def in
-# ``ast.walk`` order, then the call graph (recursion among it), then the
+# ``ast.walk`` order, then the call graph (a nested def called outside its
+# parent, a cycle, a capture, a call before its def), then the
 # scope readers and classes with methods in ``ast.walk`` order, then each
 # helper in the same order. Several units put the two reasons in one order
 # by the walk and in the other by the text.
@@ -151,6 +154,30 @@ REFUSAL_ORDER_CASES = {
         "def f(x: list) -> int:\n    return 1\nlist = 3\nprint(f(1))\n",
         TransformUnsupported,
         "'f' has an annotation that is neither a constant nor a builtin name (line 1)"),
+    # one statement calls two later defs: the first name in sorted order
+    # is named, whichever call is met first
+    "calls-before-two-later-defs": (
+        "print(a(), b())\ndef a():\n    return 1\ndef b():\n    return 2\n",
+        TransformUnsupported, "'a' is called before its definition runs"),
+    "later-def-reached-through-callee": (
+        "def a():\n    return b()\nprint(a())\ndef b():\n    return 2\n",
+        TransformUnsupported, "'b' is called before its definition runs"),
+    "two-cycles": (
+        "def b():\n    return c()\ndef c():\n    return b()\ndef a():\n    return a()\n"
+        "print(a(), b())\n",
+        RecursionUnsupported, "recursive call chain: a -> a"),
+    "call-into-cycle-before-later-def": (
+        "def a():\n    return b()\ndef b():\n    return c()\ndef c():\n    return b()\n"
+        "print(a(), d())\ndef d():\n    return 1\n",
+        RecursionUnsupported, "recursive call chain: b -> c -> b"),
+    "nested-called-outside-and-cycle": (
+        "def f():\n    def inner():\n        return 1\n    return inner()\n"
+        "def r():\n    return r()\nprint(f(), inner(), r())\n",
+        DynamicCallUnsupported, "'inner' is called outside the scope that defines it"),
+    "capture-through-callee-before-later-def": (
+        "def h():\n    return z\ndef g():\n    return h()\ndef f():\n    z = 1\n    return g()\n"
+        "z = 5\nprint(f(), late())\ndef late():\n    return 1\n",
+        ExternalNameCollision, "inlining 'g' would capture 'z' bound in 'f'"),
 }
 
 
@@ -161,6 +188,38 @@ def test_first_refusal_in_check_order_is_raised(case):
         singularize(parse(src))
     assert type(raised.value) is error
     assert str(raised.value) == message
+
+
+def test_first_refusal_does_not_depend_on_the_hash_seed():
+    # four captures, then four nested defs called outside their parents:
+    # the first helper in walk order is named under every hash seed
+    units = [
+        "".join(f"c{k} = 1\ndef r{k}():\n    return c{k}\n"
+                f"def w{k}():\n    c{k} = 2\n    return r{k}()\nprint(w{k}())\n"
+                for k in range(4)),
+        "".join(f"def p{k}():\n    def q{k}():\n        return 1\n    return q{k}()\n"
+                f"print(p{k}(), q{k}())\n" for k in range(4)),
+    ]
+    script = (
+        "import json, sys\nfrom modscore.inliner import singularize\n"
+        "from modscore.parsing import parse\n"
+        "for src in json.loads(sys.argv[1]):\n"
+        "    try:\n        singularize(parse(src))\n"
+        "    except Exception as e:\n        print(type(e).__name__, e)\n"
+    )
+    src_dir = str(Path(inliner_module.__file__).resolve().parent.parent)
+    seen = {
+        subprocess.run(
+            [sys.executable, "-c", script, json.dumps(units)], capture_output=True,
+            text=True, timeout=30, check=True,
+            env={**os.environ, "PYTHONPATH": src_dir, "PYTHONHASHSEED": str(seed)},
+        ).stdout
+        for seed in range(6)
+    }
+    assert seen == {
+        "ExternalNameCollision inlining 'r0' would capture 'c0' bound in 'w0'\n"
+        "DynamicCallUnsupported 'q0' is called outside the scope that defines it\n"
+    }
 
 
 def test_helper_scope_taken_once_however_many_call_sites(monkeypatch):

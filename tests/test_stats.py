@@ -328,9 +328,6 @@ def test_ppl_compare_two_categories():
 
 
 def test_ppl_compare_empty_category():
-    records = [LogProbRecord("a", "MC", (-1.0,))]
-    with pytest.raises(EmptyCategory):
-        ppl_compare(records, categories=["MC", "SC"])
     with pytest.raises(EmptyCategory):
         ppl_compare([])
 
