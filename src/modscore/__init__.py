@@ -21,7 +21,6 @@ from .modularity import (
 )
 from .parsing import FunctionDef, SourceUnit, parse
 from .passk import EvalResult, aggregate, pass_at_k
-from .profiles import PY3, SubjectProfile, get_profile
 from .prompts import assemble_prompt
 from .sandbox import RunLimits, RunResult, count_correct, run_solution
 from .stats import (
@@ -45,7 +44,6 @@ __all__ = [
     "categorize_solutions", "ideal_modules", "modularity_score", "score_unit",
     "FunctionDef", "SourceUnit", "parse",
     "EvalResult", "aggregate", "pass_at_k",
-    "PY3", "SubjectProfile", "get_profile",
     "assemble_prompt",
     "RunLimits", "RunResult", "count_correct", "run_solution",
     "LogProbRecord", "ScoredSample", "binned_sample", "correlations", "pearson",

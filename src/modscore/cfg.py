@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 from .errors import UnsupportedConstruct
 from .parsing import TRY_NODES, FunctionDef
-from .profiles import PY3, SubjectProfile
 
 
 @dataclass(eq=False)
@@ -142,8 +141,8 @@ def _count_expr_decisions(root: ast.expr, count_boolops: bool) -> int:
 
 
 class _Builder:
-    def __init__(self, profile: SubjectProfile):
-        self.profile = profile
+    def __init__(self, count_short_circuit: bool):
+        self.count_short_circuit = count_short_circuit
         self.edges: list[tuple[int, int]] = []
         self.edge_set: set[tuple[int, int]] = set()
         self.next_id = 0
@@ -213,7 +212,7 @@ class _Builder:
         for expr in exprs:
             if expr is None:
                 continue
-            for _ in range(_count_expr_decisions(expr, self.profile.count_short_circuit)):
+            for _ in range(_count_expr_decisions(expr, self.count_short_circuit)):
                 test = self._node(frontier)
                 alt = self._node([test])
                 frontier = [test, alt]
@@ -363,9 +362,9 @@ class _Builder:
         return out
 
 
-def build_cfg(fn: FunctionDef, profile: SubjectProfile = PY3) -> ControlFlowGraph:
+def build_cfg(fn: FunctionDef, count_short_circuit: bool = True) -> ControlFlowGraph:
     """Build the graph for one definition (or the toplevel script)."""
-    builder = _Builder(profile)
+    builder = _Builder(count_short_circuit)
     out = builder.block(fn.body, [])
     for node in out:
         builder._edge(node, builder.exit_node)

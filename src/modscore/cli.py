@@ -44,7 +44,6 @@ from .inliner import singularize, verify_equivalence
 from .modularity import DEFAULT_TAU, categorize_solutions, score_unit
 from .parsing import parse
 from .passk import EvalResult, aggregate
-from .profiles import available_profiles, get_profile
 from .sandbox import RunLimits, passes_each
 from .stats import (
     DEFAULT_BINS,
@@ -69,6 +68,9 @@ _TRANSFORM_ERRORS = (
     DynamicCallUnsupported,
     ExternalNameCollision,
 )
+
+# each profile's name, and whether it counts short-circuit operators as decisions
+_PROFILES = {"py3": True, "py3-nosc": False}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -185,9 +187,9 @@ def _build_config(args) -> RunConfig:
         raise ConfigError(
             f"output_format must be 'json' or 'table', got {config.output_format!r}"
         )
-    if config.profile not in available_profiles():
+    if config.profile not in _PROFILES:
         raise ConfigError(
-            f"unknown profile {config.profile!r}; available: {available_profiles()}"
+            f"unknown profile {config.profile!r}; available: {sorted(_PROFILES)}"
         )
     if config.tau < 1:
         raise ConfigError(f"tau must be 1 or more, got {config.tau}")
@@ -237,13 +239,13 @@ def _print_table(payload: dict, indent: int = 0):
 
 def _cmd_analyze(args) -> int:
     config = _build_config(args)
-    profile = get_profile(config.profile)
+    count_short_circuit = _PROFILES[config.profile]
     rows = []
     for path in args.files:
         with open(path, "rb") as handle:
             text = handle.read()
-        unit = parse(text, profile, unit_id=path)
-        report = score_unit(unit, tau=config.tau, profile=profile)
+        unit = parse(text, unit_id=path)
+        report = score_unit(unit, config.tau, count_short_circuit)
         comp = report.complexity
         rows.append({
             "id": path,
@@ -262,12 +264,11 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _classify_problem(problem: Problem, profile_name: str, tau: int) -> dict:
-    profile = get_profile(profile_name)
+def _classify_problem(problem: Problem, count_short_circuit: bool, tau: int) -> dict:
     reports = []
     for i, solution in enumerate(problem.solutions):
-        unit = parse(solution, profile, unit_id=f"{problem.id}[{i}]")
-        reports.append(score_unit(unit, tau=tau, profile=profile))
+        unit = parse(solution, unit_id=f"{problem.id}[{i}]")
+        reports.append(score_unit(unit, tau, count_short_circuit))
     picks = categorize_solutions(reports)
     return {
         "problem_id": problem.id,
@@ -281,7 +282,8 @@ def _cmd_classify(args) -> int:
     config = _build_config(args)
     problems = sorted(load_corpus(args.corpus), key=lambda p: p.id)
     rows = _map_jobs(
-        functools.partial(_classify_problem, profile_name=config.profile, tau=config.tau),
+        functools.partial(_classify_problem, count_short_circuit=_PROFILES[config.profile],
+                          tau=config.tau),
         problems, _effective_jobs(config.jobs),
     )
     _emit(_report({"problems": rows}, config, args.command), config)
@@ -292,7 +294,7 @@ def _cmd_singularize(args) -> int:
     config = _build_config(args)
     with open(args.file, "rb") as handle:
         text = handle.read()
-    unit = parse(text, unit_id=args.file)  # profiles count, and do not change the rewrite
+    unit = parse(text, unit_id=args.file)
     transformed = singularize(unit)
     if args.verify:
         tests = [case_from_row(row, line_no) for line_no, row in read_jsonl(args.verify)]

@@ -5,12 +5,13 @@ E - N + 2P off a built graph, while ``cc_decision_points`` counts
 1 + decision constructs straight off the syntax tree. The second exists
 to cross-check the first; they share no code.
 
-Counted decisions (default profile): conditional statements (each elif
-arm is its own conditional), conditional expressions, loops, except
-clauses, each short-circuit operator, each comprehension filter clause,
-and match case arms that actually test something (a bare capture arm is
-an else; a guard adds one). Nested function bodies belong to their own
-function; class bodies and lambda bodies count toward the enclosing one.
+Counted decisions: conditional statements (each elif arm is its own
+conditional), conditional expressions, loops, except clauses, each
+short-circuit operator (unless ``count_short_circuit`` is false), each
+comprehension filter clause, and match case arms that actually test
+something (a bare capture arm is an else; a guard adds one). Nested
+function bodies belong to their own function; class bodies and lambda
+bodies count toward the enclosing one.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 
 from .cfg import ControlFlowGraph, build_cfg, graph_counts
 from .parsing import FunctionDef, SourceUnit
-from .profiles import PY3, SubjectProfile
 
 
 @dataclass(eq=False)
@@ -100,23 +100,23 @@ class _DecisionCounter(ast.NodeVisitor):
         self.generic_visit(node)  # anonymous: counts toward the encloser
 
 
-def cc_decision_points(fn: FunctionDef, profile: SubjectProfile = PY3) -> int:
+def cc_decision_points(fn: FunctionDef, count_short_circuit: bool = True) -> int:
     """Classical decision-point form: 1 + number of decisions in the body."""
-    counter = _DecisionCounter(profile.count_short_circuit)
+    counter = _DecisionCounter(count_short_circuit)
     for stmt in fn.body:
         counter.visit(stmt)
     return 1 + counter.decisions
 
 
-def unit_complexity(unit: SourceUnit, profile: SubjectProfile | None = None) -> ComplexityReport:
+def unit_complexity(unit: SourceUnit, count_short_circuit: bool = True) -> ComplexityReport:
     """Graph-route CC for every definition plus the toplevel script.
 
     cc_total sums every definition and the toplevel; cc_avg averages over
     named definitions only (0.0 when there are none).
     """
-    profile = profile or unit.profile
-    per_function = {fn: cc_from_cfg(build_cfg(fn, profile)) for fn in unit.functions}
-    toplevel_cc = cc_from_cfg(build_cfg(unit.toplevel, profile))
+    per_function = {fn: cc_from_cfg(build_cfg(fn, count_short_circuit))
+                    for fn in unit.functions}
+    toplevel_cc = cc_from_cfg(build_cfg(unit.toplevel, count_short_circuit))
     total = sum(per_function.values()) + toplevel_cc
     count = len(per_function)
     avg = (sum(per_function.values()) / count) if count else 0.0

@@ -110,8 +110,21 @@ def problem_to_row(problem: Problem) -> dict:
     }
 
 
+def _claim_id(first_lines: dict[str, int], pid: str, line_no: int):
+    """Note that ``pid`` is on ``line_no``; raise if an earlier line has it."""
+    first = first_lines.setdefault(pid, line_no)
+    if first != line_no:
+        raise CorpusFormatError(f"line {line_no}: duplicate id {pid!r} (first on line {first})")
+
+
 def load_corpus(path: str | Path) -> list[Problem]:
-    return [problem_from_row(row, line_no) for line_no, row in read_jsonl(path)]
+    problems: list[Problem] = []
+    first_lines: dict[str, int] = {}
+    for line_no, row in read_jsonl(path):
+        problem = problem_from_row(row, line_no)
+        _claim_id(first_lines, problem.id, line_no)
+        problems.append(problem)
+    return problems
 
 
 def save_corpus(problems: list[Problem], path: str | Path):
@@ -123,13 +136,16 @@ def save_corpus(problems: list[Problem], path: str | Path):
 def load_generations(path: str | Path) -> dict[str, list[str]]:
     """Rows of {"id": ..., "generations": [program, ...]}."""
     table: dict[str, list[str]] = {}
+    first_lines: dict[str, int] = {}
     for line_no, row in read_jsonl(path):
         if not isinstance(row, dict) or "id" not in row or "generations" not in row:
             raise CorpusFormatError(f"line {line_no}: need id and generations")
         gens = row["generations"]
         if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
             raise CorpusFormatError(f"line {line_no}: generations must be strings")
-        table[str(row["id"])] = gens
+        pid = str(row["id"])
+        _claim_id(first_lines, pid, line_no)
+        table[pid] = gens
     return table
 
 

@@ -15,7 +15,7 @@ class EncodingError(ModscoreError):
 
 
 class UnsupportedConstruct(ModscoreError):
-    """A syntax kind outside the profile's modeled set.
+    """A syntax kind outside the set the counters model.
 
     Carries the offending kind name so callers never miscount silently.
     """

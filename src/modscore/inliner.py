@@ -993,7 +993,7 @@ def _singularize(unit: SourceUnit) -> SourceUnit:
                 f"internal: the output still names {_name_of(n)!r} (line {n.lineno})"
             )
     text = HEADER_COMMENT + "\n" + ast.unparse(tree) + "\n"
-    return parse(text, unit.profile, unit_id=f"{unit.id}:singular")
+    return parse(text, unit_id=f"{unit.id}:singular")
 
 
 def verify_equivalence(

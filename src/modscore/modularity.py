@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .complexity import ComplexityReport, unit_complexity
 from .errors import EmptyInput, InvalidThreshold
 from .parsing import SourceUnit
-from .profiles import SubjectProfile
 
 DEFAULT_TAU = 5
 
@@ -54,11 +53,9 @@ def modularity_score(n: int, m_star: int) -> float:
 
 
 def score_unit(
-    unit: SourceUnit,
-    tau: int = DEFAULT_TAU,
-    profile: SubjectProfile | None = None,
+    unit: SourceUnit, tau: int = DEFAULT_TAU, count_short_circuit: bool = True
 ) -> ModularityReport:
-    report = unit_complexity(unit, profile)
+    report = unit_complexity(unit, count_short_circuit)
     m_star = ideal_modules(report.cc_total, tau)
     n = report.function_count
     return ModularityReport(

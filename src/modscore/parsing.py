@@ -11,7 +11,6 @@ import ast
 from dataclasses import dataclass
 
 from .errors import EncodingError
-from .profiles import PY3, SubjectProfile
 
 TOPLEVEL_NAME = "<toplevel>"
 
@@ -26,15 +25,13 @@ class FunctionDef:
     name: str
     qualname: str
     node: ast.AST  # ast.FunctionDef / ast.AsyncFunctionDef / ast.Module
-    nesting_depth: int
-    is_toplevel: bool = False
 
     @property
     def body(self) -> list[ast.stmt]:
         return self.node.body
 
     def __repr__(self):
-        return f"FunctionDef({self.qualname!r}, depth={self.nesting_depth})"
+        return f"FunctionDef({self.qualname!r})"
 
 
 @dataclass(eq=False)
@@ -46,7 +43,6 @@ class SourceUnit:
     tree: ast.Module
     functions: list[FunctionDef]
     toplevel: FunctionDef
-    profile: SubjectProfile = PY3
 
     @property
     def function_count(self) -> int:
@@ -89,35 +85,29 @@ def statement_blocks(node: ast.stmt | ast.Module):
 def _extract(stmts: list[ast.stmt]) -> list[FunctionDef]:
     """Named defs in document order, nested after their parent.
 
-    Descends into class bodies (methods are modules) but records nesting
-    depth only across enclosing function definitions. The qualname is the
+    Descends into class bodies (methods are modules). The qualname is the
     dotted path of every enclosing class and function.
     """
     found: list[FunctionDef] = []
 
-    def visit(block, path: list[str], depth: int):
+    def visit(block, path: list[str]):
         for node in block:
             kind = type(node)
-            inner_path, inner_depth = path, depth
+            inner_path = path
             if kind is ast.FunctionDef or kind is ast.AsyncFunctionDef:
-                found.append(FunctionDef(
-                    name=node.name,
-                    qualname=".".join(path + [node.name]),
-                    node=node,
-                    nesting_depth=depth,
-                ))
-                inner_path, inner_depth = path + [node.name], depth + 1
+                inner_path = path + [node.name]
+                found.append(FunctionDef(node.name, ".".join(inner_path), node))
             elif kind is ast.ClassDef:
                 inner_path = path + [node.name]
             for holder, field in statement_blocks(node):
-                visit(getattr(holder, field), inner_path, inner_depth)
+                visit(getattr(holder, field), inner_path)
 
-    visit(stmts, [], 0)
+    visit(stmts, [])
     return found
 
 
-def parse(text: bytes | str, profile: SubjectProfile = PY3, unit_id: str = "<unit>") -> SourceUnit:
-    """Parse source and extract definitions under the given profile.
+def parse(text: bytes | str, unit_id: str = "<unit>") -> SourceUnit:
+    """Parse source and extract its definitions.
 
     Raises SyntaxError on unparseable input (with position, except for
     input nested too deeply to parse) and EncodingError on invalid UTF-8.
@@ -137,18 +127,10 @@ def parse(text: bytes | str, profile: SubjectProfile = PY3, unit_id: str = "<uni
         # the parser and compiler recurse once per nesting level
         raise SyntaxError(f"{unit_id}: source is nested too deeply to parse") from None
 
-    toplevel = FunctionDef(
-        name=TOPLEVEL_NAME,
-        qualname=TOPLEVEL_NAME,
-        node=tree,
-        nesting_depth=0,
-        is_toplevel=True,
-    )
     return SourceUnit(
         id=unit_id,
         text=source,
         tree=tree,
         functions=_extract(tree.body),
-        toplevel=toplevel,
-        profile=profile,
+        toplevel=FunctionDef(name=TOPLEVEL_NAME, qualname=TOPLEVEL_NAME, node=tree),
     )

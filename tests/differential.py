@@ -5,10 +5,13 @@
 
 ``dump`` imports ``src/`` of the checkout this file sits in, runs a fixed
 unit set through it and writes one JSON file. ``compare`` reads two such
-files (say, from a copy of this file placed in the parent commit's
-``tests/``, and from the change) and prints the counts, with each dump's
+files (say, one dumped by the parent commit's own ``tests/differential.py``
+and one by the change's) and prints the counts, with each dump's
 singularize refusals per error class; it exits 1 when they differ in
-anything but the allowed qualname change below.
+anything but the allowed qualname change below. This file calls
+``parse(source, unit_id=...)`` and ``unit_complexity(unit, flag)``, the
+signatures from the commit that removed ``modscore.profiles``; a checkout
+from before it is dumped with its own copy of this file.
 
 The unit set, 7,068 units:
   - ``structured_function(0..999)`` and ``runnable_program(0..199)``;
@@ -20,12 +23,12 @@ The unit set, 7,068 units:
     to refuse.
 
 Every unit but those of ``make_units`` seeds 11-50 and the triggered
-ones (2,388) is parsed under ``py3`` and ``py3-nosc`` and gets
-graph-route ``unit_complexity``: per-function CC in document order,
-``toplevel_cc``, ``cc_total`` and ``cc_avg``, plus each function's
-qualname. Every unit but the ``structured_function`` ones (6,068) is also
-singularized under ``py3``: the output text, or the refusal's class and
-message.
+ones (2,388) gets graph-route ``unit_complexity`` under ``py3`` and
+``py3-nosc`` (with and without short-circuit operators counted):
+per-function CC in document order, ``toplevel_cc``, ``cc_total`` and
+``cc_avg``, plus each function's qualname. Every unit but the
+``structured_function`` ones (6,068) is also singularized: the output
+text, or the refusal's class and message.
 
 Qualnames may differ only for a definition enclosed by a function that is
 itself inside a class: before the enclosing classes were kept in the
@@ -48,7 +51,8 @@ for path in (ROOT / "src", ROOT / "tests", ROOT / "perfbench"):
     if str(path) not in sys.path:
         sys.path.insert(0, str(path))
 
-PROFILES = ("py3", "py3-nosc")
+# each profile name and whether it counts short-circuit operators
+PROFILES = {"py3": True, "py3-nosc": False}
 CORPORA = ("filter_corpus.jsonl", "mini_corpus.jsonl", "singularize_corpus.jsonl")
 
 
@@ -126,17 +130,16 @@ def dump(out_path: str) -> int:
     from modscore.errors import ModscoreError
     from modscore.inliner import singularize
     from modscore.parsing import parse
-    from modscore.profiles import get_profile
 
     cc: dict[str, dict] = {}
     singular: dict[str, dict] = {}
     cc_cpu = singularize_cpu = 0.0
     for key, source, measured, singularized in units():
-        for name in PROFILES if measured else ():
+        for name, flag in PROFILES.items() if measured else ():
             start = time.process_time()
             try:
-                unit = parse(source, get_profile(name), unit_id=key)
-                report = unit_complexity(unit)
+                unit = parse(source, unit_id=key)
+                report = unit_complexity(unit, flag)
             except (SyntaxError, ModscoreError) as exc:  # compared like any output
                 cc_cpu += time.process_time() - start
                 cc[f"{key}|{name}"] = _refusal(exc)

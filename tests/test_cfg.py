@@ -7,7 +7,6 @@ from modscore.cfg import _EXPR_CHILDREN, _count_expr_decisions, build_cfg, graph
 from modscore.complexity import cc_decision_points, cc_from_cfg
 from modscore.errors import UnsupportedConstruct
 from modscore.parsing import parse
-from modscore.profiles import PY3, PY3_NO_SHORT_CIRCUIT
 
 from gen_programs import runnable_program, structured_function
 
@@ -43,8 +42,8 @@ def test_while_break_inside_if_matches_decision_oracle():
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="except* is 3.11+")
-@pytest.mark.parametrize("profile", [PY3, PY3_NO_SHORT_CIRCUIT])
-def test_except_star_matches_decision_oracle(profile):
+@pytest.mark.parametrize("count_short_circuit", [True, False])
+def test_except_star_matches_decision_oracle(count_short_circuit):
     src = (
         "def f(x):\n"
         "    try:\n"
@@ -59,8 +58,9 @@ def test_except_star_matches_decision_oracle(profile):
         "        print(x)\n"
         "    return x\n"
     )
-    fn = parse(src, profile).functions[0]
-    assert cc_from_cfg(build_cfg(fn, profile)) == cc_decision_points(fn, profile)
+    fn = parse(src).functions[0]
+    assert (cc_from_cfg(build_cfg(fn, count_short_circuit))
+            == cc_decision_points(fn, count_short_circuit))
 
 
 def test_graph_counts_single_block():
@@ -125,7 +125,7 @@ def test_unsupported_construct_names_the_kind():
     class Bogus(ast.stmt):
         _fields = ()
 
-    builder = _Builder(PY3)
+    builder = _Builder(True)
     with pytest.raises(UnsupportedConstruct) as err:
         builder.stmt(Bogus(), [])
     assert "Bogus" in str(err.value)
@@ -179,12 +179,12 @@ def reference_expr_decisions(root, count_boolops: bool) -> int:
 
 
 def assert_expr_counts_match(src: str):
-    """Every expression of the program, under both profiles."""
+    """Every expression of the program, with and without short-circuit
+    operators counted."""
     exprs = [n for n in ast.walk(ast.parse(src)) if isinstance(n, ast.expr)]
-    for profile in (PY3, PY3_NO_SHORT_CIRCUIT):
-        flag = profile.count_short_circuit
+    for flag in (True, False):
         got = [_count_expr_decisions(e, flag) for e in exprs]
-        assert got == [reference_expr_decisions(e, flag) for e in exprs], profile.name
+        assert got == [reference_expr_decisions(e, flag) for e in exprs], flag
 
 
 EXPR_EDGE_CASES = {

@@ -313,6 +313,11 @@ def test_passk_rejects_bad_input_before_running(capsys, monkeypatch, flags, mess
 
 
 SCORED_ROW = '{"unit_id": "u0", "mos": 0.5, "pass1": 1.0}\n'
+DUPLICATE_ID_CORPUS = (
+    '{"id": "p", "solutions": ["print(1)"], "tests": [{"input": "", "output": "1\\n"}]}\n'
+    '{"id": "q", "solutions": ["print(1)"], "tests": [{"input": "", "output": "1\\n"}]}\n'
+    '{"id": "p", "solutions": ["print(2)"], "tests": [{"input": "", "output": "2\\n"}]}\n'
+)
 TOO_DEEP_TO_PARSE = "x = " + "+".join(["1"] * 3000) + "\n"
 TOO_DEEP_TO_TRANSFORM = "def f(a):\n    return a\nx = " + "+".join(["f(1)"] * 600) + "\n"
 
@@ -356,6 +361,16 @@ BAD_INPUT_CASES = {
                                  None, 2, "line 2: not valid UTF-8"),
     "corpus-tests-not-a-list": ("corpus", '{"id": "p1", "solutions": [], "tests": 5}\n',
                                 None, 2, "line 1: tests must be a list"),
+    "classify-duplicate-id": ("corpus", DUPLICATE_ID_CORPUS, None, 2,
+                              "line 3: duplicate id 'p' (first on line 1)"),
+    "passk-duplicate-id": ("passk-given", DUPLICATE_ID_CORPUS, None, 2,
+                           "line 3: duplicate id 'p' (first on line 1)"),
+    "filter-duplicate-id": ("filter-given", DUPLICATE_ID_CORPUS, None, 2,
+                            "line 3: duplicate id 'p' (first on line 1)"),
+    "gens-duplicate-id": ("passk-gens-given",
+                          '{"id": "p01", "generations": ["print(1)"]}\n'
+                          '{"id": "p01", "generations": ["print(2)"]}\n',
+                          None, 2, "line 2: duplicate id 'p01' (first on line 1)"),
     "correlate-zero-bins": ("correlate-bins-0", SCORED_ROW, None, 1,
                             "bins and per_bin must be positive"),
     "correlate-zero-per-bin": ("correlate-per-bin-0", SCORED_ROW, None, 1,
@@ -402,7 +417,8 @@ BAD_INPUT_CASES = {
 INPUT_COMMANDS = {
     "verify", "correlate", "correlate-bins-0", "correlate-per-bin-0", "corpus",
     "analyze-given", "singularize-given", "correlate-seed-negative", "ppl-given",
-    "classify-tau-0", "correlate-bins-0-alone",
+    "classify-tau-0", "correlate-bins-0-alone", "filter-given", "passk-given",
+    "passk-gens-given",
 }
 
 
@@ -461,6 +477,9 @@ def test_bad_input_exits_with_one_line(capsys, monkeypatch, tmp_path, case):
         "filter-tau": ["filter", corpus, "--out", str(tmp_path / "kept.jsonl"), "--tau", "3"],
         "passk-profile": ["passk", corpus, "--gens", str(FIXTURES / "mini_generations.jsonl"),
                           "--profile", "py3"],
+        "filter-given": ["filter", str(given), "--out", str(tmp_path / "kept.jsonl")],
+        "passk-given": ["passk", str(given), "--gens", str(FIXTURES / "mini_generations.jsonl")],
+        "passk-gens-given": ["passk", corpus, "--gens", str(given)],
         "correlate-memory": ["correlate", str(tmp_path / "missing.jsonl"), "--memory", "1"],
         "ppl-seed": ["ppl", str(FIXTURES / "logprobs.jsonl"), "--seed", "1"],
     }[command]
@@ -533,9 +552,9 @@ def test_classify_reports_the_first_error_in_id_order(capsys, tmp_path):
 _classify_problem = cli_module._classify_problem
 
 
-def _row_with_pid(problem, profile_name, tau):
+def _row_with_pid(problem, count_short_circuit, tau):
     """A classify row that names the process it was computed in."""
-    return {**_classify_problem(problem, profile_name, tau), "pid": os.getpid()}
+    return {**_classify_problem(problem, count_short_circuit, tau), "pid": os.getpid()}
 
 
 @pytest.mark.parametrize("jobs", ["1", "64"])
@@ -551,6 +570,25 @@ def test_classify_runs_in_place_or_in_one_worker_per_problem_at_most(
     else:
         assert os.getpid() not in pids and 1 <= len(pids) <= 10
     assert_no_children()
+
+
+SHORT_CIRCUIT_SOLUTION = "def f(a):\n    return " + " and ".join(["a"] * 9) + "\nprint(f(1))\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("profile, mos", [("py3", 0.5), ("py3-nosc", 1.0)])
+def test_classify_counts_short_circuit_operators_as_the_profile_says(
+        capsys, tmp_path, jobs, profile, mos):
+    # f's eight `and`s make cc_total 10 and m* 2 under py3, but 2 and 0 under
+    # py3-nosc; the second solution defines nothing and scores 0 under both
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"id": f"p{i}", "solutions": [SHORT_CIRCUIT_SOLUTION, "print(1)\n"]}) + "\n"
+        for i in range(3)))
+    code, out, _ = run_cli(capsys, "classify", str(corpus), "--profile", profile, "--jobs", jobs)
+    assert_no_children()
+    assert code == 0
+    assert [row["mos_values"] for row in json.loads(out)["problems"]] == [[mos, 0.0]] * 3
 
 
 def test_default_jobs_counts_the_cores_this_process_may_use():

@@ -5,7 +5,6 @@ import pytest
 from modscore.cfg import build_cfg
 from modscore.complexity import cc_decision_points, cc_from_cfg, unit_complexity
 from modscore.parsing import parse
-from modscore.profiles import PY3_NO_SHORT_CIRCUIT
 
 from gen_programs import structured_function
 
@@ -54,9 +53,9 @@ def test_for_plus_except_is_three():
 
 def test_short_circuit_mode_off():
     src = "def f(a, b):\n    if a and b:\n        return 1\n    return 0\n"
-    fn = parse(src, PY3_NO_SHORT_CIRCUIT).functions[0]
-    assert cc_decision_points(fn, PY3_NO_SHORT_CIRCUIT) == 2
-    assert cc_from_cfg(build_cfg(fn, PY3_NO_SHORT_CIRCUIT)) == 2
+    fn = parse(src).functions[0]
+    assert cc_decision_points(fn, count_short_circuit=False) == 2
+    assert cc_from_cfg(build_cfg(fn, count_short_circuit=False)) == 2
 
 
 def test_cfg_form_trivial_values():

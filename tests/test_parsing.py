@@ -22,7 +22,7 @@ def count_def_tokens(text: str) -> int:
 def test_no_definitions():
     unit = parse("print(1)")
     assert unit.functions == []
-    assert unit.toplevel.is_toplevel
+    assert unit.toplevel.node is unit.tree
     assert len(unit.toplevel.body) == 1
 
 
@@ -30,13 +30,14 @@ def test_nested_definition_order_and_depth():
     src = "def outer():\n    def inner():\n        pass\n    return inner\n"
     unit = parse(src)
     assert [f.name for f in unit.functions] == ["outer", "inner"]
-    assert [f.nesting_depth for f in unit.functions] == [0, 1]
+    assert [f.qualname for f in unit.functions] == ["outer", "outer.inner"]
 
 
 def test_exactly_one_toplevel():
     unit = parse("def f():\n    pass\n")
-    records = unit.functions + [unit.toplevel]
-    assert sum(1 for r in records if r.is_toplevel) == 1
+    assert unit.toplevel.node is unit.tree
+    assert unit.toplevel not in unit.functions
+    assert [f.node for f in unit.functions] == [unit.tree.body[0]]
 
 
 def test_methods_are_extracted():
@@ -107,7 +108,6 @@ def test_qualname_keeps_class_of_enclosing_method():
     )
     unit = parse(src)
     assert [f.qualname for f in unit.functions] == ["A.run", "A.run.helper", "B.run", "B.run.helper"]
-    assert [f.nesting_depth for f in unit.functions] == [0, 1, 0, 1]
 
 
 def test_qualname_keeps_every_enclosing_class_and_function():
@@ -121,7 +121,6 @@ def test_qualname_keeps_every_enclosing_class_and_function():
     )
     unit = parse(src)
     assert [f.qualname for f in unit.functions] == ["f", "f.C.g", "f.C.g.D.h"]
-    assert [f.nesting_depth for f in unit.functions] == [0, 1, 2]
 
 
 class _ReferenceExtractor(ast.NodeVisitor):
@@ -131,15 +130,12 @@ class _ReferenceExtractor(ast.NodeVisitor):
     def __init__(self):
         self.found = []
         self.path = []
-        self.depth = 0
 
     def _handle_def(self, node):
-        self.found.append((node, ".".join(self.path + [node.name]), self.depth))
+        self.found.append((node, ".".join(self.path + [node.name])))
         self.path.append(node.name)
-        self.depth += 1
         for child in node.body:
             self.visit(child)
-        self.depth -= 1
         self.path.pop()
 
     visit_FunctionDef = _handle_def
@@ -160,9 +156,9 @@ def assert_matches_reference(src: str):
     reference = _ReferenceExtractor()
     for stmt in unit.tree.body:
         reference.visit(stmt)
-    got = [(f.node, f.qualname, f.nesting_depth) for f in unit.functions]
+    got = [(f.node, f.qualname) for f in unit.functions]
     assert got == reference.found
-    assert [f.name for f in unit.functions] == [node.name for node, _, _ in reference.found]
+    assert [f.name for f in unit.functions] == [node.name for node, _ in reference.found]
 
 
 DEF_PLACEMENTS = [
