@@ -3,10 +3,11 @@
 REQ and REP are the descriptors of its request and reply pipes. Each
 request is one line, ``tmp \\0 wall_time \\0 memory \\0 output_cap``. For
 each, the server forks one child that runs ``tmp/prog.py`` on
-``tmp/stdin`` and writes ``tmp/stdout`` and ``tmp/stderr``. It answers
-two lines. The first, ``P <pid>``, comes before it waits for the child:
-the child leads a process group of that id once it is isolated, so a
-client whose server dies mid-run can still kill the run. The second is
+``tmp/stdin`` and writes ``tmp/stdout`` and ``tmp/stderr``. Two lines
+answer it. The child writes the first, ``P <pid>``, before it isolates
+itself: it leads a process group of that id once it is isolated, so a
+client whose server dies mid-run, even at the hands of the program, can
+still kill the run. The server writes the second,
 ``<returncode> <timed_out 0|1>``, the return code as ``subprocess``
 reports it, or ``E <message>`` when the child could not be isolated.
 Before that reply, the server kills the child's group, so nothing the
@@ -84,9 +85,13 @@ def _isolate(tmp: bytes, memory: int, output_cap: int, wall_time: float):
         return handle.read()
 
 
-def _child(tmp: bytes, memory: int, output_cap: int, wall_time: float, report: int):
+def _child(tmp: bytes, memory: int, output_cap: int, wall_time: float, replies: int,
+           report: int):
     """Runs in the forked child and never returns."""
     try:
+        # before the program can run, so a client whose zygote it kills
+        # still holds the pid of the run
+        os.write(replies, b"P %d\n" % os.getpid())
         signal.signal(signal.SIGALRM, signal.SIG_DFL)
         source = _isolate(tmp, memory, output_cap, wall_time)
     except BaseException as exc:
@@ -162,10 +167,9 @@ def serve(requests: int, replies: int):
             if pid == 0:
                 try:
                     atexit._clear()
-                    _child(tmp, int(memory), int(output_cap), wall_time, report_w)
+                    _child(tmp, int(memory), int(output_cap), wall_time, replies, report_w)
                 finally:  # e.g. a program's sys.excepthook that raises
                     os._exit(1)
-            os.write(replies, b"P %d\n" % pid)
             os.close(report_w)
             _running, _timed_out = pid, False
             signal.setitimer(signal.ITIMER_REAL, wall_time)

@@ -10,6 +10,9 @@ branch/merge node pairs so the graph counts them.
 
 Modeling notes, all chosen so the edge/node counts match the independent
 decision-point count:
+  - a statement's node follows the decisions in the fields that
+    ``parsing.EVALUATES`` lists for its type, except that a ``try``
+    branches on each handler's type and a ``match`` on each arm's guard;
   - nested function bodies are excluded (each definition gets its own
     graph); class bodies execute inline and are included;
   - `assert`, `with`, and `finally` are sequential;
@@ -28,7 +31,7 @@ import ast
 from dataclasses import dataclass
 
 from .errors import UnsupportedConstruct
-from .parsing import TRY_NODES, FunctionDef
+from .parsing import EVALUATES, TRY_NODES, FunctionDef
 
 
 @dataclass(eq=False)
@@ -55,21 +58,6 @@ def graph_counts(cfg: ControlFlowGraph) -> tuple[int, int, int]:
             parent[ra] = rb
     components = len({find(n) for n in cfg.nodes})
     return len(cfg.edges), len(cfg.nodes), components
-
-
-_SIMPLE_STMTS = (
-    ast.Expr,
-    ast.Assign,
-    ast.AugAssign,
-    ast.AnnAssign,
-    ast.Delete,
-    ast.Pass,
-    ast.Import,
-    ast.ImportFrom,
-    ast.Global,
-    ast.Nonlocal,
-    ast.Assert,
-)
 
 
 def _is_catchall(case: ast.match_case) -> bool:
@@ -108,13 +96,14 @@ _EXPR_CHILDREN: dict[type, tuple[str, ...]] = {
     ast.comprehension: ("target", "iter", "ifs"),
     ast.keyword: ("value",),
     ast.arguments: ("defaults", "kw_defaults"),  # a lambda's: no annotations
+    ast.withitem: ("context_expr", "optional_vars"),
     ast.Name: (),
     ast.Constant: (),
 }
 _LEAVES = frozenset((ast.Name, ast.Constant))
 
 
-def _count_expr_decisions(root: ast.expr, count_boolops: bool) -> int:
+def _count_expr_decisions(root: ast.AST, count_boolops: bool) -> int:
     """Expression-level decisions: conditional expressions, short-circuit
     operators (when counted), comprehension filters."""
     count = 0
@@ -208,14 +197,17 @@ class _Builder:
 
     # -- expression-decision expansion -----------------------------------
 
-    def _prechain(self, exprs, frontier: list[int]) -> list[int]:
-        for expr in exprs:
-            if expr is None:
-                continue
-            for _ in range(_count_expr_decisions(expr, self.count_short_circuit)):
-                test = self._node(frontier)
-                alt = self._node([test])
-                frontier = [test, alt]
+    def _prechain(self, value, frontier: list[int]) -> list[int]:
+        """Chain a branch/merge pair for each decision in ``value``, an
+        expression, a list of them or None."""
+        decisions = 0
+        for expr in value if type(value) is list else (value,):
+            if expr is not None:
+                decisions += _count_expr_decisions(expr, self.count_short_circuit)
+        for _ in range(decisions):
+            test = self._node(frontier)
+            alt = self._node([test])
+            frontier = [test, alt]
         return frontier
 
     # -- statement dispatch ----------------------------------------------
@@ -234,69 +226,36 @@ class _Builder:
         return frontier
 
     def stmt(self, stmt: ast.stmt, frontier: list[int]) -> list[int]:
-        if isinstance(stmt, _SIMPLE_STMTS):
-            exprs = [v for v in ast.iter_child_nodes(stmt) if isinstance(v, ast.expr)]
-            frontier = self._prechain(exprs, frontier)
-            return [self._node(frontier)]
-        if isinstance(stmt, ast.Return):
-            frontier = self._prechain([stmt.value], frontier)
-            node = self._node(frontier)
-            self._edge(node, self._jump_exit())
-            return []
-        if isinstance(stmt, ast.Raise):
-            frontier = self._prechain([stmt.exc, stmt.cause], frontier)
-            node = self._node(frontier)
-            self._edge(node, self._jump_exit())
-            return []
-        if isinstance(stmt, ast.Break):
-            node = self._node(frontier)
-            self._jump_loop(True, node)
-            return []
-        if isinstance(stmt, ast.Continue):
-            node = self._node(frontier)
-            self._jump_loop(False, node)
-            return []
-        if isinstance(stmt, ast.If):
-            frontier = self._prechain([stmt.test], frontier)
-            test = self._node(frontier)
-            out = self.block(stmt.body, [test])
-            if stmt.orelse:
-                out += self.block(stmt.orelse, [test])
-            else:
-                out.append(test)
-            return out
-        if isinstance(stmt, (ast.While, ast.For, ast.AsyncFor)):
-            return self._loop(stmt, frontier)
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            items = []
-            for item in stmt.items:
-                items.append(item.context_expr)
-                items.append(item.optional_vars)
-            frontier = self._prechain(items, frontier)
-            head = self._node(frontier)
-            return self.block(stmt.body, [head])
-        if isinstance(stmt, TRY_NODES):  # except* clauses branch as except clauses do
+        kind = type(stmt)
+        if kind in TRY_NODES:  # except* clauses branch as except clauses do
             return self._try(stmt, frontier)
-        if isinstance(stmt, ast.Match):
+        if kind is ast.Match:
             return self._match(stmt, frontier)
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            # separate graph; the definition is a plain statement here
-            return [self._node(frontier)]
-        if isinstance(stmt, ast.ClassDef):
-            exprs = list(stmt.bases) + [k.value for k in stmt.keywords]
-            exprs += stmt.decorator_list
-            frontier = self._prechain(exprs, frontier)
-            head = self._node(frontier)
-            return self.block(stmt.body, [head])
-        raise UnsupportedConstruct(type(stmt).__name__)
+        fields = EVALUATES.get(kind)
+        if fields is None:
+            raise UnsupportedConstruct(kind.__name__)
+        for field, _ in fields:
+            frontier = self._prechain(getattr(stmt, field), frontier)
+        node = self._node(frontier)
+        if kind is ast.Return or kind is ast.Raise:
+            self._edge(node, self._jump_exit())
+            return []
+        if kind is ast.Break or kind is ast.Continue:
+            self._jump_loop(kind is ast.Break, node)
+            return []
+        if kind is ast.If:
+            out = self.block(stmt.body, [node])
+            if stmt.orelse:
+                return out + self.block(stmt.orelse, [node])
+            return out + [node]
+        if kind is ast.While or kind is ast.For or kind is ast.AsyncFor:
+            return self._loop(stmt, node)
+        if kind is ast.With or kind is ast.AsyncWith or kind is ast.ClassDef:
+            return self.block(stmt.body, [node])
+        # a def is a plain statement here: its body is a graph of its own
+        return [node]
 
-    def _loop(self, stmt, frontier: list[int]) -> list[int]:
-        if isinstance(stmt, ast.While):
-            frontier = self._prechain([stmt.test], frontier)
-            header = self._node(frontier)
-        else:
-            frontier = self._prechain([stmt.target, stmt.iter], frontier)
-            header = self._node(frontier)
+    def _loop(self, stmt, header: int) -> list[int]:
         loop: dict = {"header": header, "breaks": []}
         self.ctx.append(("loop", loop))
         try:
@@ -321,7 +280,7 @@ class _Builder:
             if stmt.orelse:
                 out = self.block(stmt.orelse, out)
             for handler in stmt.handlers:
-                entry_frontier = self._prechain([handler.type], [guard])
+                entry_frontier = self._prechain(handler.type, [guard])
                 head = self._node(entry_frontier)
                 out += self.block(handler.body, [head])
         finally:
@@ -334,7 +293,7 @@ class _Builder:
         return out
 
     def _match(self, stmt: ast.Match, frontier: list[int]) -> list[int]:
-        frontier = self._prechain([stmt.subject], frontier)
+        frontier = self._prechain(stmt.subject, frontier)
         subject = self._node(frontier)
         fall = [subject]
         out: list[int] = []
@@ -347,7 +306,7 @@ class _Builder:
                 arm_in = [test]
                 next_fall = [test]
             if case.guard is not None:
-                guard_frontier = self._prechain([case.guard], arm_in)
+                guard_frontier = self._prechain(case.guard, arm_in)
                 guard = self._node(guard_frontier)
                 arm_in = [guard]
                 next_fall = next_fall + [guard] if next_fall else [guard]

@@ -431,7 +431,10 @@ def _cmd_ppl(args) -> int:
             ))
         except (KeyError, TypeError, ValueError, InvalidLogProb) as exc:
             raise CorpusFormatError(f"line {line_no}: {exc}") from exc
-    summaries = ppl_compare(records)
+    try:
+        summaries = ppl_compare(records)
+    except InvalidLogProb as exc:
+        raise CorpusFormatError(str(exc)) from exc
     payload = _report({
         "records": [
             {"id": r.id, "category": r.category, "ppl": perplexity(r)}

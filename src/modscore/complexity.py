@@ -1,9 +1,13 @@
 """Cyclomatic complexity per function, per unit, and the function average.
 
-Two independent routes compute the same quantity: ``cc_from_cfg`` reads
-E - N + 2P off a built graph, while ``cc_decision_points`` counts
-1 + decision constructs straight off the syntax tree. The second exists
-to cross-check the first; they share no code.
+Two independent routes compute it: ``cc_from_cfg`` reads E - N + 2P off
+a built graph, while ``cc_decision_points`` counts 1 + decision
+constructs straight off the syntax tree. The second exists to cross-check
+the first; they share no code. They agree on reachable code. On dead
+code they may differ: the graph keeps an unreachable region as a
+component of its own, which adds 1, as a function does, plus only those
+of its decisions whose arms rejoin, while the decision-point route counts
+every construct.
 
 Counted decisions: conditional statements (each elif arm is its own
 conditional), conditional expressions, loops, except clauses, each

@@ -9,9 +9,9 @@ wrong. Mechanics:
     constants and of names that no ``global`` statement in the unit
     declares (what an attribute, subscript or operator reads is not
     checked against what the helper changes); hoisted calls keep Python's
-    evaluation order, which ``_EVALUATES`` lists per statement type (a
-    class's decorators before its bases, an assignment's value before its
-    targets, an annotated target before its annotation);
+    evaluation order, which ``parsing.EVALUATES`` lists per statement type
+    (a class's decorators before its bases, an assignment's value before
+    its targets, an annotated target before its annotation);
   - parameters become assignments of the argument expressions, one per
     written argument (so each argument is evaluated exactly once, in call
     order); unsupplied parameters read from hoisted default temps that
@@ -71,7 +71,7 @@ from .errors import (
     RecursionUnsupported,
     TransformUnsupported,
 )
-from .parsing import TRY_NODES, SourceUnit, parse, statement_blocks
+from .parsing import EVALUATES, SourceUnit, parse, statement_blocks
 from .sandbox import RunLimits, _in_zygotes, outputs_match, run_solution
 
 HEADER_COMMENT = (
@@ -424,8 +424,6 @@ def _check_transformable(facts: _UnitFacts):
         for n in _walk_own(node.body):
             if isinstance(n, (ast.Yield, ast.YieldFrom)):
                 raise TransformUnsupported(f"{name!r} is a generator function")
-            if isinstance(n, ast.Await):
-                raise TransformUnsupported(f"{name!r} awaits")
             if isinstance(n, ast.Nonlocal):
                 raise TransformUnsupported(f"{name!r} declares nonlocal")
             if isinstance(n, ast.alias) and n.asname is None and "." in n.name:
@@ -512,45 +510,16 @@ def _worse(a: str, b: str) -> str:
     return a if _CTX_RANK[a] >= _CTX_RANK[b] else b
 
 
-# The (field, context) pairs each statement type evaluates itself, in the
-# order CPython evaluates them; a type not listed evaluates nothing of its
-# own (a def's defaults are hoisted before this table is read, and a
-# decorated def is refused). A field holding a with-item, keyword, except
-# handler or match arm reaches ``_linearize``'s generic branch, which
-# visits that node's expressions in order; match patterns hold no call.
-# A handler's type runs only when an exception propagates, a guard only
-# when its pattern matches, an assert's message only when the test fails.
-# An annotation is ``deferred``: ``from __future__ import annotations``
-# skips it, and Python 3.14 defers it; ``_strip_local_annotations`` has
-# already dropped the ones in a def.
-_EVALUATES = {
-    ast.Expr: (("value", "plain"),),
-    ast.Assign: (("value", "plain"), ("targets", "plain")),
-    ast.AugAssign: (("target", "plain"), ("value", "plain")),
-    ast.AnnAssign: (("value", "plain"), ("target", "plain"), ("annotation", "deferred")),
-    ast.Return: (("value", "plain"),),
-    ast.Delete: (("targets", "plain"),),
-    ast.If: (("test", "plain"),),
-    ast.While: (("test", "repeated"),),
-    ast.For: (("iter", "plain"), ("target", "repeated")),
-    ast.AsyncFor: (("iter", "plain"), ("target", "repeated")),
-    ast.With: (("items", "plain"),),
-    ast.AsyncWith: (("items", "plain"),),
-    ast.Raise: (("exc", "plain"), ("cause", "plain")),
-    ast.Assert: (("test", "plain"), ("msg", "conditional")),
-    ast.Match: (("subject", "plain"), ("cases", "conditional")),
-    ast.ClassDef: (("decorator_list", "plain"), ("bases", "plain"), ("keywords", "plain")),
-    **{t: (("handlers", "conditional"),) for t in TRY_NODES},
-}
-if hasattr(ast, "TypeAlias"):
-    # ``type X = v`` (Python 3.12 on) evaluates ``v`` when it is first read
-    _EVALUATES[ast.TypeAlias] = (("value", "deferred"),)
-
-
 def _stmt_eval_parts(stmt) -> list[tuple[ast.AST, str]]:
-    """(node, context) pairs in evaluation order for one statement."""
+    """(node, context) pairs in evaluation order for one statement.
+
+    A with-item, keyword, except handler or match arm reaches
+    ``_linearize``'s generic branch, which visits that node's expressions
+    in order; match patterns hold no call. ``_strip_local_annotations``
+    has already dropped the annotations in a def.
+    """
     parts = []
-    for field, ctx in _EVALUATES.get(type(stmt), ()):
+    for field, ctx in EVALUATES.get(type(stmt), ()):
         value = getattr(stmt, field)
         parts += [(v, ctx) for v in (value if type(value) is list else [value])]
     return parts

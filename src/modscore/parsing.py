@@ -82,6 +82,44 @@ def statement_blocks(node: ast.stmt | ast.Module):
             yield node, field
 
 
+# The (field, context) pairs each statement type evaluates itself, in the
+# order CPython evaluates them; every statement type is listed, and a type
+# that evaluates nothing of its own lists no field (a def's defaults and
+# decorators belong to neither: the graph counts no decision in them, and
+# the inliner hoists the defaults of a def and refuses a decorated one).
+# A field may hold a with-item, keyword, except handler or match arm,
+# which hold the expressions. The context says when the field runs: a
+# handler's type only when an exception propagates, a guard only when its
+# pattern matches, an assert's message only when the test fails, a while
+# test and a for target once per pass. An annotation is ``deferred``:
+# ``from __future__ import annotations`` skips it, and Python 3.14
+# defers it.
+EVALUATES: dict[type, tuple[tuple[str, str], ...]] = {
+    ast.Expr: (("value", "plain"),),
+    ast.Assign: (("value", "plain"), ("targets", "plain")),
+    ast.AugAssign: (("target", "plain"), ("value", "plain")),
+    ast.AnnAssign: (("value", "plain"), ("target", "plain"), ("annotation", "deferred")),
+    ast.Return: (("value", "plain"),),
+    ast.Delete: (("targets", "plain"),),
+    ast.If: (("test", "plain"),),
+    ast.While: (("test", "repeated"),),
+    ast.For: (("iter", "plain"), ("target", "repeated")),
+    ast.AsyncFor: (("iter", "plain"), ("target", "repeated")),
+    ast.With: (("items", "plain"),),
+    ast.AsyncWith: (("items", "plain"),),
+    ast.Raise: (("exc", "plain"), ("cause", "plain")),
+    ast.Assert: (("test", "plain"), ("msg", "conditional")),
+    ast.Match: (("subject", "plain"), ("cases", "conditional")),
+    ast.ClassDef: (("decorator_list", "plain"), ("bases", "plain"), ("keywords", "plain")),
+    **{t: (("handlers", "conditional"),) for t in TRY_NODES},
+    **{t: () for t in (ast.FunctionDef, ast.AsyncFunctionDef, ast.Import, ast.ImportFrom,
+                       ast.Global, ast.Nonlocal, ast.Pass, ast.Break, ast.Continue)},
+}
+if hasattr(ast, "TypeAlias"):
+    # ``type X = v`` (Python 3.12 on) evaluates ``v`` when it is first read
+    EVALUATES[ast.TypeAlias] = (("value", "deferred"),)
+
+
 def _extract(stmts: list[ast.stmt]) -> list[FunctionDef]:
     """Named defs in document order, nested after their parent.
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -34,6 +35,8 @@ DEFAULT_BINS = 10
 # of n indices plus as many of n floats; the generator draws the same
 # stream as for one whole matrix
 _PERMUTATION_BLOCK = 256
+# the largest x whose exp is a finite float
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,10 @@ class LogProbRecord:
         for lp in self.token_logprobs:
             if lp > 0:
                 raise InvalidLogProb(f"record {self.id}: positive log-prob {lp}")
+            if not math.isfinite(lp):
+                raise InvalidLogProb(f"record {self.id}: log-prob {lp} is not finite")
+        if -sum(self.token_logprobs) / len(self.token_logprobs) > _LOG_FLOAT_MAX:
+            raise InvalidLogProb(f"record {self.id}: perplexity does not fit a float")
 
 
 def bin_index(mos: float, bins: int) -> int:
@@ -200,7 +207,10 @@ class CategorySummary:
 
 def ppl_compare(records: list[LogProbRecord]) -> dict[str, CategorySummary]:
     """Per-category mean and population std of per-record perplexity, in
-    category name order."""
+    category name order.
+
+    Raises InvalidLogProb when a category's mean or std overflows.
+    """
     import numpy as np
 
     grouped: dict[str, list[float]] = {}
@@ -211,9 +221,11 @@ def ppl_compare(records: list[LogProbRecord]) -> dict[str, CategorySummary]:
     summaries: dict[str, CategorySummary] = {}
     for category, values in sorted(grouped.items()):
         arr = np.asarray(values, dtype=float)
-        summaries[category] = CategorySummary(
-            mean=float(arr.mean()),
-            std=float(arr.std(ddof=0)),
-            count=len(values),
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, std = float(arr.mean()), float(arr.std(ddof=0))
+        if not (math.isfinite(mean) and math.isfinite(std)):
+            raise InvalidLogProb(
+                f"category {category}: the mean or std of its perplexities does not fit a float"
+            )
+        summaries[category] = CategorySummary(mean=mean, std=std, count=len(values))
     return summaries

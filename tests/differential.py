@@ -13,22 +13,26 @@ anything but the allowed qualname change below. This file calls
 signatures from the commit that removed ``modscore.profiles``; a checkout
 from before it is dumped with its own copy of this file.
 
-The unit set, 7,068 units:
+The unit set, 8,068 units:
   - ``structured_function(0..999)`` and ``runnable_program(0..199)``;
   - ``perfbench/workloads.make_units`` seeds 1-50 at full size;
   - every solution of the three fixture corpora;
   - ``runnable_program(0..199)`` again, each with two of ``TRIGGERS``
     appended (unit ``i`` takes triggers ``i % 10`` and ``i // 10 % 10``),
     so the set holds refusals of every class and units with two reasons
-    to refuse.
+    to refuse;
+  - ``statement_kinds_unit(0..999)``, 3,000 functions built of the
+    statement kinds the generators of ``gen_programs`` never emit (match,
+    with, class, loop ``else``, jumps through ``finally``, dead code).
 
 Every unit but those of ``make_units`` seeds 11-50 and the triggered
-ones (2,388) gets graph-route ``unit_complexity`` under ``py3`` and
-``py3-nosc`` (with and without short-circuit operators counted):
+ones (3,388) gets graph-route ``unit_complexity`` under ``py3`` and
+``py3-nosc`` (with and without short-circuit operators counted), 6,776
+(unit, profile) pairs:
 per-function CC in document order, ``toplevel_cc``, ``cc_total`` and
 ``cc_avg``, plus each function's qualname. Every unit but the
-``structured_function`` ones (6,068) is also singularized: the output
-text, or the refusal's class and message.
+``structured_function`` and ``statement_kinds_unit`` ones (6,068) is also
+singularized: the output text, or the refusal's class and message.
 
 Qualnames may differ only for a definition enclosed by a function that is
 itself inside a class: before the enclosing classes were kept in the
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import ast
 import json
+import random
 import sys
 import time
 from collections import Counter
@@ -76,6 +81,117 @@ TRIGGERS = (
 )
 
 
+def _indent(lines: list[str]) -> list[str]:
+    return ["    " + line for line in lines]
+
+
+class _StatementKinds:
+    """Functions built of what ``gen_programs`` never emits: match, with
+    and async with, classes, loops with ``else``, async for, jumps through
+    ``finally``, raises and dead code after a jump. Every function parses;
+    none is meant to run."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def expr(self) -> str:
+        """An expression that may hold decisions."""
+        rng = self.rng
+        return rng.choice([
+            "a", "b + 1", "xs[0]", "f(a)",
+            "a if b else c", "a and b", "a or b and c",
+            "[v for v in xs if v]", "(lambda v: v or a)(b)", "{k: v for k, v in d if k if v}",
+        ])
+
+    def block(self, depth: int, loop: bool, returns: bool, is_async: bool) -> list[str]:
+        lines: list[str] = []
+        for _ in range(self.rng.randint(1, 3)):
+            stmt, jumped = self.stmt(depth, loop, returns, is_async)
+            lines += stmt
+            if jumped and self.rng.random() < 0.6:
+                break  # the rest of the block would be dead; a caller may add more
+        return lines
+
+    def stmt(self, depth: int, loop: bool, returns: bool, is_async: bool):
+        """(lines, whether they end in an unconditional jump)."""
+        rng = self.rng
+        kinds = ["assign", "assign", "call"]
+        if depth < 3:
+            kinds += ["if", "while", "for", "match", "with", "class", "try", "try"]
+        if returns:
+            kinds += ["return", "raise"]
+        if loop:
+            kinds += ["break", "continue"]
+        kind = rng.choice(kinds)
+        e = self.expr
+
+        def body(in_loop=loop):
+            return self.block(depth + 1, in_loop, returns, is_async)
+
+        if kind == "assign":
+            return [f"{rng.choice(['x =', 'a[0] =', 'x: int =', 'y +='])} {e()}"], False
+        if kind == "call":
+            return [rng.choice([f"print({e()})", f"assert {e()}, {e()}", f"del d[{e()}]"])], False
+        if kind in ("return", "raise", "break", "continue"):
+            jump = {"return": f"return {e()}", "raise": f"raise ValueError({e()})"}.get(kind, kind)
+            dead = [f"x = {e()}"] if rng.random() < 0.3 else []
+            return [jump] + dead, True
+        if kind == "if":
+            lines = [f"if {e()}:"] + _indent(body())
+            if rng.random() < 0.5:
+                lines += ["else:"] + _indent(body())
+            return lines, False
+        if kind in ("while", "for"):
+            head = f"while {e()}:" if kind == "while" else f"for v in {e()}:"
+            if kind == "for" and is_async and rng.random() < 0.5:
+                head = "async " + head
+            lines = [head] + _indent(body(True))
+            if rng.random() < 0.6:
+                lines += ["else:"] + _indent(body())
+            return lines, False
+        if kind == "match":
+            lines = [f"match {e()}:"]
+            patterns = ["0", "1 | 2", "[p, *rest]", "{'k': p}", "Point(x=0)", "str()"]
+            # an arm that matches anything, if any, comes last
+            last = [rng.choice(["_", "q"])] if rng.random() < 0.5 else []
+            for pattern in [rng.choice(patterns) for _ in range(rng.randint(1, 4))] + last:
+                guard = f" if {e()}" if rng.random() < 0.4 else ""
+                lines += [f"    case {pattern}{guard}:"] + _indent(_indent(body()))
+            return lines, False
+        if kind == "with":
+            items = ", ".join(f"open({e()}) as h{i}" for i in range(rng.randint(1, 2)))
+            prefix = "async " if is_async and rng.random() < 0.5 else ""
+            return [f"{prefix}with {items}:"] + _indent(body()), False
+        if kind == "class":
+            lines = [f"@deco({e()})"] if rng.random() < 0.5 else []
+            lines.append(f"class C({e()}, metaclass={e()}):")
+            return lines + _indent(self.block(depth + 1, False, False, False)), False
+        lines = ["try:"] + _indent(body())  # kind == "try"
+        handlers = rng.randint(0, 2)
+        for _ in range(handlers):
+            lines += [f"except {rng.choice(['ValueError', '(KeyError, E if a else F)'])}:"]
+            lines += _indent(body())
+        if handlers and rng.random() < 0.3:
+            lines += ["else:"] + _indent(body())
+        if not handlers or rng.random() < 0.5:
+            lines += ["finally:"] + _indent(body())
+        return lines, False
+
+
+def statement_kinds_unit(seed: int) -> str:
+    """Three seeded functions of ``_StatementKinds``, one of them async,
+    and a toplevel block without jumps."""
+    rng = random.Random(seed)
+    gen = _StatementKinds(rng)
+    lines: list[str] = []
+    for i in range(3):
+        is_async = i == 2
+        lines.append(f"{'async ' if is_async else ''}def g{i}(a, b, c, d, xs):")
+        lines += _indent(gen.block(1, False, True, is_async))
+    lines += gen.block(2, False, False, False)
+    return "\n".join(lines) + "\n"
+
+
 def units() -> list[tuple[str, str, bool, bool]]:
     """(key, source, measured, singularized) for every unit, in a fixed
     order; ``measured`` units get ``unit_complexity``."""
@@ -99,6 +215,7 @@ def units() -> list[tuple[str, str, bool, bool]]:
         source = gp.runnable_program(i)[0]
         source += TRIGGERS[i % 10](0) + TRIGGERS[i // 10 % 10](1)
         out.append((f"triggered:{i}", source, False, True))
+    out += [(f"kinds:{i}", statement_kinds_unit(i), True, False) for i in range(1000)]
     return out
 
 

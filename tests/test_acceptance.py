@@ -98,16 +98,23 @@ def test_4_singularizer_corpus(criterion):
         problems = load_corpus(FIXTURES / "singularize_corpus.jsonl")
         assert len(problems) >= 20
 
-        def check(problem):
+        # parsing stays in this thread: concurrent parses can trip the
+        # interpreter's AST recursion-depth check; only the runs go on the pool
+        pairs = []
+        for problem in problems:
             unit = parse(problem.solutions[0], unit_id=problem.id)
             transformed = singularize(unit)
             assert transformed.function_count == 0, problem.id
+            pairs.append((problem, unit, transformed))
+
+        def check(pair):
+            problem, unit, transformed = pair
             ok = verify_equivalence(unit, transformed, problem.tests, LIMITS)
             assert ok, f"{problem.id}: verdicts diverged"
             return problem.id
 
         with ThreadPoolExecutor(max_workers=8) as pool:
-            done = list(pool.map(check, problems))
+            done = list(pool.map(check, pairs))
         assert len(done) == len(problems)
 
 

@@ -131,6 +131,220 @@ def test_unsupported_construct_names_the_kind():
     assert "Bogus" in str(err.value)
 
 
+# Statement kinds the generators never emit. On reachable code the graph
+# route and the decision-point route agree.
+ROUTES_AGREE_CASES = {
+    "match-with-catchall-and-guards": (
+        "def f(p, q):\n"
+        "    match p:\n"
+        "        case 0 if q or p:\n"
+        "            x = 1\n"
+        "        case [a, *_] if a:\n"
+        "            x = 2\n"
+        "        case {'k': b}:\n"
+        "            x = b if q else 3\n"
+        "        case _:\n"
+        "            x = 4\n"
+        "    return x\n"
+    ),
+    "match-without-catchall": (
+        "def f(p):\n"
+        "    x = 0\n"
+        "    match p and p[0]:\n"
+        "        case 1 | 2:\n"
+        "            x = 1\n"
+        "        case str() if len(p) > 1:\n"
+        "            return 2\n"
+        "        case _ if p:\n"
+        "            x = 3\n"
+        "    return x\n"
+    ),
+    "match-capture-catchall-with-guard-then-catchall": (
+        "def f(p):\n"
+        "    match p:\n"
+        "        case y if y:\n"
+        "            return y\n"
+        "        case _:\n"
+        "            return 0\n"
+    ),
+    "with": (
+        "def f(a, b):\n"
+        "    with open(a if b else 'x') as h, g(b or a) as k[a and 0]:\n"
+        "        if h:\n"
+        "            return k\n"
+        "    return 0\n"
+    ),
+    "async-with": (
+        "async def f(a, b):\n"
+        "    async with a or b as c:\n"
+        "        if c:\n"
+        "            return 1\n"
+        "    return 2\n"
+    ),
+    "class-with-decisions-in-bases-keywords-decorators": (
+        "def f(a, b):\n"
+        "    @deco(a or b)\n"
+        "    class C(A if a else B, metaclass=M if b else type):\n"
+        "        xs = [i for i in a if i]\n"
+        "        if b:\n"
+        "            y = 1\n"
+        "    return C\n"
+    ),
+    "while-else": (
+        "def f(x):\n"
+        "    while x > 0 and x != 7:\n"
+        "        if x == 3:\n"
+        "            break\n"
+        "        x -= 1\n"
+        "    else:\n"
+        "        x = -1 if x else -2\n"
+        "    return x\n"
+    ),
+    "for-else": (
+        "def f(xs):\n"
+        "    for x in xs or ():\n"
+        "        if x:\n"
+        "            continue\n"
+        "        print(x)\n"
+        "    else:\n"
+        "        if xs:\n"
+        "            return 1\n"
+        "    return 0\n"
+    ),
+    "return-through-finally": (
+        "def f(x):\n"
+        "    try:\n"
+        "        if x:\n"
+        "            return 1\n"
+        "        x += 1\n"
+        "    finally:\n"
+        "        print(x)\n"
+        "    return x\n"
+    ),
+    "break-and-continue-through-finally": (
+        "def f(xs):\n"
+        "    for x in xs:\n"
+        "        try:\n"
+        "            if x:\n"
+        "                break\n"
+        "            if x is None:\n"
+        "                continue\n"
+        "        finally:\n"
+        "            print(x)\n"
+        "    return 0\n"
+    ),
+    "jumps-through-nested-finally": (
+        "def f(xs):\n"
+        "    while xs:\n"
+        "        try:\n"
+        "            try:\n"
+        "                if xs[0]:\n"
+        "                    return xs\n"
+        "                break\n"
+        "            finally:\n"
+        "                xs = xs[1:]\n"
+        "        except IndexError:\n"
+        "            continue\n"
+        "        finally:\n"
+        "            print(xs)\n"
+        "    return None\n"
+    ),
+    "raise-in-try": (
+        "def f(x):\n"
+        "    try:\n"
+        "        if x:\n"
+        "            raise ValueError(x or 1) from None\n"
+        "    except ValueError:\n"
+        "        return 0\n"
+        "    except (TypeError, KeyError) if x else OSError:\n"
+        "        return 2\n"
+        "    return 1\n"
+    ),
+    "async-for": (
+        "async def f(xs):\n"
+        "    async for x in xs:\n"
+        "        if x:\n"
+        "            break\n"
+        "    else:\n"
+        "        return 0\n"
+        "    return 1\n"
+    ),
+    "lambda": (
+        "def f(xs):\n"
+        "    key = lambda v, w=(xs or 1): v if v > 0 else -v\n"
+        "    return sorted(xs, key=lambda v: v and key(v) or 0)\n"
+    ),
+    "assert-delete-annotated-assign": (
+        "def f(a, b):\n"
+        "    assert a or b, 'x' if a else 'y'\n"
+        "    c: int = a and b\n"
+        "    del a[b or 0]\n"
+        "    return c\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("count_short_circuit", [True, False])
+@pytest.mark.parametrize("case", ROUTES_AGREE_CASES)
+def test_graph_route_agrees_with_decision_points(case, count_short_circuit):
+    fn = fn_of(ROUTES_AGREE_CASES[case])
+    g = build_cfg(fn, count_short_circuit)
+    assert graph_counts(g)[2] == 1
+    assert cc_from_cfg(g) == cc_decision_points(fn, count_short_circuit)
+
+
+# Dead code is a component of its own in the graph, which counts only the
+# decisions whose arms do not rejoin; the decision-point route counts every
+# construct. (graph counts, graph CC, decision-point CC)
+DEAD_CODE_CASES = {
+    # the dead `if` returns into the region's own exit, the dead `while`
+    # breaks out: no arm of either rejoins
+    "return-then-if-and-while": (
+        "def f(x):\n"
+        "    return 1\n"
+        "    if x:\n"
+        "        return 2\n"
+        "    while x:\n"
+        "        break\n",
+        (5, 7, 2), 2, 3,
+    ),
+    # both ways out of the loop return, so the tail is dead; the graph
+    # counts the dead statement's component
+    "for-else-returns-leaving-a-dead-tail": (
+        "def f(xs):\n"
+        "    for x in xs:\n"
+        "        if x:\n"
+        "            return 1\n"
+        "    else:\n"
+        "        return 0\n"
+        "    x = 2\n",
+        (6, 6, 2), 4, 3,
+    ),
+    # a break in a dead region inside a loop leaves to the region's own
+    # exit, not the loop's; here the dead `if`'s arms rejoin after all
+    "break-in-a-dead-region-of-a-loop": (
+        "def f(xs):\n"
+        "    for x in xs:\n"
+        "        continue\n"
+        "        if x:\n"
+        "            break\n"
+        "        x = 1\n"
+        "    return 0\n",
+        (7, 8, 2), 3, 3,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", DEAD_CODE_CASES)
+def test_dead_code_counts_are_pinned(case):
+    src, counts, graph_cc, decision_cc = DEAD_CODE_CASES[case]
+    fn = fn_of(src)
+    g = build_cfg(fn)
+    assert graph_counts(g) == counts
+    assert cc_from_cfg(g) == graph_cc
+    assert cc_decision_points(fn) == decision_cc
+
+
 @pytest.mark.parametrize("seed", range(200))
 def test_reachability_property(seed):
     """Each node reachable from entry, or in a dead component of its own."""

@@ -386,6 +386,18 @@ BAD_INPUT_CASES = {
                               None, 2, "line 1: record a: positive log-prob 0.5"),
     "ppl-no-tokens": ("ppl-given", '{"id": "a", "category": "MC", "token_logprobs": []}\n',
                       None, 2, "line 1: record a: no tokens"),
+    "ppl-nan-log-prob": ("ppl-given", '{"id": "a", "category": "MC", "token_logprobs": [-1, NaN]}\n',
+                         None, 2, "line 1: record a: log-prob nan is not finite"),
+    "ppl-infinite-log-prob": ("ppl-given",
+                              '{"id": "a", "category": "MC", "token_logprobs": [-Infinity]}\n',
+                              None, 2, "line 1: record a: log-prob -inf is not finite"),
+    "ppl-perplexity-overflows": ("ppl-given",
+                                 '{"id": "a", "category": "MC", "token_logprobs": [-1000]}\n',
+                                 None, 2, "line 1: record a: perplexity does not fit a float"),
+    "ppl-category-std-overflows": ("ppl-given",
+                                   '{"id": "a", "category": "MC", "token_logprobs": [-400]}\n'
+                                   '{"id": "b", "category": "MC", "token_logprobs": [-1]}\n',
+                                   None, 2, "category MC: the mean or std of its perplexities"),
     "config-missing": ("analyze-config-missing", None, None, 1,
                        "No such file or directory"),
     "config-is-directory": ("analyze-config-dir", None, None, 1, "Is a directory"),

@@ -17,7 +17,6 @@ from modscore.errors import (
 )
 import modscore.inliner as inliner_module
 from modscore.inliner import (
-    _EVALUATES,
     _FreshNames,
     _gather,
     _helper_facts,
@@ -28,7 +27,7 @@ from modscore.inliner import (
     verify_equivalence,
 )
 from modscore.modularity import score_unit
-from modscore.parsing import parse
+from modscore.parsing import EVALUATES, parse
 from modscore.sandbox import _in_zygotes, run_program
 
 from gen_programs import runnable_program
@@ -188,6 +187,68 @@ def test_first_refusal_in_check_order_is_raised(case):
         singularize(parse(src))
     assert type(raised.value) is error
     assert str(raised.value) == message
+
+
+# One reason to refuse each, with the class and message it is refused with.
+REFUSAL_CASES = {
+    "nonlocal-in-nested-helper": (
+        "def outer():\n    v = 1\n    def bump():\n        nonlocal v\n        v += 1\n"
+        "    return v\nprint(outer())\n",
+        TransformUnsupported, "'bump' declares nonlocal"),
+    "class-in-helper-body": (
+        "def f():\n    class K:\n        x = 1\n    return K.x\nprint(f())\n",
+        TransformUnsupported, "'f' defines class 'K' in its body"),
+    "helper-call-in-class-body": (
+        "def f():\n    return 1\nclass K:\n    x = f()\nprint(K.x)\n",
+        TransformUnsupported, "call to a unit function inside a class body"),
+    "global-names-helper": (
+        "def f():\n    return 1\ndef g():\n    global f\n    return f()\nprint(g())\n",
+        DynamicCallUnsupported, "global/nonlocal declaration of function name 'f'"),
+    "nonlocal-names-helper": (
+        "def g():\n    def f():\n        return 1\n    def h():\n        nonlocal f\n"
+        "        return f()\n    return h()\nprint(g())\n",
+        DynamicCallUnsupported, "global/nonlocal declaration of function name 'f'"),
+    "star-unpacking": (
+        "def f(a, b):\n    return a + b\nargs = [1, 2]\nprint(f(*args))\n",
+        TransformUnsupported, "call to 'f' uses *unpacking (line 4)"),
+    "double-star-unpacking": (
+        "def f(a, b):\n    return a + b\nkw = {'a': 1, 'b': 2}\nx = f(**kw)\nprint(x)\n",
+        TransformUnsupported, "call to 'f' uses **unpacking (line 4)"),
+    "too-many-positional-arguments": (
+        "def f(a, b):\n    return a + b\nprint(f(1, 2, 3))\n",
+        TransformUnsupported, "call to 'f' passes too many positional arguments"),
+    "unknown-keyword": (
+        "def f(a, b):\n    return a + b\nprint(f(1, c=2))\n",
+        TransformUnsupported, "call to 'f': bad keyword argument 'c'"),
+    "keyword-for-a-bound-parameter": (
+        "def f(a, b):\n    return a + b\nprint(f(1, a=2))\n",
+        TransformUnsupported, "call to 'f': bad keyword argument 'a'"),
+    "missing-argument": (
+        "def f(a, b):\n    return a + b\nprint(f(1))\n",
+        TransformUnsupported, "call to 'f': missing argument 'b'"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSAL_CASES)
+def test_refusal_names_its_reason(case):
+    src, error, message = REFUSAL_CASES[case]
+    with pytest.raises(error) as raised:
+        singularize(parse(src))
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("src", [
+    "def f():\n    await g()\n",
+    "def f():\n    return [await x for x in y]\n",
+    "def f():\n    return lambda: await g()\n",
+    "async def f():\n    return lambda: await g()\n",
+])
+def test_await_outside_an_async_def_never_parses(src):
+    # so a helper that is not async never awaits, and an async one is
+    # refused as such
+    with pytest.raises(SyntaxError):
+        parse(src)
 
 
 def test_first_refusal_does_not_depend_on_the_hash_seed():
@@ -461,7 +522,7 @@ def test_statement_evaluation_keeps_its_output(case, fast_limits):
 def test_missed_call_site_refused_not_left_calling_a_removed_def(monkeypatch):
     # with the target out of the table the call in it is never hoisted,
     # and its def is removed all the same
-    monkeypatch.setitem(_EVALUATES, ast.AnnAssign, (("value", "plain"), ("annotation", "deferred")))
+    monkeypatch.setitem(EVALUATES, ast.AnnAssign, (("value", "plain"), ("annotation", "deferred")))
     src = STATEMENT_EVALUATION_CASES["annotated-subscript-target-calls-helper"]
     with pytest.raises(TransformUnsupported, match="^internal: the output still names 'f'"):
         singularize(parse(src))
@@ -532,7 +593,7 @@ def test_linearized_order_is_cpython_order(case):
 
 
 def test_order_cases_cover_every_statement_with_two_slots():
-    with_two = {kind for kind, slots in _EVALUATES.items() if len(slots) > 1}
+    with_two = {kind for kind, slots in EVALUATES.items() if len(slots) > 1}
     assert with_two <= {kind for kind, _ in EVALUATION_ORDER_CASES.values()}
 
 
@@ -546,8 +607,8 @@ EVALUATES_NOTHING = {
 
 def test_every_statement_type_is_in_the_table_or_evaluates_nothing():
     kinds = set(ast.stmt.__subclasses__())
-    assert set(_EVALUATES) == kinds - EVALUATES_NOTHING
-    assert EVALUATES_NOTHING <= kinds
+    assert set(EVALUATES) == kinds
+    assert {kind for kind, slots in EVALUATES.items() if not slots} == EVALUATES_NOTHING
 
 
 # -- singularize: behavior preservation ---------------------------------------

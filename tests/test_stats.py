@@ -303,6 +303,29 @@ def test_invalid_logprob():
         LogProbRecord("a", "MC", ())
 
 
+@pytest.mark.parametrize("logprobs, message", [
+    ((-1.0, math.nan), "log-prob nan is not finite"),
+    ((-math.inf,), "log-prob -inf is not finite"),
+    ((-1000.0,), "perplexity does not fit a float"),
+    ((-1e308, -1e308), "perplexity does not fit a float"),  # the sum overflows
+])
+def test_logprobs_must_be_finite_with_a_perplexity_that_fits(logprobs, message):
+    with pytest.raises(InvalidLogProb, match=message):
+        LogProbRecord("a", "MC", logprobs)
+
+
+def test_largest_perplexities_that_fit_are_kept():
+    record = LogProbRecord("a", "MC", (-709.0,))
+    assert perplexity(record) == math.exp(709.0)
+    assert ppl_compare([record])["MC"].std == 0.0
+
+
+def test_ppl_compare_refuses_a_std_that_overflows():
+    records = [LogProbRecord("a", "MC", (-400.0,)), LogProbRecord("b", "MC", (-1.0,))]
+    with pytest.raises(InvalidLogProb, match="category MC: the mean or std"):
+        ppl_compare(records)
+
+
 def test_ppl_compare_identical_records_zero_std():
     records = [
         LogProbRecord("a", "MC", (-math.log(2),)),
