@@ -8,6 +8,18 @@ Decisions that live inside expressions (short-circuit operators,
 conditional expressions, comprehension filters) are materialized as
 branch/merge node pairs so the graph counts them.
 
+Two rules route control between statements:
+  - a jump goes to the innermost context that takes it: a pending
+    `finally` takes any jump to its gate, whose out-edge continues past
+    the try (a deliberate over-approximation that keeps every node
+    reachable); an unreachable region takes any jump to its own exit; a
+    loop takes a `break` to its way out and a `continue` to its header,
+    and lets a `return` or `raise` pass; with no context left, a `return`
+    or `raise` leaves the function (handler-entry edges are attached to
+    the guarded region, not to raise sites);
+  - an empty block passes its frontier on, so an `if`, loop or `try`
+    without `else` needs no case of its own.
+
 Modeling notes, all chosen so the edge/node counts match the independent
 decision-point count:
   - a statement's node follows the decisions in the fields that
@@ -16,11 +28,6 @@ decision-point count:
   - nested function bodies are excluded (each definition gets its own
     graph); class bodies execute inline and are included;
   - `assert`, `with`, and `finally` are sequential;
-  - `raise` leaves the function (handler-entry edges are attached to the
-    guarded region, not to raise sites);
-  - a jump inside a `try` that has a `finally` is routed through the
-    finally block, whose out-edge continues past the try -- a deliberate
-    over-approximation that keeps every node reachable;
   - statements that can never execute form their own weakly connected
     component, tracked by the component count P.
 """
@@ -58,6 +65,9 @@ def graph_counts(cfg: ControlFlowGraph) -> tuple[int, int, int]:
             parent[ra] = rb
     components = len({find(n) for n in cfg.nodes})
     return len(cfg.edges), len(cfg.nodes), components
+
+
+_JUMPS = frozenset((ast.Return, ast.Raise, ast.Break, ast.Continue))
 
 
 def _is_catchall(case: ast.match_case) -> bool:
@@ -130,13 +140,14 @@ def _count_expr_decisions(root: ast.AST, count_boolops: bool) -> int:
 
 
 class _Builder:
+    # lives for one build_cfg call, so ctx is not unwound when a construct
+    # raises mid-build
     def __init__(self, count_short_circuit: bool):
         self.count_short_circuit = count_short_circuit
         self.edges: list[tuple[int, int]] = []
-        self.edge_set: set[tuple[int, int]] = set()
         self.next_id = 0
-        # innermost-first stack of ("loop", dict) / ("finally", node) /
-        # ("dead", node) jump contexts
+        # innermost-last stack of ("loop", dict) / ("finally", node) /
+        # ("dead", dict) jump contexts
         self.ctx: list[tuple[str, object]] = []
         self.dead_exits: list[int] = []
         self.exit_node = self._new()
@@ -146,54 +157,36 @@ class _Builder:
         self.next_id += 1
         return nid
 
-    def _edge(self, a: int, b: int):
-        if (a, b) not in self.edge_set:
-            self.edge_set.add((a, b))
-            self.edges.append((a, b))
-
     def _node(self, frontier: list[int]) -> int:
         nid = self._new()
         for src in frontier:
-            self._edge(src, nid)
+            self.edges.append((src, nid))
         return nid
 
-    # -- jump target resolution ------------------------------------------
-
-    def _dead_target(self, holder: dict) -> int:
-        # one exit node per unreachable region, created only when a jump
-        # inside the region needs a target (keeps P exact)
-        if holder["node"] is None:
-            holder["node"] = self._new()
-            self.dead_exits.append(holder["node"])
-        return holder["node"]
-
-    def _jump_exit(self) -> int:
-        """Target for return/raise: innermost pending finally, else exit."""
-        for kind, payload in reversed(self.ctx):
-            if kind == "finally":
-                return payload
-            if kind == "dead":
-                return self._dead_target(payload)
-        return self.exit_node
-
-    def _jump_loop(self, is_break: bool, node: int):
-        for kind, payload in reversed(self.ctx):
-            if kind == "finally":
-                self._edge(node, payload)
+    def _jump(self, node: int, kind: type):
+        """Route the node of a return, raise, break or continue to the
+        innermost context that takes it."""
+        for scope, payload in reversed(self.ctx):
+            if scope == "finally":
+                self.edges.append((node, payload))
                 return
-            if kind == "dead":
-                self._edge(node, self._dead_target(payload))
+            if scope == "dead":
+                # one exit node per unreachable region, created only when a
+                # jump inside the region needs a target (keeps P exact)
+                if payload["node"] is None:
+                    payload["node"] = self._new()
+                    self.dead_exits.append(payload["node"])
+                self.edges.append((node, payload["node"]))
                 return
-            if kind == "loop":
-                if is_break:
-                    payload["breaks"].append(node)
-                else:
-                    self._edge(node, payload["header"])
+            if kind is ast.Break:
+                payload["breaks"].append(node)
                 return
-        raise UnsupportedConstruct(
-            "Break" if is_break else "Continue",
-            "loop jump outside any loop",
-        )
+            if kind is ast.Continue:
+                self.edges.append((node, payload["header"]))
+                return
+        if kind is ast.Break or kind is ast.Continue:
+            raise UnsupportedConstruct(kind.__name__, "loop jump outside any loop")
+        self.edges.append((node, self.exit_node))
 
     # -- expression-decision expansion -----------------------------------
 
@@ -217,10 +210,8 @@ class _Builder:
             if not frontier and i > 0:
                 # unreachable remainder: self-contained component
                 self.ctx.append(("dead", {"node": None}))
-                try:
-                    self.block(stmts[i:], [])
-                finally:
-                    self.ctx.pop()
+                self.block(stmts[i:], [])
+                self.ctx.pop()
                 return []
             frontier = self.stmt(stmt, frontier)
         return frontier
@@ -237,17 +228,11 @@ class _Builder:
         for field, _ in fields:
             frontier = self._prechain(getattr(stmt, field), frontier)
         node = self._node(frontier)
-        if kind is ast.Return or kind is ast.Raise:
-            self._edge(node, self._jump_exit())
-            return []
-        if kind is ast.Break or kind is ast.Continue:
-            self._jump_loop(kind is ast.Break, node)
+        if kind in _JUMPS:
+            self._jump(node, kind)
             return []
         if kind is ast.If:
-            out = self.block(stmt.body, [node])
-            if stmt.orelse:
-                return out + self.block(stmt.orelse, [node])
-            return out + [node]
+            return self.block(stmt.body, [node]) + self.block(stmt.orelse, [node])
         if kind is ast.While or kind is ast.For or kind is ast.AsyncFor:
             return self._loop(stmt, node)
         if kind is ast.With or kind is ast.AsyncWith or kind is ast.ClassDef:
@@ -258,39 +243,26 @@ class _Builder:
     def _loop(self, stmt, header: int) -> list[int]:
         loop: dict = {"header": header, "breaks": []}
         self.ctx.append(("loop", loop))
-        try:
-            body_out = self.block(stmt.body, [header])
-        finally:
-            self.ctx.pop()
-        for node in body_out:
-            self._edge(node, header)
-        if stmt.orelse:
-            out = self.block(stmt.orelse, [header])
-        else:
-            out = [header]
-        return out + loop["breaks"]
+        for node in self.block(stmt.body, [header]):
+            self.edges.append((node, header))
+        self.ctx.pop()
+        return self.block(stmt.orelse, [header]) + loop["breaks"]
 
     def _try(self, stmt, frontier: list[int]) -> list[int]:
         guard = self._node(frontier)
         gate = self._new() if stmt.finalbody else None
         if gate is not None:
             self.ctx.append(("finally", gate))
-        try:
-            out = self.block(stmt.body, [guard])
-            if stmt.orelse:
-                out = self.block(stmt.orelse, out)
-            for handler in stmt.handlers:
-                entry_frontier = self._prechain(handler.type, [guard])
-                head = self._node(entry_frontier)
-                out += self.block(handler.body, [head])
-        finally:
-            if gate is not None:
-                self.ctx.pop()
-        if gate is not None:
-            for node in out:
-                self._edge(node, gate)
-            return self.block(stmt.finalbody, [gate])
-        return out
+        out = self.block(stmt.orelse, self.block(stmt.body, [guard]))
+        for handler in stmt.handlers:
+            head = self._node(self._prechain(handler.type, [guard]))
+            out += self.block(handler.body, [head])
+        if gate is None:
+            return out
+        self.ctx.pop()
+        for node in out:
+            self.edges.append((node, gate))
+        return self.block(stmt.finalbody, [gate])
 
     def _match(self, stmt: ast.Match, frontier: list[int]) -> list[int]:
         frontier = self._prechain(stmt.subject, frontier)
@@ -309,7 +281,7 @@ class _Builder:
                 guard_frontier = self._prechain(case.guard, arm_in)
                 guard = self._node(guard_frontier)
                 arm_in = [guard]
-                next_fall = next_fall + [guard] if next_fall else [guard]
+                next_fall = next_fall + [guard]
             elif _is_catchall(case):
                 caught_all = True
             out += self.block(case.body, arm_in)
@@ -326,7 +298,7 @@ def build_cfg(fn: FunctionDef, count_short_circuit: bool = True) -> ControlFlowG
     builder = _Builder(count_short_circuit)
     out = builder.block(fn.body, [])
     for node in out:
-        builder._edge(node, builder.exit_node)
+        builder.edges.append((node, builder.exit_node))
     return ControlFlowGraph(
         nodes=list(range(builder.next_id)),
         edges=builder.edges,

@@ -25,6 +25,7 @@ from .corpus import (
     load_generations,
     filter_corpus,
     read_jsonl,
+    require,
     save_corpus,
 )
 from .errors import (
@@ -41,7 +42,7 @@ from .errors import (
     TransformUnsupported,
 )
 from .inliner import singularize, verify_equivalence
-from .modularity import DEFAULT_TAU, categorize_solutions, score_unit
+from .modularity import DEFAULT_TAU, Categorization, categorize_solutions, score_unit
 from .parsing import parse
 from .passk import EvalResult, aggregate
 from .sandbox import RunLimits, passes_each
@@ -269,7 +270,8 @@ def _classify_problem(problem: Problem, count_short_circuit: bool, tau: int) -> 
     for i, solution in enumerate(problem.solutions):
         unit = parse(solution, unit_id=f"{problem.id}[{i}]")
         reports.append(score_unit(unit, tau, count_short_circuit))
-    picks = categorize_solutions(reports)
+    # a problem with no solutions has neither pick
+    picks = categorize_solutions(reports) if reports else Categorization(None, None)
     return {
         "problem_id": problem.id,
         "mc_solution_index": picks.mc_index,
@@ -398,11 +400,11 @@ def _cmd_correlate(args) -> int:
     for line_no, row in read_jsonl(args.scored):
         try:
             samples.append(ScoredSample(
-                unit_id=str(row["unit_id"]),
-                mos=float(row["mos"]),
-                pass1=float(row["pass1"]),
+                unit_id=str(require(row, "unit_id", line_no)),
+                mos=float(require(row, "mos", line_no)),
+                pass1=float(require(row, "pass1", line_no)),
             ))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise CorpusFormatError(f"line {line_no}: {exc}") from exc
     if args.per_bin is not None:
         samples = binned_sample(samples, args.bins, args.per_bin, config.seed)
@@ -425,11 +427,11 @@ def _cmd_ppl(args) -> int:
     for line_no, row in read_jsonl(args.logprobs):
         try:
             records.append(LogProbRecord(
-                id=str(row["id"]),
-                category=str(row["category"]),
-                token_logprobs=tuple(float(v) for v in row["token_logprobs"]),
+                id=str(require(row, "id", line_no)),
+                category=str(require(row, "category", line_no)),
+                token_logprobs=tuple(float(v) for v in require(row, "token_logprobs", line_no)),
             ))
-        except (KeyError, TypeError, ValueError, InvalidLogProb) as exc:
+        except (TypeError, ValueError, InvalidLogProb) as exc:
             raise CorpusFormatError(f"line {line_no}: {exc}") from exc
     try:
         summaries = ppl_compare(records)

@@ -41,7 +41,11 @@ class Problem:
     difficulty: str | None = None
 
 
-def _require(row: dict, key: str, line_no: int):
+def require(row, key: str, line_no: int):
+    """``row[key]``, for a row read from line ``line_no``; refuses a row
+    that is not an object or lacks the key."""
+    if not isinstance(row, dict):
+        raise CorpusFormatError(f"line {line_no}: expected an object")
     if key not in row:
         raise CorpusFormatError(f"line {line_no}: missing key {key!r}")
     return row[key]
@@ -82,11 +86,11 @@ def problem_from_row(row: dict, line_no: int = 0) -> Problem:
     if not isinstance(tests, list):
         raise CorpusFormatError(f"line {line_no}: tests must be a list")
     tests = [case_from_row(t, line_no) for t in tests]
-    solutions = _require(row, "solutions", line_no)
+    solutions = require(row, "solutions", line_no)
     if not isinstance(solutions, list) or not all(isinstance(s, str) for s in solutions):
         raise CorpusFormatError(f"line {line_no}: solutions must be a list of strings")
     return Problem(
-        id=str(_require(row, "id", line_no)),
+        id=str(require(row, "id", line_no)),
         description=str(row.get("description", "")),
         solutions=list(solutions),
         tests=tests,

@@ -28,11 +28,14 @@ The unit set, 8,068 units:
 Every unit but those of ``make_units`` seeds 11-50 and the triggered
 ones (3,388) gets graph-route ``unit_complexity`` under ``py3`` and
 ``py3-nosc`` (with and without short-circuit operators counted), 6,776
-(unit, profile) pairs:
-per-function CC in document order, ``toplevel_cc``, ``cc_total`` and
-``cc_avg``, plus each function's qualname. Every unit but the
-``structured_function`` and ``statement_kinds_unit`` ones (6,068) is also
-singularized: the output text, or the refusal's class and message.
+(unit, profile) pairs: per-function CC in document order, ``toplevel_cc``,
+``cc_total`` and ``cc_avg``, each function's qualname, and under
+``graphs`` one sha256 digest per control-flow graph (each function, then
+the toplevel; 24,704 graphs) of its node count, edge list in order, entry
+and sorted exits, so ``compare`` sees any change to a graph, not only to
+its CC. Every unit but the ``structured_function`` and
+``statement_kinds_unit`` ones (6,068) is also singularized: the output
+text, or the refusal's class and message.
 
 Qualnames may differ only for a definition enclosed by a function that is
 itself inside a class: before the enclosing classes were kept in the
@@ -44,6 +47,7 @@ wrong one.
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
 import random
 import sys
@@ -238,11 +242,17 @@ def _under_class_and_function(tree: ast.Module) -> list[bool]:
     return marks
 
 
+def _graph_digest(cfg) -> str:
+    shape = [len(cfg.nodes), cfg.edges, cfg.entry, sorted(cfg.exits)]
+    return hashlib.sha256(json.dumps(shape).encode()).hexdigest()
+
+
 def _refusal(exc: Exception) -> dict:
     return {"refused": type(exc).__name__, "message": str(exc)}
 
 
 def dump(out_path: str) -> int:
+    from modscore.cfg import build_cfg
     from modscore.complexity import unit_complexity
     from modscore.errors import ModscoreError
     from modscore.inliner import singularize
@@ -269,6 +279,8 @@ def dump(out_path: str) -> int:
                 "cc_total": report.cc_total,
                 "cc_avg": report.cc_avg,
                 "renamed_ok": _under_class_and_function(unit.tree),
+                "graphs": [_graph_digest(build_cfg(fn, flag))
+                           for fn in (*unit.functions, unit.toplevel)],
             }
         if singularized:
             unit = parse(source, unit_id=key)
@@ -285,7 +297,7 @@ def dump(out_path: str) -> int:
     return 0
 
 
-CC_FIELDS = ("per_function", "toplevel_cc", "cc_total", "cc_avg", "refused", "message")
+CC_FIELDS = ("per_function", "toplevel_cc", "cc_total", "cc_avg", "graphs", "refused", "message")
 
 
 def compare(a_path: str, b_path: str) -> int:
@@ -297,14 +309,16 @@ def compare(a_path: str, b_path: str) -> int:
             print(f"{section}: the two dumps hold different units")
             return 1
 
-    cc_equal = qual_equal = qual_allowed = 0
+    cc_equal = graphs = qual_equal = qual_allowed = 0
     for key, old in a["cc"].items():
         new = b["cc"][key]
-        if all(old.get(f) == new.get(f) for f in CC_FIELDS):
+        differ = [f for f in CC_FIELDS if old.get(f) != new.get(f)]
+        if not differ:
             cc_equal += 1
+            graphs += len(old.get("graphs", ()))
         else:
             bad += 1
-            print(f"cc differs: {key}")
+            print(f"cc differs: {key} ({', '.join(differ)})")
         if old.get("qualnames") == new.get("qualnames"):
             qual_equal += 1
             continue
@@ -315,8 +329,9 @@ def compare(a_path: str, b_path: str) -> int:
         else:
             bad += 1
             print(f"qualnames differ: {key}")
-    print(f"cc: {cc_equal}/{len(a['cc'])} (unit, profile) pairs equal; qualnames equal "
-          f"on {qual_equal}, changed only under a class-enclosed function on {qual_allowed}")
+    print(f"cc: {cc_equal}/{len(a['cc'])} (unit, profile) pairs equal, {graphs} graph digests "
+          f"among them; qualnames equal on {qual_equal}, changed only under a class-enclosed "
+          f"function on {qual_allowed}")
 
     same = refused = 0
     for key, old in a["singularize"].items():

@@ -6,7 +6,7 @@ import pytest
 from modscore.cfg import _EXPR_CHILDREN, _count_expr_decisions, build_cfg, graph_counts
 from modscore.complexity import cc_decision_points, cc_from_cfg
 from modscore.errors import UnsupportedConstruct
-from modscore.parsing import parse
+from modscore.parsing import FunctionDef, parse
 
 from gen_programs import runnable_program, structured_function
 
@@ -129,6 +129,15 @@ def test_unsupported_construct_names_the_kind():
     with pytest.raises(UnsupportedConstruct) as err:
         builder.stmt(Bogus(), [])
     assert "Bogus" in str(err.value)
+
+
+@pytest.mark.parametrize("jump", [ast.Break, ast.Continue])
+def test_loop_jump_outside_any_loop_is_refused(jump):
+    # parse rejects such a body, so the definition is built by hand
+    fn = FunctionDef("f", "f", ast.Module(body=[jump()], type_ignores=[]))
+    with pytest.raises(UnsupportedConstruct) as err:
+        build_cfg(fn)
+    assert err.value.kind == jump.__name__
 
 
 # Statement kinds the generators never emit. On reachable code the graph
@@ -290,6 +299,7 @@ def test_graph_route_agrees_with_decision_points(case, count_short_circuit):
     fn = fn_of(ROUTES_AGREE_CASES[case])
     g = build_cfg(fn, count_short_circuit)
     assert graph_counts(g)[2] == 1
+    assert len(g.edges) == len(set(g.edges))
     assert cc_from_cfg(g) == cc_decision_points(fn, count_short_circuit)
 
 
@@ -332,6 +342,38 @@ DEAD_CODE_CASES = {
         "    return 0\n",
         (7, 8, 2), 3, 3,
     ),
+    # a return in a dead region inside a try goes to the region's own
+    # exit, not to the pending finally
+    "return-in-a-dead-region-of-a-try-finally": (
+        "def f():\n"
+        "    try:\n"
+        "        return 1\n"
+        "        return 2\n"
+        "    finally:\n"
+        "        x = 0\n",
+        (5, 7, 2), 2, 1,
+    ),
+    # a loop in a dead region: its continue goes to its own header, its
+    # return passes the loop to the region's exit
+    "loop-in-a-dead-region": (
+        "def f(xs):\n"
+        "    return 0\n"
+        "    for x in xs:\n"
+        "        if x:\n"
+        "            continue\n"
+        "        return x\n",
+        (6, 7, 2), 3, 3,
+    ),
+    # a dead region inside a finally, after the finally's own return
+    "dead-region-inside-a-finally": (
+        "def f():\n"
+        "    try:\n"
+        "        x = 1\n"
+        "    finally:\n"
+        "        return x\n"
+        "        x = 2\n",
+        (4, 6, 2), 2, 1,
+    ),
 }
 
 
@@ -341,6 +383,7 @@ def test_dead_code_counts_are_pinned(case):
     fn = fn_of(src)
     g = build_cfg(fn)
     assert graph_counts(g) == counts
+    assert len(g.edges) == len(set(g.edges))
     assert cc_from_cfg(g) == graph_cc
     assert cc_decision_points(fn) == decision_cc
 
@@ -350,6 +393,7 @@ def test_reachability_property(seed):
     """Each node reachable from entry, or in a dead component of its own."""
     src = structured_function(seed)
     g = build_cfg(parse(src).functions[0])
+    assert len(g.edges) == len(set(g.edges))
     succ, pred = {}, {}
     for a, b in g.edges:
         succ.setdefault(a, []).append(b)

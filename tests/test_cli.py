@@ -354,7 +354,19 @@ BAD_INPUT_CASES = {
     "out-path-too-long": ("singularize-long-out", None, None, 2, "File name too long"),
     "verify-not-json": ("verify", "nope", None, 2, "line 1: invalid JSON"),
     "verify-lacks-output": ("verify", '{"input": "1"}', None, 2, "line 1: test needs input/output"),
-    "scored-row-not-object": ("correlate", "[1]", None, 2, "line 1: "),
+    "scored-row-not-object": ("correlate", "[1]", None, 2, "line 1: expected an object"),
+    "scored-row-missing-key": ("correlate", '{"unit_id": "u0", "mos": 0.5}\n', None, 2,
+                               "line 1: missing key 'pass1'"),
+    "ppl-row-not-object": ("ppl-given", "[1]", None, 2, "line 1: expected an object"),
+    "ppl-row-missing-key": ("ppl-given", '{"id": "a", "category": "MC"}\n', None, 2,
+                            "line 1: missing key 'token_logprobs'"),
+    # rows that are well formed but too few or too alike to compute on
+    "correlate-too-few-points": ("correlate", SCORED_ROW * 2, None, 1,
+                                 "need at least 3 points, got 2"),
+    "correlate-zero-variance": ("correlate", SCORED_ROW * 3, None, 1, "zero variance input"),
+    "correlate-bin-too-small": ("correlate-per-bin-5", SCORED_ROW * 3, None, 1,
+                                "bin [0, 0.1) holds 0 item(s), need 5"),
+    "ppl-no-records": ("ppl-given", "", None, 1, "no records to summarize"),
     "corpus-not-utf8": ("corpus", b'{"id": "p1", "solutions": ["print(1)"]}\n{"id": "\xff"}\n',
                         None, 2, "line 2: not valid UTF-8"),
     "corpus-cr-lines-not-utf8": ("corpus", b'{"id": "p1", "solutions": []}\r{"id": "\xff"}\r',
@@ -427,7 +439,8 @@ BAD_INPUT_CASES = {
     "unread-flag-ppl": ("ppl-seed", None, None, 1, "unrecognized arguments: --seed"),
 }
 INPUT_COMMANDS = {
-    "verify", "correlate", "correlate-bins-0", "correlate-per-bin-0", "corpus",
+    "verify", "correlate", "correlate-bins-0", "correlate-per-bin-0", "correlate-per-bin-5",
+    "corpus",
     "analyze-given", "singularize-given", "correlate-seed-negative", "ppl-given",
     "classify-tau-0", "correlate-bins-0-alone", "filter-given", "passk-given",
     "passk-gens-given",
@@ -470,6 +483,7 @@ def test_bad_input_exits_with_one_line(capsys, monkeypatch, tmp_path, case):
         "correlate": ["correlate", str(given)],
         "correlate-bins-0": ["correlate", str(given), "--per-bin", "1", "--bins", "0"],
         "correlate-per-bin-0": ["correlate", str(given), "--per-bin", "0"],
+        "correlate-per-bin-5": ["correlate", str(given), "--per-bin", "5"],
         "correlate-bins-0-alone": ["correlate", str(given), "--bins", "0"],
         "correlate-bins-negative": ["correlate", str(tmp_path / "missing.jsonl"),
                                     "--bins", "-2"],
@@ -559,6 +573,27 @@ def test_classify_reports_the_first_error_in_id_order(capsys, tmp_path):
     code, out, err = results[0]
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and "p2[1]" in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_classify_gives_a_problem_with_no_solutions_neither_pick(capsys, tmp_path, jobs):
+    rows = [
+        {"id": "p1", "solutions": ["print(1)\n", "def f(x):\n    return x\nprint(f(1))\n"]},
+        {"id": "p2", "solutions": []},
+        {"id": "p3", "solutions": ["print(3)\n"]},
+    ]
+    outs = []
+    for name, kept in (("with.jsonl", rows), ("without.jsonl", rows[::2])):
+        corpus = tmp_path / name
+        corpus.write_text("".join(json.dumps(row) + "\n" for row in kept))
+        code, out, err = run_cli(capsys, "classify", str(corpus), "--jobs", jobs)
+        assert_no_children()
+        assert (code, err) == (0, "")
+        outs.append(json.loads(out)["problems"])
+    with_empty, without = outs
+    assert with_empty[1] == {"problem_id": "p2", "mc_solution_index": None,
+                             "sc_solution_index": None, "mos_values": []}
+    assert with_empty[::2] == without
 
 
 _classify_problem = cli_module._classify_problem
