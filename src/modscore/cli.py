@@ -2,8 +2,11 @@
 
 Subcommands compose the pipeline: analyze -> classify -> singularize ->
 filter -> passk -> correlate -> ppl. Each takes a flag for every setting it
-reads and no other (``_READS``), and every JSON report embeds the tool
-version and the settings its command read, under their config-file keys.
+reads and no other (``_READS``). A subcommand's handler takes the parsed
+arguments and the built config and returns its report body (``None`` for
+``singularize``, which prints source); ``main`` wraps the body with the
+tool version and the settings the command read, under their config-file
+keys, and prints it.
 Exit codes: 0 success, 1 usage, 2 malformed corpus, 3 transform
 unsupported, 4 sandbox unavailable.
 """
@@ -24,7 +27,7 @@ from .corpus import (
     load_corpus,
     load_generations,
     filter_corpus,
-    read_jsonl,
+    read_rows,
     require,
     save_corpus,
 )
@@ -88,9 +91,9 @@ class RunConfig:
     tau: int = DEFAULT_TAU
     seed: int = 0
     jobs: int = 0
-    wall_time: float = 10.0
-    memory: int = 512 * 1024 * 1024
-    output_cap: int = 1024 * 1024
+    wall_time: float = RunLimits.wall_time
+    memory: int = RunLimits.memory
+    output_cap: int = RunLimits.output_cap
     exact_output: bool = False
     output_format: str = "json"
 
@@ -205,11 +208,6 @@ def _build_config(args) -> RunConfig:
     return config
 
 
-def _report(payload: dict, config: RunConfig, command: str) -> dict:
-    echo = {key: getattr(config, key) for key in _READS[command]}
-    return {"version": __version__, "config": echo, **payload}
-
-
 def _emit(payload: dict, config: RunConfig):
     if config.output_format == "table":
         _print_table(payload)
@@ -238,8 +236,7 @@ def _print_table(payload: dict, indent: int = 0):
 # subcommands
 
 
-def _cmd_analyze(args) -> int:
-    config = _build_config(args)
+def _cmd_analyze(args, config: RunConfig) -> dict:
     count_short_circuit = _PROFILES[config.profile]
     rows = []
     for path in args.files:
@@ -261,8 +258,7 @@ def _cmd_analyze(args) -> int:
             "m_star": report.m_star,
             "mos": report.mos,
         })
-    _emit(_report({"units": rows}, config, args.command), config)
-    return EXIT_OK
+    return {"units": rows}
 
 
 def _classify_problem(problem: Problem, count_short_circuit: bool, tau: int) -> dict:
@@ -280,40 +276,34 @@ def _classify_problem(problem: Problem, count_short_circuit: bool, tau: int) -> 
     }
 
 
-def _cmd_classify(args) -> int:
-    config = _build_config(args)
+def _cmd_classify(args, config: RunConfig) -> dict:
     problems = sorted(load_corpus(args.corpus), key=lambda p: p.id)
     rows = _map_jobs(
         functools.partial(_classify_problem, count_short_circuit=_PROFILES[config.profile],
                           tau=config.tau),
         problems, _effective_jobs(config.jobs),
     )
-    _emit(_report({"problems": rows}, config, args.command), config)
-    return EXIT_OK
+    return {"problems": rows}
 
 
-def _cmd_singularize(args) -> int:
-    config = _build_config(args)
+def _cmd_singularize(args, config: RunConfig) -> None:
     with open(args.file, "rb") as handle:
         text = handle.read()
     unit = parse(text, unit_id=args.file)
     transformed = singularize(unit)
     if args.verify:
-        tests = [case_from_row(row, line_no) for line_no, row in read_jsonl(args.verify)]
+        tests = read_rows(args.verify, None, case_from_row)
         if not verify_equivalence(unit, transformed, tests, config.limits(),
                                   exact=config.exact_output):
-            print("verification failed: verdicts or outputs differ", file=sys.stderr)
-            return EXIT_TRANSFORM
+            raise TransformUnsupported("verification failed: verdicts or outputs differ")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(transformed.text)
     else:
         sys.stdout.write(transformed.text)
-    return EXIT_OK
 
 
-def _cmd_filter(args) -> int:
-    config = _build_config(args)
+def _cmd_filter(args, config: RunConfig) -> dict:
     problems = load_corpus(args.corpus)
     kept, report = filter_corpus(
         problems,
@@ -323,12 +313,7 @@ def _cmd_filter(args) -> int:
     )
     kept.sort(key=lambda p: p.id)
     save_corpus(kept, args.out)
-    payload = _report({"filter": asdict(report)}, config, args.command)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-    _emit(payload, config)
-    return EXIT_OK
+    return {"filter": asdict(report)}
 
 
 def _parse_ks(text: str) -> list[int]:
@@ -341,8 +326,7 @@ def _parse_ks(text: str) -> list[int]:
     return ks
 
 
-def _cmd_passk(args) -> int:
-    config = _build_config(args)
+def _cmd_passk(args, config: RunConfig) -> dict:
     ks = _parse_ks(args.k)
     problems = {p.id: p for p in load_corpus(args.corpus)}
     generations = load_generations(args.gens)
@@ -382,62 +366,50 @@ def _cmd_passk(args) -> int:
         for r in results
     ]
     summary = {str(k): aggregate(results, k) for k in ks} if results else {}
-    payload = _report(
-        {"problems": rows, "aggregate": summary, "skipped": skipped}, config, args.command
+    return {"problems": rows, "aggregate": summary, "skipped": skipped}
+
+
+def _scored_sample(row, line_no: int) -> ScoredSample:
+    return ScoredSample(
+        unit_id=str(require(row, "unit_id", line_no)),
+        mos=float(require(row, "mos", line_no)),
+        pass1=float(require(row, "pass1", line_no)),
     )
-    _emit(payload, config)
-    return EXIT_OK
 
 
-def _cmd_correlate(args) -> int:
-    config = _build_config(args)
+def _cmd_correlate(args, config: RunConfig) -> dict:
     # checked before any input is read, as tau is
     if args.bins < 1 or args.per_bin is not None and args.per_bin < 1:
         raise DomainError(
             f"bins and per_bin must be positive, got {args.bins} and {args.per_bin}"
         )
-    samples = []
-    for line_no, row in read_jsonl(args.scored):
-        try:
-            samples.append(ScoredSample(
-                unit_id=str(require(row, "unit_id", line_no)),
-                mos=float(require(row, "mos", line_no)),
-                pass1=float(require(row, "pass1", line_no)),
-            ))
-        except (TypeError, ValueError) as exc:
-            raise CorpusFormatError(f"line {line_no}: {exc}") from exc
+    samples = read_rows(args.scored, "unit_id", _scored_sample)
     if args.per_bin is not None:
         samples = binned_sample(samples, args.bins, args.per_bin, config.seed)
     xs = [s.mos for s in samples]
     ys = [s.pass1 for s in samples]
     (r, rp), (rho, rhop) = correlations(xs, ys, DEFAULT_PERMUTATIONS, config.seed)
-    payload = _report({
+    return {
         "samples": len(samples),
         "pearson": {"r": r, "p": rp},
         "spearman": {"rho": rho, "p": rhop},
         "p_value_method": f"two-sided permutation test, {DEFAULT_PERMUTATIONS} resamples",
-    }, config, args.command)
-    _emit(payload, config)
-    return EXIT_OK
+    }
 
 
-def _cmd_ppl(args) -> int:
-    config = _build_config(args)
-    records = []
-    for line_no, row in read_jsonl(args.logprobs):
-        try:
-            records.append(LogProbRecord(
-                id=str(require(row, "id", line_no)),
-                category=str(require(row, "category", line_no)),
-                token_logprobs=tuple(float(v) for v in require(row, "token_logprobs", line_no)),
-            ))
-        except (TypeError, ValueError, InvalidLogProb) as exc:
-            raise CorpusFormatError(f"line {line_no}: {exc}") from exc
-    try:
-        summaries = ppl_compare(records)
-    except InvalidLogProb as exc:
-        raise CorpusFormatError(str(exc)) from exc
-    payload = _report({
+def _logprob_record(row, line_no: int) -> LogProbRecord:
+    record_id = str(require(row, "id", line_no))
+    category = str(require(row, "category", line_no))
+    logprobs = require(row, "token_logprobs", line_no)
+    if not isinstance(logprobs, list):
+        raise ValueError(f"record {record_id}: token_logprobs must be a list")
+    return LogProbRecord(record_id, category, tuple(float(v) for v in logprobs))
+
+
+def _cmd_ppl(args, config: RunConfig) -> dict:
+    records = read_rows(args.logprobs, "id", _logprob_record)
+    summaries = ppl_compare(records)
+    return {
         "records": [
             {"id": r.id, "category": r.category, "ppl": perplexity(r)}
             for r in records
@@ -447,9 +419,7 @@ def _cmd_ppl(args) -> int:
             for name, s in summaries.items()
         },
         "std_kind": "population",
-    }, config, args.command)
-    _emit(payload, config)
-    return EXIT_OK
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +498,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        code = args.handler(args)
+        config = _build_config(args)
+        body = args.handler(args, config)
+        if body is not None:
+            echo = {key: getattr(config, key) for key in _READS[args.command]}
+            report = {"version": __version__, "config": echo, **body}
+            if getattr(args, "report", None):  # filter --report
+                with open(args.report, "w", encoding="utf-8") as handle:
+                    json.dump(report, handle, indent=2)
+            _emit(report, config)
         sys.stdout.flush()  # a closed stdout surfaces here, not at exit
-        return code
+        return EXIT_OK
     except BrokenPipeError:
         # point stdout at devnull so the interpreter's flush at exit is quiet
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -544,7 +522,7 @@ def main(argv: list[str] | None = None) -> int:
     except SandboxUnavailable as exc:
         print(f"modscore: sandbox unavailable: {exc}", file=sys.stderr)
         return EXIT_SANDBOX
-    except (CorpusFormatError, EncodingError, OSError, SyntaxError) as exc:
+    except (CorpusFormatError, EncodingError, InvalidLogProb, OSError, SyntaxError) as exc:
         print(f"modscore: {exc}", file=sys.stderr)
         return EXIT_CORPUS
     except ModscoreError as exc:

@@ -13,11 +13,10 @@ tests or no surviving solutions are dropped and reported.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import CorpusFormatError
+from .errors import CorpusFormatError, InvalidLogProb
 from .sandbox import RunLimits, passes_each
 
 NO_TESTS_REASON = "insufficient or absent test cases"
@@ -51,23 +50,44 @@ def require(row, key: str, line_no: int):
     return row[key]
 
 
-def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
-    """Yield (line number, parsed value) for each non-blank line."""
+def read_rows(path: str | Path, key: str | None, from_row) -> list:
+    """``from_row(row, line_no)`` for each non-blank line of a JSON Lines
+    file, in order.
+
+    A line that is not UTF-8 or not JSON is refused with its number, and so
+    is a ``TypeError``, ``ValueError`` or ``InvalidLogProb`` that
+    ``from_row`` raises. Unless ``key`` is None, so is a row whose
+    ``row[key]`` an earlier row has; ``from_row`` refuses a row without it.
+    """
+    items = []
+    first_lines: dict[str, int] = {}
     # read bytes so a line that is not UTF-8 is reported by its number;
     # bytes.splitlines ends lines at \n, \r and \r\n, as text mode does
     with open(path, "rb") as handle:
-        for line_no, raw in enumerate(handle.read().splitlines(), start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError:
-                raise CorpusFormatError(f"line {line_no}: not valid UTF-8") from None
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"line {line_no}: invalid JSON: {exc}") from None
-            yield line_no, row
+        lines = handle.read().splitlines()
+    for line_no, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise CorpusFormatError(f"line {line_no}: not valid UTF-8") from None
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+        except ValueError as exc:  # also an integer too long to convert
+            raise CorpusFormatError(f"line {line_no}: invalid JSON: {exc}") from None
+        try:
+            items.append(from_row(row, line_no))
+        except (TypeError, ValueError, InvalidLogProb) as exc:
+            raise CorpusFormatError(f"line {line_no}: {exc}") from exc
+        if key is not None:
+            row_id = str(row[key])
+            first = first_lines.setdefault(row_id, line_no)
+            if first != line_no:
+                raise CorpusFormatError(
+                    f"line {line_no}: duplicate id {row_id!r} (first on line {first})"
+                )
+    return items
 
 
 def case_from_row(row, line_no: int = 0) -> TestCase:
@@ -114,21 +134,8 @@ def problem_to_row(problem: Problem) -> dict:
     }
 
 
-def _claim_id(first_lines: dict[str, int], pid: str, line_no: int):
-    """Note that ``pid`` is on ``line_no``; raise if an earlier line has it."""
-    first = first_lines.setdefault(pid, line_no)
-    if first != line_no:
-        raise CorpusFormatError(f"line {line_no}: duplicate id {pid!r} (first on line {first})")
-
-
 def load_corpus(path: str | Path) -> list[Problem]:
-    problems: list[Problem] = []
-    first_lines: dict[str, int] = {}
-    for line_no, row in read_jsonl(path):
-        problem = problem_from_row(row, line_no)
-        _claim_id(first_lines, problem.id, line_no)
-        problems.append(problem)
-    return problems
+    return read_rows(path, "id", problem_from_row)
 
 
 def save_corpus(problems: list[Problem], path: str | Path):
@@ -137,20 +144,18 @@ def save_corpus(problems: list[Problem], path: str | Path):
             handle.write(json.dumps(problem_to_row(problem)) + "\n")
 
 
+def _generations_from_row(row, line_no: int) -> tuple[str, list[str]]:
+    if not isinstance(row, dict) or "id" not in row or "generations" not in row:
+        raise CorpusFormatError(f"line {line_no}: need id and generations")
+    gens = row["generations"]
+    if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
+        raise CorpusFormatError(f"line {line_no}: generations must be strings")
+    return str(row["id"]), gens
+
+
 def load_generations(path: str | Path) -> dict[str, list[str]]:
     """Rows of {"id": ..., "generations": [program, ...]}."""
-    table: dict[str, list[str]] = {}
-    first_lines: dict[str, int] = {}
-    for line_no, row in read_jsonl(path):
-        if not isinstance(row, dict) or "id" not in row or "generations" not in row:
-            raise CorpusFormatError(f"line {line_no}: need id and generations")
-        gens = row["generations"]
-        if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
-            raise CorpusFormatError(f"line {line_no}: generations must be strings")
-        pid = str(row["id"])
-        _claim_id(first_lines, pid, line_no)
-        table[pid] = gens
-    return table
+    return dict(read_rows(path, "id", _generations_from_row))
 
 
 @dataclass(eq=False)

@@ -60,7 +60,6 @@ def aggregate(results: list[EvalResult], k: int) -> float:
             raise DomainError(
                 f"problem {result.problem_id}: n={result.n_samples} < k={k}"
             )
-        if k not in result.pass_at:
-            result.pass_at[k] = pass_at_k(result.n_samples, result.c_correct, k)
-        values.append(result.pass_at[k])
+        values.append(result.pass_at[k] if k in result.pass_at
+                      else pass_at_k(result.n_samples, result.c_correct, k))
     return sum(values) / len(values)

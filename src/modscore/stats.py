@@ -52,13 +52,20 @@ class ScoredSample:
             raise ValueError(f"pass1 out of [0,1]: {self.pass1}")
 
 
+CATEGORIES = ("MC", "SC", "TMC", "TSC")
+
+
 @dataclass(frozen=True)
 class LogProbRecord:
     id: str
-    category: str  # MC | SC | TMC | TSC
+    category: str  # one of CATEGORIES
     token_logprobs: tuple[float, ...]
 
     def __post_init__(self):
+        if self.category not in CATEGORIES:
+            raise ValueError(
+                f"record {self.id}: category {self.category!r} is not one of {', '.join(CATEGORIES)}"
+            )
         if not self.token_logprobs:
             raise InvalidLogProb(f"record {self.id}: no tokens")
         for lp in self.token_logprobs:

@@ -71,6 +71,19 @@ def test_singularize_unsupported_exits_3(capsys, tmp_path):
     assert "recursive" in err
 
 
+def test_singularize_verify_mismatch_exits_3(capsys, monkeypatch, tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("def d(x):\n    return x * 2\nprint(d(int(input())))\n")
+    tests = tmp_path / "tests.jsonl"
+    tests.write_text('{"input": "2", "output": "4"}\n')
+    monkeypatch.setattr(cli_module, "verify_equivalence", lambda *args, **kwargs: False)
+    code, out, err = run_cli(capsys, "singularize", str(src), "--verify", str(tests))
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("modscore: verification failed: verdicts or outputs differ")
+
+
 def test_filter_writes_corpus_and_report(capsys, tmp_path):
     out = tmp_path / "filtered.jsonl"
     report = tmp_path / "report.json"
@@ -312,7 +325,12 @@ def test_passk_rejects_bad_input_before_running(capsys, monkeypatch, flags, mess
     assert err.count("\n") == 1 and message in err
 
 
-SCORED_ROW = '{"unit_id": "u0", "mos": 0.5, "pass1": 1.0}\n'
+def scored_rows(count: int) -> str:
+    """``count`` scored rows with distinct ids and the same mos and pass1."""
+    return "".join(f'{{"unit_id": "u{i}", "mos": 0.5, "pass1": 1.0}}\n' for i in range(count))
+
+
+SCORED_ROW = scored_rows(1)
 DUPLICATE_ID_CORPUS = (
     '{"id": "p", "solutions": ["print(1)"], "tests": [{"input": "", "output": "1\\n"}]}\n'
     '{"id": "q", "solutions": ["print(1)"], "tests": [{"input": "", "output": "1\\n"}]}\n'
@@ -361,10 +379,10 @@ BAD_INPUT_CASES = {
     "ppl-row-missing-key": ("ppl-given", '{"id": "a", "category": "MC"}\n', None, 2,
                             "line 1: missing key 'token_logprobs'"),
     # rows that are well formed but too few or too alike to compute on
-    "correlate-too-few-points": ("correlate", SCORED_ROW * 2, None, 1,
+    "correlate-too-few-points": ("correlate", scored_rows(2), None, 1,
                                  "need at least 3 points, got 2"),
-    "correlate-zero-variance": ("correlate", SCORED_ROW * 3, None, 1, "zero variance input"),
-    "correlate-bin-too-small": ("correlate-per-bin-5", SCORED_ROW * 3, None, 1,
+    "correlate-zero-variance": ("correlate", scored_rows(3), None, 1, "zero variance input"),
+    "correlate-bin-too-small": ("correlate-per-bin-5", scored_rows(3), None, 1,
                                 "bin [0, 0.1) holds 0 item(s), need 5"),
     "ppl-no-records": ("ppl-given", "", None, 1, "no records to summarize"),
     "corpus-not-utf8": ("corpus", b'{"id": "p1", "solutions": ["print(1)"]}\n{"id": "\xff"}\n',
@@ -383,6 +401,17 @@ BAD_INPUT_CASES = {
                           '{"id": "p01", "generations": ["print(1)"]}\n'
                           '{"id": "p01", "generations": ["print(2)"]}\n',
                           None, 2, "line 2: duplicate id 'p01' (first on line 1)"),
+    "correlate-duplicate-id": ("correlate", SCORED_ROW * 2, None, 2,
+                               "line 2: duplicate id 'u0' (first on line 1)"),
+    "ppl-duplicate-id": ("ppl-given",
+                         '{"id": "a", "category": "MC", "token_logprobs": [-1]}\n'
+                         '{"id": "a", "category": "SC", "token_logprobs": [-2]}\n',
+                         None, 2, "line 2: duplicate id 'a' (first on line 1)"),
+    "corpus-test-input-not-encodable": ("corpus", '{"id": "p1", "solutions": [], '
+                                        '"tests": [{"input": "\\ud800", "output": ""}]}\n',
+                                        None, 2, "line 1: 'utf-8' codec can't encode"),
+    "corpus-integer-too-long": ("corpus", '{"id": 1' + "0" * 5000 + '}\n', None, 2,
+                                "line 1: invalid JSON: Exceeds the limit"),
     "correlate-zero-bins": ("correlate-bins-0", SCORED_ROW, None, 1,
                             "bins and per_bin must be positive"),
     "correlate-zero-per-bin": ("correlate-per-bin-0", SCORED_ROW, None, 1,
@@ -396,6 +425,11 @@ BAD_INPUT_CASES = {
                                     None, 3, "'f' has an annotation that is neither"),
     "ppl-positive-log-prob": ("ppl-given", '{"id": "a", "category": "MC", "token_logprobs": [0.5]}\n',
                               None, 2, "line 1: record a: positive log-prob 0.5"),
+    "ppl-unknown-category": ("ppl-given", '{"id": "a", "category": "XX", "token_logprobs": [-1]}\n',
+                             None, 2, "line 1: record a: category 'XX' is not one of MC, SC, TMC, TSC"),
+    "ppl-log-probs-not-a-list": ("ppl-given",
+                                 '{"id": "a", "category": "MC", "token_logprobs": "-1"}\n',
+                                 None, 2, "line 1: record a: token_logprobs must be a list"),
     "ppl-no-tokens": ("ppl-given", '{"id": "a", "category": "MC", "token_logprobs": []}\n',
                       None, 2, "line 1: record a: no tokens"),
     "ppl-nan-log-prob": ("ppl-given", '{"id": "a", "category": "MC", "token_logprobs": [-1, NaN]}\n',

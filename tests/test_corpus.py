@@ -6,10 +6,12 @@ from modscore.corpus import (
     NO_TESTS_REASON,
     Problem,
     TestCase,
+    case_from_row,
     filter_corpus,
     load_corpus,
     load_generations,
     problem_from_row,
+    read_rows,
     save_corpus,
 )
 from modscore.errors import CorpusFormatError
@@ -53,6 +55,14 @@ def test_load_generations(tmp_path):
     path.write_text(json.dumps({"id": "p"}) + "\n")
     with pytest.raises(CorpusFormatError):
         load_generations(path)
+
+
+def test_read_rows_refuses_a_repeated_key_only_when_given_one(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"input": "1", "output": "2"}\n\n{"input": "1", "output": "2"}\n')
+    assert read_rows(path, None, case_from_row) == [TestCase(b"1", b"2")] * 2
+    with pytest.raises(CorpusFormatError, match=r"line 3: duplicate id '1' \(first on line 1\)"):
+        read_rows(path, "input", case_from_row)
 
 
 def test_filter_keeps_only_passing(fast_limits):

@@ -101,6 +101,13 @@ def test_aggregate_fixture_hand_average():
     assert aggregate(results, 2) == pytest.approx(by_hand, abs=1e-12)
 
 
+def test_aggregate_leaves_its_inputs_unchanged():
+    results = [EvalResult.from_counts("a", 10, 3, [1]), EvalResult.from_counts("b", 10, 5, [1])]
+    before = [dict(r.pass_at) for r in results]
+    assert aggregate(results, 2) == (pass_at_k(10, 3, 2) + pass_at_k(10, 5, 2)) / 2
+    assert [r.pass_at for r in results] == before
+
+
 def test_aggregate_empty_raises():
     with pytest.raises(EmptyInput):
         aggregate([], 1)

@@ -301,6 +301,8 @@ def test_invalid_logprob():
         LogProbRecord("a", "MC", (0.1,))
     with pytest.raises(InvalidLogProb):
         LogProbRecord("a", "MC", ())
+    with pytest.raises(ValueError, match="category 'XX' is not one of MC, SC, TMC, TSC"):
+        LogProbRecord("a", "XX", (-1.0,))
 
 
 @pytest.mark.parametrize("logprobs, message", [
