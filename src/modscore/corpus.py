@@ -90,6 +90,14 @@ def read_rows(path: str | Path, key: str | None, from_row) -> list:
     return items
 
 
+def _encode_each(texts: list[str]):
+    """Refuse a program holding a lone surrogate: it could never be written
+    out as UTF-8. The ``UnicodeEncodeError`` is a ``ValueError``, which
+    ``read_rows`` reports with the line number."""
+    for text in texts:
+        text.encode("utf-8")
+
+
 def case_from_row(row, line_no: int = 0) -> TestCase:
     if not isinstance(row, dict) or "input" not in row or "output" not in row:
         raise CorpusFormatError(f"line {line_no}: test needs input/output")
@@ -109,6 +117,7 @@ def problem_from_row(row: dict, line_no: int = 0) -> Problem:
     solutions = require(row, "solutions", line_no)
     if not isinstance(solutions, list) or not all(isinstance(s, str) for s in solutions):
         raise CorpusFormatError(f"line {line_no}: solutions must be a list of strings")
+    _encode_each(solutions)
     return Problem(
         id=str(require(row, "id", line_no)),
         description=str(row.get("description", "")),
@@ -150,6 +159,7 @@ def _generations_from_row(row, line_no: int) -> tuple[str, list[str]]:
     gens = row["generations"]
     if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
         raise CorpusFormatError(f"line {line_no}: generations must be strings")
+    _encode_each(gens)
     return str(row["id"]), gens
 
 

@@ -50,13 +50,16 @@ The checks read the unit through one walk over the whole tree
 (``_gather``), which collects its definitions, the names it binds and
 reads, the names its ``global`` statements declare, and its scope-reading
 calls and classes, each in ``ast.walk`` order, so the first reason to
-refuse is still the first one raised. The helper call graph is walked
-once, depth first (``_analyze``): the walk meets the first cycle and gives
-each helper the free names it reads through its callees, for the capture
-check, and the helpers it runs, for the definition-order check. What the
-call sites of a helper read of it (its locals, its returns, whether it
-declares ``global``) is taken once, when its body has been flattened
-(``_helper_facts``).
+refuse is still the first one raised. Only a def's body runs in a scope
+of its own: its decorators, defaults and annotations run where it stands,
+and every check counts a call or a yield there as the enclosing scope's.
+The helper call graph is walked once, depth first (``_analyze``): the
+walk meets the first cycle and gives each helper the free names it reads
+through its callees, for the capture check, and the helpers it runs, for
+the definition-order check. One walk of a helper's own scope
+(``_scope_of``) finds its locals, free names, returns, ``global``
+declarations and first refused construct; it runs once as written and
+once flattened, never per call site.
 """
 
 from __future__ import annotations
@@ -127,21 +130,36 @@ def _reads(node) -> bool:
     return type(node) is ast.Name and type(node.ctx) is ast.Load
 
 
-def _scope_names(node) -> tuple[set[str], set[str]]:
-    """(locals, free) of a def: the names bound in its own scope, and the
-    names its body resolves outside that scope.
+def _runs_where_def_stands(node) -> list[ast.expr]:
+    """A def's decorators, defaults and annotations: all of it but its body."""
+    args = node.args
+    params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+    parts = node.decorator_list + args.defaults + args.kw_defaults + [node.returns]
+    parts += [p.annotation for p in params if p]
+    return [part for part in parts if part is not None]
 
-    A nested def or class binds its name here and runs its body in a
-    scope of its own; a nested def's or a lambda's defaults are read here.
-    A lambda's parameters and walrus targets, and a comprehension's
-    targets, bind in scopes of their own: they are neither locals nor free
-    where those scopes read them. A walrus target in a comprehension binds
-    here.
-    """
+
+@dataclass(frozen=True)
+class _Scope:  # what one walk of a def's own scope finds
+    locals: set[str]  # the names bound in it
+    free: set[str]  # the names its body resolves outside it
+    returns: int  # its ``return`` statements
+    declares_global: bool
+    refusal: str | None  # for its first yield, nonlocal, dotted import or class
+
+
+def _scope_of(node) -> _Scope:
+    """The one walk of a def's own scope. A nested def or class binds its
+    name here and runs its body in a scope of its own; the rest of a
+    nested def, and a lambda's defaults, run here. A lambda's parameters
+    and walrus targets, and a comprehension's targets, bind in scopes of
+    their own: they are neither locals nor free where those scopes read
+    them. A walrus target in a comprehension binds here."""
     args = node.args
     bound = {p.arg for p in args.posonlyargs + args.args + args.kwonlyargs}
     used: set[str] = set()
     declared: set[str] = set()
+    returns, declares_global, refusal = 0, False, None
     stack = [(n, frozenset()) for n in node.body]
     while stack:
         n, inner = stack.pop()
@@ -151,17 +169,31 @@ def _scope_names(node) -> tuple[set[str], set[str]]:
                 used.add(name)
             if not _reads(n):
                 bound.add(name)
+        returns += type(n) is ast.Return
+        if refusal is None:
+            if isinstance(n, (ast.Yield, ast.YieldFrom)):
+                refusal = f"{node.name!r} is a generator function"
+            elif type(n) is ast.Nonlocal:
+                refusal = f"{node.name!r} declares nonlocal"
+            elif type(n) is ast.alias and n.asname is None and "." in n.name:
+                # the renamed copy would read `import a.b as a__inl0`,
+                # which binds the submodule, not the package
+                refusal = f"{node.name!r} imports {n.name!r} without 'as'"
+            elif type(n) is ast.ClassDef:
+                refusal = f"{node.name!r} defines class {n.name!r} in its body"
         if isinstance(n, (ast.Global, ast.Nonlocal)):
             declared.update(n.names)
             used.update(n.names)
-        elif isinstance(n, (*_DEF_NODES, ast.Lambda)):
+            declares_global |= type(n) is ast.Global
+        elif isinstance(n, _DEF_NODES):
+            stack += [(part, inner) for part in _runs_where_def_stands(n)]
+        elif isinstance(n, ast.Lambda):
             a = n.args
             stack += [(d, inner) for d in a.defaults + a.kw_defaults if d]
-            if isinstance(n, ast.Lambda):
-                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
-                own = {p.arg for p in params if p}
-                own |= {w.target.id for w in ast.walk(n.body) if type(w) is ast.NamedExpr}
-                stack.append((n.body, inner | own))
+            params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            own = {p.arg for p in params if p}
+            own |= {w.target.id for w in ast.walk(n.body) if type(w) is ast.NamedExpr}
+            stack.append((n.body, inner | own))
         elif isinstance(n, _COMPREHENSIONS):
             first = n.generators[0]
             own = {x.id for g in n.generators for x in ast.walk(g.target)
@@ -172,7 +204,7 @@ def _scope_names(node) -> tuple[set[str], set[str]]:
         elif not isinstance(n, ast.ClassDef):
             stack += [(c, inner) for c in ast.iter_child_nodes(n)]
     local_names = bound - declared
-    return local_names, used - local_names
+    return _Scope(local_names, used - local_names, returns, declares_global, refusal)
 
 
 @dataclass(frozen=True)
@@ -238,30 +270,34 @@ class _FreshNames:
 # call-graph analysis
 
 
-def _analyze(tree: ast.Module, defs: dict[str, ast.AST]):
+def _analyze(tree: ast.Module, defs: dict[str, ast.AST]) -> dict[str, _Scope]:
     """Check that the call graph of ``defs``, every definition by name, is
-    inlinable.
+    inlinable, and return each helper's own scope as written.
 
-    One scan of the tree finds each helper's call sites and the defs that
-    enclose them; one depth-first walk of the call graph, in sorted order,
-    meets the first cycle and gives each helper its locals, the free names
-    it reads itself or through its callees, and the helpers it runs.
+    One scan of the tree finds each helper's call sites and the defs whose
+    bodies enclose them; one depth-first walk of the call graph, in sorted
+    order, meets the first cycle and gives each helper its scope, the free
+    names it reads itself or through its callees, and the helpers it runs.
 
     Raises RecursionUnsupported, DynamicCallUnsupported,
     ExternalNameCollision, or TransformUnsupported (a call that runs before
     its helper is defined) when the unit cannot be inlined soundly.
     """
     planned = set(defs)
-    # per call site of a helper, the defs that enclose it, outermost first
+    # per call site of a helper, the defs whose bodies hold it, outermost first
     sites: dict[str, list[list[str]]] = {name: [] for name in planned}
     parent_def: dict[str, str | None] = {}
 
     def scan(node, owners: list[str], call: ast.Call | None):
         """``call`` is the call whose ``func`` is ``node``, if any."""
         if isinstance(node, _DEF_NODES):
+            # only the body runs in the def's own scope
             parent_def[node.name] = owners[-1] if owners else None
-            owners = owners + [node.name]
-        elif (name := _name_of(node)) in planned:
+            body = {id(stmt) for stmt in node.body}
+            for child in ast.iter_child_nodes(node):
+                scan(child, owners + [node.name] if id(child) in body else owners, None)
+            return
+        if (name := _name_of(node)) in planned:
             if not _reads(node):
                 raise DynamicCallUnsupported(
                     f"function name {name!r} is rebound by {type(node).__name__} "
@@ -300,15 +336,15 @@ def _analyze(tree: ast.Module, defs: dict[str, ast.AST]):
             if owners:
                 calls_of[owners[-1]].add(name)
 
-    locals_of: dict[str, set[str]] = {}
+    scopes: dict[str, _Scope] = {}
     free_of: dict[str, set[str]] = {}  # read by it or by a helper it calls
     runs: dict[str, set[str]] = {}  # itself and every helper it calls
     trail: list[str] = []
 
     def walk(name: str):
         trail.append(name)
-        locals_of[name], free = _scope_names(defs[name])
-        free -= planned
+        scopes[name] = _scope_of(defs[name])
+        free = scopes[name].free - planned
         ran = {name}
         for callee in sorted(calls_of[name]):
             if callee in trail:
@@ -326,7 +362,7 @@ def _analyze(tree: ast.Module, defs: dict[str, ast.AST]):
 
     for name in defs:
         for owners in sites[name]:
-            captured = free_of[name] & set().union(*(locals_of[o] for o in owners))
+            captured = free_of[name] & set().union(*(scopes[o].locals for o in owners))
             if captured:
                 raise ExternalNameCollision(
                     f"inlining {name!r} would capture {sorted(captured)[0]!r} "
@@ -334,13 +370,14 @@ def _analyze(tree: ast.Module, defs: dict[str, ast.AST]):
                 )
 
     _check_definition_order(tree, runs)
+    return scopes
 
 
 def _check_definition_order(tree: ast.Module, runs: dict[str, set[str]]):
     """Reject a call that runs before the ``def`` of its helper: as written
     it raises NameError, inlined it would not. A statement runs ``runs[h]``
-    for each helper ``h`` it calls; a definition runs only its defaults and
-    decorators."""
+    for each helper ``h`` it calls; a definition runs only the parts that
+    run where it stands."""
     pending = [tree]
     while pending:
         for holder, field in statement_blocks(pending.pop()):
@@ -355,9 +392,7 @@ def _check_definition_order(tree: ast.Module, runs: dict[str, set[str]]):
                 while stack:
                     n = stack.pop()
                     if isinstance(n, _DEF_NODES):
-                        args = n.args
-                        stack += args.defaults + [d for d in args.kw_defaults if d]
-                        stack += n.decorator_list
+                        stack += _runs_where_def_stands(n)
                         continue
                     if _is_helper_call(n, runs):
                         early |= later & runs[n.func.id]
@@ -374,18 +409,7 @@ def _check_definition_order(tree: ast.Module, runs: dict[str, set[str]]):
 # transformability checks
 
 
-def _walk_own(body):
-    """Walk a statement list without entering nested definitions."""
-    stack = list(body)
-    while stack:
-        n = stack.pop()
-        if isinstance(n, _DEF_NODES):
-            continue
-        yield n
-        stack.extend(ast.iter_child_nodes(n))
-
-
-def _check_transformable(facts: _UnitFacts):
+def _check_transformable(facts: _UnitFacts, scopes: dict[str, _Scope]):
     planned = facts.defs
     for node in facts.suspects:
         if type(node) is ast.Call:
@@ -421,19 +445,8 @@ def _check_transformable(facts: _UnitFacts):
                     f"{name!r} has an annotation that is neither a constant nor "
                     f"a builtin name (line {annotation.lineno})"
                 )
-        for n in _walk_own(node.body):
-            if isinstance(n, (ast.Yield, ast.YieldFrom)):
-                raise TransformUnsupported(f"{name!r} is a generator function")
-            if isinstance(n, ast.Nonlocal):
-                raise TransformUnsupported(f"{name!r} declares nonlocal")
-            if isinstance(n, ast.alias) and n.asname is None and "." in n.name:
-                # the renamed copy would read `import a.b as a__inl0`,
-                # which binds the submodule, not the package
-                raise TransformUnsupported(f"{name!r} imports {n.name!r} without 'as'")
-            if isinstance(n, ast.ClassDef):
-                raise TransformUnsupported(
-                    f"{name!r} defines class {n.name!r} in its body"
-                )
+        if scopes[name].refusal:
+            raise TransformUnsupported(scopes[name].refusal)
 
 
 # ---------------------------------------------------------------------------
@@ -844,38 +857,20 @@ def _copy_tree(node, rename: dict[str, str]):
     return new
 
 
-@dataclass(frozen=True)
-class _HelperFacts:
-    locals: list[str]  # the names bound in its own scope, sorted
-    returns: int  # its ``return`` statements
-    declares_global: bool
-
-
-def _helper_facts(def_node) -> _HelperFacts:
-    """What every call site of a flattened helper reads of it."""
-    returns = 0
-    declares_global = False
-    for n in _walk_own(def_node.body):
-        returns += type(n) is ast.Return
-        declares_global |= type(n) is ast.Global
-    local_names, _ = _scope_names(def_node)
-    return _HelperFacts(sorted(local_names), returns, declares_global)
-
-
-def _splice_one(stmt, call, def_node, facts: _HelperFacts, fresh, default_temps,
+def _splice_one(stmt, call, def_node, scope: _Scope, fresh, default_temps,
                 into_function):
-    """Expand one canonical call site into a statement list."""
+    """Expand one canonical call site; ``scope`` is the flat helper's."""
     fname = def_node.name
-    rename = {name: fresh.make(name) for name in facts.locals}
+    rename = {name: fresh.make(name) for name in sorted(scope.locals)}
     parts = _bind_arguments(call, def_node, rename, default_temps, fname)
 
     body = _copy_tree(def_node.body, rename)
-    if facts.declares_global and not into_function:
+    if scope.declares_global and not into_function:
         body = [_GlobalStripper().visit(s) for s in body]
 
     ret_name = fresh.make(f"{fname}_ret")
     done_name = fresh.make(f"{fname}_done")
-    new_body, had_return = _rewrite_returns(body, facts.returns, ret_name, done_name)
+    new_body, had_return = _rewrite_returns(body, scope.returns, ret_name, done_name)
     parts.extend(new_body)
 
     if isinstance(stmt, ast.Assign):
@@ -893,10 +888,10 @@ def _splice_all(tree, planned, fresh, default_temps):
     The first time a call site of a helper is reached, the helper's own
     body gets its callees spliced, so every copy of it is already flat;
     ``_analyze`` has rejected cycles, so this recursion ends. What the
-    call sites read of the flat helper (``_helper_facts``) is taken then,
-    once. A helper that is never called is dropped unspliced.
+    call sites read of the flat helper, its scope, is taken then, once. A
+    helper that is never called is dropped unspliced.
     """
-    flat: dict[str, _HelperFacts] = {}
+    flat: dict[str, _Scope] = {}
 
     def visit(stmt, ctx):
         if isinstance(stmt, _DEF_NODES):
@@ -905,11 +900,11 @@ def _splice_all(tree, planned, fresh, default_temps):
         if call is None:
             return None
         def_node = planned[call.func.id]
-        facts = flat.get(def_node.name)
-        if facts is None:
+        scope = flat.get(def_node.name)
+        if scope is None:
             _rewrite_blocks(def_node, visit, _BlockCtx(in_function=True))
-            facts = flat[def_node.name] = _helper_facts(def_node)
-        return _splice_one(stmt, call, def_node, facts, fresh, default_temps,
+            scope = flat[def_node.name] = _scope_of(def_node)
+        return _splice_one(stmt, call, def_node, scope, fresh, default_temps,
                            ctx.in_function)
 
     _rewrite_blocks(tree, visit)
@@ -942,8 +937,8 @@ def _singularize(unit: SourceUnit) -> SourceUnit:
     _rewrite_blocks(tree, _strip_local_annotations)
     facts = _gather(tree)
     planned = facts.defs
-    _analyze(tree, planned)
-    _check_transformable(facts)
+    scopes = _analyze(tree, planned)
+    _check_transformable(facts, scopes)
 
     fresh = _FreshNames(facts.names)
     default_temps = _hoist_defaults(tree, planned, fresh)

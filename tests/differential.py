@@ -13,7 +13,7 @@ anything but the allowed qualname change below. This file calls
 signatures from the commit that removed ``modscore.profiles``; a checkout
 from before it is dumped with its own copy of this file.
 
-The unit set, 8,068 units:
+The unit set, 8,148 units:
   - ``structured_function(0..999)`` and ``runnable_program(0..199)``;
   - ``perfbench/workloads.make_units`` seeds 1-50 at full size;
   - every solution of the three fixture corpora;
@@ -21,21 +21,27 @@ The unit set, 8,068 units:
     appended (unit ``i`` takes triggers ``i % 10`` and ``i // 10 % 10``),
     so the set holds refusals of every class and units with two reasons
     to refuse;
+  - ``runnable_program(0..79)`` again, each with one of ``NESTED_DEFAULTS``
+    appended (unit ``i`` takes shape ``i % 8``): a helper call, a
+    self-call or a yield in a nested def's default, which run where the
+    def stands, transformed or refused;
   - ``statement_kinds_unit(0..999)``, 3,000 functions built of the
     statement kinds the generators of ``gen_programs`` never emit (match,
     with, class, loop ``else``, jumps through ``finally``, dead code).
 
 Every unit but those of ``make_units`` seeds 11-50 and the triggered
-ones (3,388) gets graph-route ``unit_complexity`` under ``py3`` and
-``py3-nosc`` (with and without short-circuit operators counted), 6,776
-(unit, profile) pairs: per-function CC in document order, ``toplevel_cc``,
-``cc_total`` and ``cc_avg``, each function's qualname, and under
+and nested-default ones (3,388) gets graph-route ``unit_complexity`` under
+``py3`` and ``py3-nosc`` (with and without short-circuit operators
+counted), 6,776 (unit, profile) pairs: per-function CC in document order,
+``toplevel_cc``, ``cc_total`` and ``cc_avg``, each function's qualname, and under
 ``graphs`` one sha256 digest per control-flow graph (each function, then
 the toplevel; 24,704 graphs) of its node count, edge list in order, entry
 and sorted exits, so ``compare`` sees any change to a graph, not only to
 its CC. Every unit but the ``structured_function`` and
-``statement_kinds_unit`` ones (6,068) is also singularized: the output
-text, or the refusal's class and message.
+``statement_kinds_unit`` ones (6,148) is also singularized: the output
+text, or the refusal's class and message (a ``SyntaxError`` counts as a
+refusal: a yield in a nested def's default once escaped into the flat
+program and raised one).
 
 Qualnames may differ only for a definition enclosed by a function that is
 itself inside a class: before the enclosing classes were kept in the
@@ -82,6 +88,32 @@ TRIGGERS = (
     lambda k: (f"cap{k} = 1\ndef rd{k}():\n    return cap{k}\n"
                f"def wr{k}():\n    cap{k} = 2\n    return rd{k}()\nprint(wr{k}())\n"),
     lambda k: f"fn1 = {k}\n",
+)
+
+# Each appends a def whose nested def's default calls a helper, calls the
+# def itself or yields; ``k`` keeps the names apart. The first three and
+# the last are transformed, the others refused.
+NESTED_DEFAULTS = (
+    lambda k: (f"def hd{k}(a):\n    return a * {k}\ndef od{k}(n):\n"
+               f"    def id{k}(x=hd{k}(n)):\n        return x + 1\n    return id{k}()\n"
+               f"print(od{k}(2))\n"),
+    lambda k: (f"def ht{k}(a):\n    return a - {k}\ndef td{k}(x=ht{k}(7)):\n"
+               f"    return x * 2\nprint(td{k}(), td{k}(1))\n"),
+    lambda k: (f"def os{k}(n):\n    def a{k}(v):\n        return v + {k}\n"
+               f"    def b{k}(x=a{k}(n)):\n        return x * 2\n    return b{k}()\n"
+               f"print(os{k}(3))\n"),
+    lambda k: (f"def ol{k}():\n    def il{k}(x=late{k}()):\n        return x\n"
+               f"    return {k}\nr{k} = ol{k}()\ndef late{k}():\n    return 5\nprint(r{k})\n"),
+    lambda k: (f"def rc{k}(n):\n    if n == 0:\n        return 0\n"
+               f"    def ri{k}(x=rc{k}(n - 1)):\n        return x\n    return {k}\n"
+               f"print(rc{k}(2))\n"),
+    lambda k: (f"def yg{k}():\n    def yi{k}(x=(yield {k})):\n        return x\n"
+               f"    return 1\nprint(yg{k}())\n"),
+    lambda k: (f"cv{k} = 1\ndef ch{k}():\n    return cv{k}\ndef co{k}():\n    cv{k} = 3\n"
+               f"    def ci{k}(x=ch{k}()):\n        return x\n    return ci{k}() + cv{k}\n"
+               f"print(co{k}())\n"),
+    lambda k: (f"def hw{k}():\n    print('default', {k})\n    return {k}\ndef ow{k}():\n"
+               f"    def iw{k}(x=hw{k}()):\n        return x\n    return 0\nprint(ow{k}())\n"),
 )
 
 
@@ -219,6 +251,9 @@ def units() -> list[tuple[str, str, bool, bool]]:
         source = gp.runnable_program(i)[0]
         source += TRIGGERS[i % 10](0) + TRIGGERS[i // 10 % 10](1)
         out.append((f"triggered:{i}", source, False, True))
+    for i in range(80):
+        source = gp.runnable_program(i)[0] + NESTED_DEFAULTS[i % 8](i // 8)
+        out.append((f"nested-default:{i}", source, False, True))
     out += [(f"kinds:{i}", statement_kinds_unit(i), True, False) for i in range(1000)]
     return out
 
@@ -287,7 +322,7 @@ def dump(out_path: str) -> int:
             start = time.process_time()
             try:
                 singular[key] = {"text": singularize(unit).text}
-            except ModscoreError as exc:
+            except (SyntaxError, ModscoreError) as exc:
                 singular[key] = _refusal(exc)
             singularize_cpu += time.process_time() - start
     Path(out_path).write_text(json.dumps({"cc": cc, "singularize": singular}), encoding="utf-8")

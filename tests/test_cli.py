@@ -8,6 +8,7 @@ import pytest
 
 import modscore.cli as cli_module
 from modscore.cli import main
+from modscore.corpus import TestCase
 
 from conftest import FIXTURES, assert_no_children
 from gen_programs import runnable_program
@@ -325,6 +326,33 @@ def test_passk_rejects_bad_input_before_running(capsys, monkeypatch, flags, mess
     assert err.count("\n") == 1 and message in err
 
 
+def test_passk_reports_skipped_problems_without_running_them(capsys, monkeypatch, tmp_path):
+    judged = []
+
+    def all_pass(items, *args, **kwargs):
+        judged.extend(items)
+        return [True] * len(items)
+
+    monkeypatch.setattr(cli_module, "passes_each", all_pass)
+    test = {"input": "", "output": "1\n"}
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text("".join(json.dumps(row) + "\n" for row in [
+        {"id": "c", "solutions": [], "tests": [test]},
+        {"id": "b", "solutions": [], "tests": []},
+        {"id": "a", "solutions": [], "tests": [test]},
+    ]))
+    gens = tmp_path / "g.jsonl"
+    gens.write_text("".join(json.dumps({"id": pid, "generations": [f"print({pid!r})"]}) + "\n"
+                            for pid in ("b", "a")))
+    code, out, _ = run_cli(capsys, "passk", str(corpus), "--gens", str(gens))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["skipped"] == [{"id": "b", "reason": "no tests"},
+                                  {"id": "c", "reason": "no generations"}]
+    assert [row["problem_id"] for row in payload["problems"]] == ["a"]
+    assert judged == [("print('a')", [TestCase(b"", b"1\n")])]
+
+
 def scored_rows(count: int) -> str:
     """``count`` scored rows with distinct ids and the same mos and pass1."""
     return "".join(f'{{"unit_id": "u{i}", "mos": 0.5, "pass1": 1.0}}\n' for i in range(count))
@@ -336,6 +364,8 @@ DUPLICATE_ID_CORPUS = (
     '{"id": "q", "solutions": ["print(1)"], "tests": [{"input": "", "output": "1\\n"}]}\n'
     '{"id": "p", "solutions": ["print(2)"], "tests": [{"input": "", "output": "2\\n"}]}\n'
 )
+SURROGATE_SOLUTION_CORPUS = ('{"id": "p1", "solutions": ["print(1)\\ud800"], '
+                             '"tests": [{"input": "", "output": "1\\n"}]}\n')
 TOO_DEEP_TO_PARSE = "x = " + "+".join(["1"] * 3000) + "\n"
 TOO_DEEP_TO_TRANSFORM = "def f(a):\n    return a\nx = " + "+".join(["f(1)"] * 600) + "\n"
 
@@ -412,6 +442,18 @@ BAD_INPUT_CASES = {
                                         None, 2, "line 1: 'utf-8' codec can't encode"),
     "corpus-integer-too-long": ("corpus", '{"id": 1' + "0" * 5000 + '}\n', None, 2,
                                 "line 1: invalid JSON: Exceeds the limit"),
+    "classify-solution-not-encodable": ("corpus", SURROGATE_SOLUTION_CORPUS, None, 2,
+                                        "line 1: 'utf-8' codec can't encode"),
+    "filter-solution-not-encodable": ("filter-given", SURROGATE_SOLUTION_CORPUS, None, 2,
+                                      "line 1: 'utf-8' codec can't encode"),
+    "passk-solution-not-encodable": ("passk-given", SURROGATE_SOLUTION_CORPUS, None, 2,
+                                     "line 1: 'utf-8' codec can't encode"),
+    "passk-generation-not-encodable": ("passk-gens-given",
+                                       '{"id": "p01", "generations": ["print(1)\\ud800"]}\n',
+                                       None, 2, "line 1: 'utf-8' codec can't encode"),
+    "corpus-row-not-object": ("corpus", "[1]\n", None, 2, "line 1: expected an object"),
+    "gens-not-strings": ("passk-gens-given", '{"id": "p01", "generations": [1]}\n', None, 2,
+                         "line 1: generations must be strings"),
     "correlate-zero-bins": ("correlate-bins-0", SCORED_ROW, None, 1,
                             "bins and per_bin must be positive"),
     "correlate-zero-per-bin": ("correlate-per-bin-0", SCORED_ROW, None, 1,
@@ -423,6 +465,26 @@ BAD_INPUT_CASES = {
     "helper-annotation-undefined": ("singularize-given",
                                     "def f(x: Undefined) -> int:\n    return x\nprint(f(1))\n",
                                     None, 3, "'f' has an annotation that is neither"),
+    # a nested def's defaults run where the def stands, not in its body
+    "nested-default-calls-a-later-def": (
+        "singularize-given",
+        "def outer():\n    def inner(x=late()):\n        return x\n    return 1\n"
+        "r = outer()\ndef late():\n    return 5\nprint(r)\n",
+        None, 3, "'late' is called before its definition runs"),
+    "nested-default-calls-its-encloser": (
+        "singularize-given",
+        "def outer(n):\n    if n == 0:\n        return 0\n    def inner(x=outer(n - 1)):\n"
+        "        return x\n    return 1\nprint(outer(2))\n",
+        None, 3, "recursive call chain: outer -> outer"),
+    "nested-default-yields": (
+        "singularize-given",
+        "def f():\n    def g(x=(yield 5)):\n        return x\n    return 1\nprint(f())\n",
+        None, 3, "'f' is a generator function"),
+    "nested-default-capture-names-the-encloser": (
+        "singularize-given",
+        "v = 1\ndef helper():\n    return v\ndef outer():\n    v = 3\n"
+        "    def inner(x=helper()):\n        return x\n    return inner() + v\nprint(outer())\n",
+        None, 3, "inlining 'helper' would capture 'v' bound in 'outer'"),
     "ppl-positive-log-prob": ("ppl-given", '{"id": "a", "category": "MC", "token_logprobs": [0.5]}\n',
                               None, 2, "line 1: record a: positive log-prob 0.5"),
     "ppl-unknown-category": ("ppl-given", '{"id": "a", "category": "XX", "token_logprobs": [-1]}\n',

@@ -19,8 +19,8 @@ import modscore.inliner as inliner_module
 from modscore.inliner import (
     _FreshNames,
     _gather,
-    _helper_facts,
     _linearize,
+    _scope_of,
     _splice_one,
     _stmt_eval_parts,
     singularize,
@@ -226,6 +226,10 @@ REFUSAL_CASES = {
     "missing-argument": (
         "def f(a, b):\n    return a + b\nprint(f(1))\n",
         TransformUnsupported, "call to 'f': missing argument 'b'"),
+    # the default runs where the def stands, before the def binds 'f'
+    "default-calls-its-own-def": (
+        "def f(x=f()):\n    return x\nprint(f())\n",
+        TransformUnsupported, "'f' is called before its definition runs"),
 }
 
 
@@ -286,13 +290,13 @@ def test_first_refusal_does_not_depend_on_the_hash_seed():
 def test_helper_scope_taken_once_however_many_call_sites(monkeypatch):
     # once by the capture check, once flattened; never per call site
     seen = []
-    scope_names = inliner_module._scope_names
+    scope_of = inliner_module._scope_of
 
     def counted(node):
         seen.append(node.name)
-        return scope_names(node)
+        return scope_of(node)
 
-    monkeypatch.setattr(inliner_module, "_scope_names", counted)
+    monkeypatch.setattr(inliner_module, "_scope_of", counted)
     src = "def sq(v):\n    w = v * v\n    return w\n"
     src += "".join(f"a{i} = sq({i})\n" for i in range(6)) + "print(a1 + a5)\n"
     out = assert_same_behavior(src)
@@ -720,9 +724,9 @@ def test_helper_spliced_at_two_sites_gets_independent_copies():
     helper, site_a, site_b = tree.body
     before = ast.dump(helper, include_attributes=True)
     fresh = _FreshNames(_gather(tree).names)
-    facts = _helper_facts(helper)
-    first = _splice_one(site_a, site_a.value, helper, facts, fresh, {}, False)
-    second = _splice_one(site_b, site_b.value, helper, facts, fresh, {}, False)
+    scope = _scope_of(helper)
+    first = _splice_one(site_a, site_a.value, helper, scope, fresh, {}, False)
+    second = _splice_one(site_b, site_b.value, helper, scope, fresh, {}, False)
 
     def owned(stmts):
         # nodes with fields; contexts and operators are shared singletons

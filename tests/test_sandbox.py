@@ -1,3 +1,4 @@
+import signal
 import sys
 import time
 
@@ -79,6 +80,14 @@ def test_runtime_error_detail_is_the_last_line_of_long_stderr(fast_limits):
     result = run_solution(WARNINGS + "raise ValueError('bad')\n", TestCase(b"", b""),
                           fast_limits)
     assert (result.verdict, result.detail) == ("runtime_error", "ValueError: bad")
+
+
+def test_a_run_killed_for_cpu_time_is_a_timeout():
+    # the kernel sends SIGXCPU at the CPU limit; judged without running a
+    # CPU-bound program
+    result = sandbox._classify(-signal.SIGXCPU, False, b"partial", b"", 0, 1.5,
+                               RunLimits(wall_time=1.0))
+    assert (result.verdict, result.detail, result.stdout) == ("timeout", "cpu", b"partial")
 
 
 def test_output_cap_exceeded():
