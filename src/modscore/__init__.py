@@ -10,7 +10,7 @@ from .complexity import (
     unit_complexity,
 )
 from .corpus import FilterReport, Problem, TestCase, filter_corpus, load_corpus
-from .inliner import singularize, verify_equivalence
+from .inliner import singularize
 from .modularity import (
     Categorization,
     ModularityReport,
@@ -22,7 +22,7 @@ from .modularity import (
 from .parsing import FunctionDef, SourceUnit, parse
 from .passk import EvalResult, aggregate, pass_at_k
 from .prompts import assemble_prompt
-from .sandbox import RunLimits, RunResult, count_correct, run_solution
+from .sandbox import RunLimits, RunResult, count_correct, run_solution, verify_equivalence
 from .stats import (
     LogProbRecord,
     ScoredSample,
@@ -39,13 +39,13 @@ __all__ = [
     "ControlFlowGraph", "build_cfg", "graph_counts",
     "ComplexityReport", "cc_decision_points", "cc_from_cfg", "unit_complexity",
     "FilterReport", "Problem", "TestCase", "filter_corpus", "load_corpus",
-    "singularize", "verify_equivalence",
+    "singularize",
     "Categorization", "ModularityReport",
     "categorize_solutions", "ideal_modules", "modularity_score", "score_unit",
     "FunctionDef", "SourceUnit", "parse",
     "EvalResult", "aggregate", "pass_at_k",
     "assemble_prompt",
-    "RunLimits", "RunResult", "count_correct", "run_solution",
+    "RunLimits", "RunResult", "count_correct", "run_solution", "verify_equivalence",
     "LogProbRecord", "ScoredSample", "binned_sample", "correlations", "pearson",
     "perplexity", "ppl_compare", "spearman",
 ]

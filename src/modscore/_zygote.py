@@ -1,4 +1,4 @@
-"""Fork server for sandboxed runs: ``python -I _zygote.py REQ REP``.
+"""Fork server for sandboxed runs: ``python FLAGS _zygote.py REQ REP``.
 
 REQ and REP are the descriptors of its request and reply pipes. Each
 request is one line, ``tmp \\0 wall_time \\0 memory \\0 output_cap``. For
@@ -14,15 +14,15 @@ Before that reply, the server kills the child's group, so nothing the
 run started outlives it, unless it left the group with ``setsid``. It
 reaps the child only when the next request or the end of the stream
 comes: until then the child's pid, and so its group's id, is not free,
-and a client that still holds the pid may signal it. The server exits
-at the end of its request stream.
+and a client that still holds the pid may signal it. At the end of its
+requests, the server runs its ``atexit`` handlers and leaves by ``os._exit``.
 
-The server runs as a script, so it uses only the standard library. It
-keeps its imports few, because every run inherits its state. No module
-of the package imports it; the tests' fresh-interpreter reference imports
-it for ``limit``.
+``sandbox._Zygote`` runs it as a script, started by ``sandbox._python``,
+so it uses only the standard library, and keeps its imports few, because
+every run inherits its state. No module of the package imports it; the
+tests' fresh-interpreter reference imports it for ``limit``.
 
-A child ends the way a ``python -I prog.py`` process does, in the order
+A child ends the way a ``python FLAGS prog.py`` process does, in the order
 the interpreter's exit path takes: ``SystemExit`` codes and messages, an
 uncaught exception's traceback with status 1, then waiting for
 non-daemon threads, ``atexit`` handlers and the stdio flush (status 120
@@ -42,7 +42,7 @@ import sys
 # Recursion depth below the program's module frame that a fresh
 # interpreter does not have: the frames of this module, serve and _child,
 # and the call to exec. The child's recursion limit is raised by as much,
-# so a program recurses exactly as deep as it would under `python -I`.
+# so a program recurses exactly as deep as it would in a fresh interpreter.
 _DEPTH_BELOW_PROGRAM = 4
 
 _running = None  # pid of the child being waited for
@@ -111,7 +111,7 @@ def _child(tmp: bytes, memory: int, output_cap: int, wall_time: float, replies: 
         "__main__", path)
     sys.modules["__main__"] = main
     sys.argv = ["prog.py"]
-    sys.orig_argv = [sys.orig_argv[0], "-I", "prog.py"]
+    sys.orig_argv = sys.orig_argv[:-3] + ["prog.py"]  # the zygote's interpreter flags
     sys.setrecursionlimit(sys.getrecursionlimit() + _DEPTH_BELOW_PROGRAM)
     try:
         exec(compile(source, path, "exec", dont_inherit=True), vars(main))
@@ -196,3 +196,5 @@ def serve(requests: int, replies: int):
 
 if __name__ == "__main__":
     serve(int(sys.argv[1]), int(sys.argv[2]))
+    atexit._run_exitfuncs()
+    os._exit(0)  # sooner than finalizing the interpreter

@@ -44,11 +44,11 @@ from .errors import (
     SandboxUnavailable,
     TransformUnsupported,
 )
-from .inliner import singularize, verify_equivalence
+from .inliner import singularize
 from .modularity import DEFAULT_TAU, Categorization, categorize_solutions, score_unit
 from .parsing import parse
 from .passk import EvalResult, aggregate
-from .sandbox import RunLimits, passes_each
+from .sandbox import RunLimits, passes_each, verify_equivalence
 from .stats import (
     DEFAULT_BINS,
     DEFAULT_PERMUTATIONS,

@@ -75,7 +75,6 @@ from .errors import (
     TransformUnsupported,
 )
 from .parsing import EVALUATES, SourceUnit, parse, statement_blocks
-from .sandbox import RunLimits, _in_zygotes, outputs_match, run_solution
 
 HEADER_COMMENT = (
     "# de-modularized output: every helper was inlined at its call sites;"
@@ -154,15 +153,17 @@ def _scope_of(node) -> _Scope:
     nested def, and a lambda's defaults, run here. A lambda's parameters
     and walrus targets, and a comprehension's targets, bind in scopes of
     their own: they are neither locals nor free where those scopes read
-    them. A walrus target in a comprehension binds here."""
+    them. A walrus target in a comprehension binds here. A yield in a
+    lambda's body makes the lambda a generator, not this def."""
     args = node.args
     bound = {p.arg for p in args.posonlyargs + args.args + args.kwonlyargs}
     used: set[str] = set()
     declared: set[str] = set()
     returns, declares_global, refusal = 0, False, None
-    stack = [(n, frozenset()) for n in node.body]
+    # (node, the names scopes inside this def's bind around it, whether a lambda's body holds it)
+    stack = [(n, frozenset(), False) for n in node.body]
     while stack:
-        n, inner = stack.pop()
+        n, inner, in_lambda = stack.pop()
         name = _name_of(n)
         if name is not None and name not in inner:
             if type(n) is ast.Name:
@@ -171,7 +172,7 @@ def _scope_of(node) -> _Scope:
                 bound.add(name)
         returns += type(n) is ast.Return
         if refusal is None:
-            if isinstance(n, (ast.Yield, ast.YieldFrom)):
+            if isinstance(n, (ast.Yield, ast.YieldFrom)) and not in_lambda:
                 refusal = f"{node.name!r} is a generator function"
             elif type(n) is ast.Nonlocal:
                 refusal = f"{node.name!r} declares nonlocal"
@@ -186,23 +187,25 @@ def _scope_of(node) -> _Scope:
             used.update(n.names)
             declares_global |= type(n) is ast.Global
         elif isinstance(n, _DEF_NODES):
-            stack += [(part, inner) for part in _runs_where_def_stands(n)]
+            stack += [(part, inner, in_lambda) for part in _runs_where_def_stands(n)]
         elif isinstance(n, ast.Lambda):
             a = n.args
-            stack += [(d, inner) for d in a.defaults + a.kw_defaults if d]
+            stack += [(d, inner, in_lambda) for d in a.defaults + a.kw_defaults if d]
             params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
             own = {p.arg for p in params if p}
             own |= {w.target.id for w in ast.walk(n.body) if type(w) is ast.NamedExpr}
-            stack.append((n.body, inner | own))
+            stack.append((n.body, inner | own, True))
         elif isinstance(n, _COMPREHENSIONS):
             first = n.generators[0]
             own = {x.id for g in n.generators for x in ast.walk(g.target)
                    if type(x) is ast.Name and not _reads(x)}
-            stack.append((first.iter, inner))
-            stack += [(c, inner | own) for c in ast.iter_child_nodes(n) if c is not first]
-            stack += [(c, inner | own) for c in ast.iter_child_nodes(first) if c is not first.iter]
+            stack.append((first.iter, inner, in_lambda))
+            stack += [(c, inner | own, in_lambda)
+                      for c in ast.iter_child_nodes(n) if c is not first]
+            stack += [(c, inner | own, in_lambda)
+                      for c in ast.iter_child_nodes(first) if c is not first.iter]
         elif not isinstance(n, ast.ClassDef):
-            stack += [(c, inner) for c in ast.iter_child_nodes(n)]
+            stack += [(c, inner, in_lambda) for c in ast.iter_child_nodes(n)]
     local_names = bound - declared
     return _Scope(local_names, used - local_names, returns, declares_global, refusal)
 
@@ -505,6 +508,11 @@ def _linearize(expr, ctx, owners, events):
             _linearize(expr.value, inner, owners, events)
         else:
             _linearize(expr.elt, inner, owners, events)
+        return
+    if isinstance(expr, ast.Dict):  # key, value, key, value; a None key is a ** unpacking
+        for key, value in zip(expr.keys, expr.values):
+            _linearize(key, ctx, owners, events)
+            _linearize(value, ctx, owners, events)
         return
     inner = owners + [expr] if isinstance(expr, ast.Call) else owners
     for child in ast.iter_child_nodes(expr):
@@ -959,26 +967,3 @@ def _singularize(unit: SourceUnit) -> SourceUnit:
     text = HEADER_COMMENT + "\n" + ast.unparse(tree) + "\n"
     return parse(text, unit_id=f"{unit.id}:singular")
 
-
-def verify_equivalence(
-    original: SourceUnit,
-    transformed: SourceUnit,
-    tests,
-    limits: RunLimits,
-    exact: bool = False,
-) -> bool:
-    """True iff both units produce the same verdict and output on every test.
-
-    Outputs are compared as the judge compares them: normalized, or
-    byte-exact when ``exact``. Every run forks from one zygote. Sandbox
-    failures propagate as SandboxUnavailable, never as a verdict.
-    """
-    runs = [(code, test) for test in tests for code in (original.text, transformed.text)]
-    results = _in_zygotes(
-        lambda run: run_solution(run[0], run[1], limits, exact=exact), runs, jobs=1
-    )
-    return all(
-        before.verdict == after.verdict
-        and outputs_match(before.stdout, after.stdout, exact=exact)
-        for before, after in zip(results[::2], results[1::2])
-    )

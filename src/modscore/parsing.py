@@ -14,8 +14,8 @@ from .errors import EncodingError
 
 TOPLEVEL_NAME = "<toplevel>"
 
-# ``try ... except*`` has a node type of its own from Python 3.11 on
-TRY_NODES = (ast.Try, ast.TryStar) if hasattr(ast, "TryStar") else (ast.Try,)
+# ``try ... except*`` has a node type of its own
+TRY_NODES = (ast.Try, ast.TryStar)
 
 
 @dataclass(eq=False)

@@ -1,19 +1,18 @@
 """Isolated execution of candidate programs against stdin/stdout tests.
 
-Each run is a separate OS process: an isolated interpreter (-I), its own
-process group (killed wholesale when the run ends or times out), CPU and
-address-space rlimits, and stdout redirected to a size-capped file
-(RLIMIT_FSIZE turns runaway output into a resource verdict instead of
-filling the disk).
-Network isolation is left to the surrounding environment.
+The only module that runs programs. Each run is a separate OS process:
+an interpreter started by ``_python``, its own process group (killed
+wholesale when the run ends or times out), CPU and address-space rlimits,
+and stdout in a size-capped file (RLIMIT_FSIZE turns runaway output into
+a resource verdict instead of filling the disk). Network isolation is
+left to the surrounding environment.
 
-Every run forks from a zygote: a pre-started ``python -I`` that forks
-one child per run (``_zygote.py``), so a run costs a fork instead of an
-interpreter start-up. Batches go through one job queue served by worker
-threads, each owning a zygote that starts on the worker's first run
-(``_in_zygotes``); a job may add follow-up jobs behind every item of the
-batch. A run outside a batch starts a zygote of its own and closes it
-after the run.
+Every run forks from a zygote, a pre-started interpreter running the
+script ``_zygote.py``, so a run costs a fork instead of an interpreter
+start-up. Every run goes through one job queue served by worker threads
+(``_queue_in_zygotes``, the one place that makes and ends zygotes), each
+owning a zygote that starts on the worker's first run; a job may add
+follow-up jobs behind every item. A run outside a batch is a batch of one.
 
 ``passes_each`` (and ``count_correct`` through it) makes one job per
 program, queued in program order, that walks the program's tests in
@@ -45,6 +44,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import SandboxUnavailable
+from .parsing import SourceUnit
 
 try:
     import resource
@@ -53,6 +53,18 @@ except ImportError:  # non-POSIX
 
 _ZYGOTE_MAIN = str(Path(__file__).with_name("_zygote.py"))
 _STDERR_TAIL = 4096  # bytes of a run's stderr that are judged
+
+
+def _python(*args: str) -> dict:
+    """Popen's ``args`` and ``env`` for an interpreter started as every zygote is.
+
+    What ``-I`` gives but ``-E``: no user site directory, no script
+    directory on ``sys.path`` and no ``PYTHON*`` variable, except one
+    fixed string-hash seed, so a set's order is the same in every run.
+    """
+    env = {name: value for name, value in os.environ.items() if not name.startswith("PYTHON")}
+    return {"args": [sys.executable, "-s", "-P", *args], "env": {**env, "PYTHONHASHSEED": "0"}}
+
 
 # The zygote of the current worker thread, if any. run_program keeps its
 # signature, so a worker hands it the zygote through the thread it runs on.
@@ -98,7 +110,7 @@ def outputs_match(actual: bytes, expected: bytes, exact: bool = False) -> bool:
 
 
 class _Zygote:
-    """A ``python -I`` that forks one child per run (``_zygote.py``).
+    """An interpreter started by ``_python`` that forks one child per run.
 
     It starts on its first run, so start-up is paid once per worker that
     runs something instead of once per run. The child isolates itself
@@ -120,7 +132,7 @@ class _Zygote:
         reply_r, reply_w = os.pipe()
         try:
             self._proc = subprocess.Popen(
-                [sys.executable, "-I", _ZYGOTE_MAIN, str(request_r), str(reply_w)],
+                **_python(_ZYGOTE_MAIN, str(request_r), str(reply_w)),
                 stdin=subprocess.DEVNULL,
                 stdout=subprocess.DEVNULL,
                 stderr=subprocess.DEVNULL,
@@ -234,25 +246,23 @@ def _classify(returncode: int, timed_out: bool, stdout: bytes, stderr: bytes,
 def run_program(code: str, stdin_data: bytes, limits: RunLimits) -> RunResult:
     """Execute one program once and classify the outcome.
 
-    The run forks from a zygote: inside ``_in_zygotes`` the worker's,
-    anywhere else one started for this run alone and closed after it.
+    The run forks from the zygote of the worker it runs on; a call outside
+    a batch is a batch of one run.
     """
     if resource is None:
         raise SandboxUnavailable("resource limits unsupported on this platform")
-    zygote = getattr(_worker, "zygote", None)
+    if getattr(_worker, "zygote", None) is None:
+        return _in_zygotes(lambda _: _run(code, stdin_data, limits), [None], jobs=1)[0]
+    return _run(code, stdin_data, limits)
+
+
+def _run(code: str, stdin_data: bytes, limits: RunLimits) -> RunResult:
     with tempfile.TemporaryDirectory(prefix="modscore-run-") as tmp:
         tmp_path = Path(tmp)
         (tmp_path / "prog.py").write_text(code, encoding="utf-8")
         (tmp_path / "stdin").write_bytes(stdin_data)
         start = time.monotonic()
-        if zygote is not None:
-            returncode, timed_out = zygote.run(tmp, limits)
-        else:
-            zygote = _Zygote()
-            try:
-                returncode, timed_out = zygote.run(tmp, limits)
-            finally:
-                zygote.close()
+        returncode, timed_out = _worker.zygote.run(tmp, limits)
         duration = time.monotonic() - start
         stdout = (tmp_path / "stdout").read_bytes()[: limits.output_cap]
         with open(tmp_path / "stderr", "rb") as handle:
@@ -396,3 +406,20 @@ def count_correct(candidates, tests, limits: RunLimits, exact: bool = False, job
     if not tests:
         raise ValueError("tests must be non-empty")
     return sum(passes_each([(code, tests) for code in candidates], limits, exact, jobs))
+
+
+def verify_equivalence(original: SourceUnit, transformed: SourceUnit, tests, limits: RunLimits,
+                       exact: bool = False) -> bool:
+    """True iff both units produce the same verdict and output on every test.
+
+    Outputs are compared as the judge compares them: normalized, or
+    byte-exact when ``exact``. Every run forks from one zygote. Sandbox
+    failures propagate as SandboxUnavailable, never as a verdict.
+    """
+    runs = [(code, test) for test in tests for code in (original.text, transformed.text)]
+    results = _in_zygotes(lambda run: run_solution(*run, limits, exact=exact), runs, jobs=1)
+    return all(
+        before.verdict == after.verdict
+        and outputs_match(before.stdout, after.stdout, exact=exact)
+        for before, after in zip(results[::2], results[1::2])
+    )

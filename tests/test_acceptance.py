@@ -18,11 +18,11 @@ import pytest
 from modscore.cfg import build_cfg
 from modscore.complexity import cc_decision_points, cc_from_cfg
 from modscore.corpus import load_corpus, filter_corpus
-from modscore.inliner import singularize, verify_equivalence
+from modscore.inliner import singularize
 from modscore.modularity import modularity_score, score_unit
 from modscore.parsing import parse
 from modscore.passk import pass_at_k
-from modscore.sandbox import RunLimits
+from modscore.sandbox import RunLimits, verify_equivalence
 from modscore.stats import LogProbRecord, pearson, perplexity, ppl_compare, spearman
 
 from conftest import FIXTURES

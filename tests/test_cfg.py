@@ -1,5 +1,4 @@
 import ast
-import sys
 
 import pytest
 
@@ -41,7 +40,6 @@ def test_while_break_inside_if_matches_decision_oracle():
     assert cc_from_cfg(build_cfg(fn)) == cc_decision_points(fn)
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="except* is 3.11+")
 @pytest.mark.parametrize("count_short_circuit", [True, False])
 def test_except_star_matches_decision_oracle(count_short_circuit):
     src = (

@@ -24,11 +24,10 @@ from modscore.inliner import (
     _splice_one,
     _stmt_eval_parts,
     singularize,
-    verify_equivalence,
 )
 from modscore.modularity import score_unit
 from modscore.parsing import EVALUATES, parse
-from modscore.sandbox import _in_zygotes, run_program
+from modscore.sandbox import _in_zygotes, run_program, verify_equivalence
 
 from gen_programs import runnable_program
 
@@ -230,6 +229,10 @@ REFUSAL_CASES = {
     "default-calls-its-own-def": (
         "def f(x=f()):\n    return x\nprint(f())\n",
         TransformUnsupported, "'f' is called before its definition runs"),
+    # a lambda's default runs in the helper, so the helper is the generator
+    "lambda-default-yields-in-helper": (
+        "def f():\n    g = lambda x=(yield): x\n    return 1\nprint(f())\n",
+        TransformUnsupported, "'f' is a generator function"),
 }
 
 
@@ -461,6 +464,8 @@ DEFERRED_EVALUATION_CASES = {
         "def exc_type():\n    return ValueError\n"
         "try:\n    int('x')\nexcept exc_type():\n    print('caught')\n"
     ),
+    # the lambda is the generator, not the helper
+    "helper-lambda-body-yields": "def f():\n    g = lambda: (yield)\n    return 1\nprint(f())\n",
 }
 
 
@@ -523,6 +528,27 @@ def test_statement_evaluation_keeps_its_output(case, fast_limits):
     assert_flat_keeps_output(case, STATEMENT_EVALUATION_CASES[case], fast_limits)
 
 
+# Each unit calls helpers that print their names inside one expression:
+# hoisted out of it, the calls must run in the order CPython runs them,
+# a dict display's key before its value and a ``**`` unpacking in place.
+EXPRESSION_EVALUATION_CASES = {
+    "dict-display-key-value-pairs": (
+        "def a():\n    print('a')\n    return 1\ndef b():\n    print('b')\n    return 2\n"
+        "def c():\n    print('c')\n    return 3\ndef d():\n    print('d')\n    return 4\n"
+        "x = {a(): b(), c(): d()}\nprint(x)\n"
+    ),
+    "dict-display-unpacking-before-key": (
+        "def a():\n    print('a')\n    return 1\ndef b():\n    print('b')\n    return 2\n"
+        "x = {**{a(): 0}, b(): 1}\nprint(x)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", EXPRESSION_EVALUATION_CASES)
+def test_expression_evaluation_keeps_its_output(case, fast_limits):
+    assert_flat_keeps_output(case, EXPRESSION_EVALUATION_CASES[case], fast_limits)
+
+
 def test_missed_call_site_refused_not_left_calling_a_removed_def(monkeypatch):
     # with the target out of the table the call in it is never hoisted,
     # and its def is removed all the same
@@ -532,9 +558,9 @@ def test_missed_call_site_refused_not_left_calling_a_removed_def(monkeypatch):
         singularize(parse(src))
 
 
-# Each statement's evaluated slots hold ``log(i, value)`` calls, numbered
-# in source order. The order in which ``_linearize`` meets them must be
-# the order CPython runs them.
+# Each statement's or expression's evaluated slots hold ``log(i, value)``
+# calls, numbered in source order. The order in which ``_linearize`` meets
+# them must be the order CPython runs them.
 EVALUATION_ORDER_CASES = {
     "assign": (ast.Assign, "a[log(0, 0)] = a[log(1, 1)] = log(2, 5)\n"),
     "augmented-assign": (ast.AugAssign, "a[log(0, 0)] += log(1, 1)\n"),
@@ -560,6 +586,28 @@ EVALUATION_ORDER_CASES = {
         "@log(0, lambda c: c)\n@log(1, lambda c: c)\n"
         "class C(log(2, object), metaclass=log(3, type)):\n    pass\n"
     )),
+    "bool-op": (ast.BoolOp, "log(0, 1) and log(1, 2) and log(2, 3)\n"),
+    "bin-op": (ast.BinOp, "log(0, 1) + log(1, 2)\n"),
+    "lambda": (ast.Lambda, "lambda x=log(0, 1), *, y=log(1, 2): x\n"),
+    "if-exp": (ast.IfExp, "log(0, 'body') if log(1, True) else 'orelse'\n"),
+    "dict-display": (ast.Dict, "{log(0, 'k'): log(1, 1), **log(2, {}), log(3, 'j'): log(4, 2)}\n"),
+    "dict-unpacking-first": (ast.Dict, "{**log(0, {}), log(1, 'k'): log(2, 1)}\n"),
+    "set": (ast.Set, "{log(0, 1), *log(1, []), log(2, 2)}\n"),
+    "list-comp": (ast.ListComp, (
+        "[log(0, x) for x in log(1, [1]) if log(2, True) for y in log(3, [1])]\n"
+    )),
+    "set-comp": (ast.SetComp, "{log(0, x) for x in log(1, [1]) if log(2, True)}\n"),
+    "dict-comp": (ast.DictComp, "{log(0, x): log(1, x) for x in log(2, [1]) if log(3, True)}\n"),
+    "generator": (ast.GeneratorExp, "list(log(0, x) for x in log(1, [1]) if log(2, True))\n"),
+    "compare": (ast.Compare, "log(0, 1) < log(1, 2) < log(2, 3)\n"),
+    "call": (ast.Call, "log(0, dict)(log(1, [(1, 2)]), *log(2, []), k=log(3, 0), **log(4, {}))\n"),
+    "call-keyword-before-star": (ast.Call, "log(0, dict)(k=log(1, 0), *log(2, [[]]))\n"),
+    "f-string": (ast.JoinedStr, "f'{log(0, 1)}-{log(1, 2)!r:>{log(2, 5)}}'\n"),
+    "formatted-value": (ast.FormattedValue, "f'{log(0, 1):{log(1, 5)}}'\n"),
+    "subscript": (ast.Subscript, "log(0, a)[log(1, 0)]\n"),
+    "slice": (ast.Slice, "a[log(0, 0):log(1, 1):log(2, 1)]\n"),
+    "list": (ast.List, "[log(0, 1), *log(1, []), log(2, 2)]\n"),
+    "tuple": (ast.Tuple, "log(0, 1), *log(1, []), log(2, 2)\n"),
 }
 
 
@@ -585,10 +633,10 @@ def run_logged(src: str) -> list[int]:
 @pytest.mark.parametrize("case", EVALUATION_ORDER_CASES)
 def test_linearized_order_is_cpython_order(case):
     kind, src = EVALUATION_ORDER_CASES[case]
-    stmt = next(n for n in ast.walk(ast.parse(src)) if type(n) is kind)
+    node = next(n for n in ast.walk(ast.parse(src)) if type(n) is kind)
     events: list = []
-    for node, ctx in _stmt_eval_parts(stmt):
-        _linearize(node, ctx, [], events)
+    for part, ctx in _stmt_eval_parts(node) if kind in EVALUATES else [(node, "plain")]:
+        _linearize(part, ctx, [], events)
     linearized = [e.node.args[0].value for e in events
                   if type(e.node) is ast.Call and getattr(e.node.func, "id", None) == "log"]
     ran = run_logged(src)
@@ -598,6 +646,24 @@ def test_linearized_order_is_cpython_order(case):
 
 def test_order_cases_cover_every_statement_with_two_slots():
     with_two = {kind for kind, slots in EVALUATES.items() if len(slots) > 1}
+    assert with_two <= {kind for kind, _ in EVALUATION_ORDER_CASES.values()}
+
+
+def evaluated_slots(kind) -> int:
+    """How many sub-expressions a node of an expression type can evaluate,
+    read from the ASDL signature in its docstring (``Call(expr func, expr*
+    args, keyword* keywords)``): a list field or a lambda's ``arguments``
+    counts as two."""
+    fields = re.findall(r"(\w+)([*?]?) \w+", kind.__doc__.partition("(")[2])
+    return sum(2 if mark == "*" or typ == "arguments" else 1 for typ, mark in fields
+               if typ in ("expr", "keyword", "comprehension", "arguments"))
+
+
+def test_order_cases_cover_every_expression_with_two_slots():
+    # a walrus stores its target after its value: it evaluates one
+    with_two = {kind for kind in ast.expr.__subclasses__()
+                if evaluated_slots(kind) > 1} - {ast.NamedExpr}
+    assert ast.Call in with_two and ast.Attribute not in with_two
     assert with_two <= {kind for kind, _ in EVALUATION_ORDER_CASES.values()}
 
 
@@ -1108,17 +1174,14 @@ CONTROL_FLOW_CASES = [
     "    return None\n"
     "print(first_pair([1, (2, 3), 4]))\nprint(first_pair([5]))\n",
     # early return inside try ... except*
-    pytest.param(
-        "def f(x):\n"
-        "    try:\n"
-        "        if x:\n"
-        "            return 1\n"
-        "    except* ValueError:\n"
-        "        pass\n"
-        "    return 2\n"
-        "print(f(1), f(0))\n",
-        marks=pytest.mark.skipif(sys.version_info < (3, 11), reason="except* is 3.11+"),
-    ),
+    "def f(x):\n"
+    "    try:\n"
+    "        if x:\n"
+    "            return 1\n"
+    "    except* ValueError:\n"
+    "        pass\n"
+    "    return 2\n"
+    "print(f(1), f(0))\n",
 ]
 
 

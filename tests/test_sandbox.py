@@ -1,3 +1,4 @@
+import ast
 import signal
 import sys
 import time
@@ -5,7 +6,7 @@ import time
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from conftest import assert_no_children, count_runs
+from conftest import SRC, assert_no_children, count_runs
 from modscore import sandbox
 from modscore.corpus import TestCase
 from modscore.sandbox import (
@@ -21,6 +22,26 @@ from modscore.sandbox import (
 DOUBLE = "print(int(input()) * 2)\n"
 # 8 KiB of stderr before what the judge must read at its end
 WARNINGS = "import sys\nsys.stderr.write('warn: x\\n' * 1024)\n"
+
+
+def test_only_the_sandbox_runs_programs():
+    """The inliner imports nothing from the sandbox, and only the batch
+    path (``_queue_in_zygotes``) makes a zygote."""
+    package = SRC / "modscore"
+    imported = []
+    for node in ast.walk(ast.parse((package / "inliner.py").read_text())):
+        if type(node) is ast.ImportFrom:
+            imported += [node.module or ""] + [alias.name for alias in node.names]
+        elif type(node) is ast.Import:
+            imported += [alias.name for alias in node.names]
+    assert not [name for name in imported if name.split(".")[-1] == "sandbox"]
+    tree = ast.parse((package / "sandbox.py").read_text())
+    queue = next(node for node in tree.body if getattr(node, "name", "") == "_queue_in_zygotes")
+    made = [(path.name, number) for path in sorted(package.glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if "_Zygote(" in line]
+    assert made and all(name == "sandbox.py" and queue.lineno <= number <= queue.end_lineno
+                        for name, number in made)
 
 
 def test_limits_must_be_positive():
@@ -122,6 +143,18 @@ def test_deterministic_verdicts(fast_limits):
     test = TestCase(b"5\n", b"10\n")
     verdicts = {run_solution(DOUBLE, test, fast_limits).verdict for _ in range(3)}
     assert verdicts == {"pass"}
+
+
+SET_ORDER = "print(' '.join({'ab', 'cd', 'ef'}))\n"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_one_hash_seed_for_every_run(fast_limits, jobs):
+    # the order of a set of strings follows the string-hash seed
+    expected = run_solution(SET_ORDER, TestCase(b"", b""), fast_limits).stdout
+    programs = [(SET_ORDER, [TestCase(b"", expected)])] * 12
+    verdicts = [passes_each(programs, fast_limits, jobs=jobs) for _ in range(3)]
+    assert verdicts == [[True] * 12] * 3
 
 
 def test_count_correct_all_pass(fast_limits):

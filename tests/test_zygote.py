@@ -1,10 +1,10 @@
 """Forked runs against a fresh interpreter, and the scheduler's process hygiene.
 
-The reference runs each program in a fresh interpreter (``_spawn``, with
-``_zygote.limit`` as its ``preexec_fn``), through the same
-``run_solution`` with a spawner standing in for the one-shot zygote.
-Forked from a zygote, the same run must give the same verdict, stdout
-and detail.
+The reference runs each program in a fresh interpreter started as a
+zygote is (``_spawn``, with ``_zygote.limit`` as its ``preexec_fn``),
+through the same ``run_solution`` with a spawner standing in for the
+zygote of its one-run batch. Forked from a zygote, the same run must
+give the same verdict, stdout and detail.
 """
 
 import json
@@ -22,9 +22,8 @@ from modscore._zygote import limit
 from modscore.cli import main
 from modscore.corpus import TestCase, filter_corpus, load_corpus
 from modscore.errors import SandboxUnavailable
-from modscore.inliner import verify_equivalence
 from modscore.parsing import parse
-from modscore.sandbox import RunLimits, count_correct, run_solution
+from modscore.sandbox import RunLimits, count_correct, run_solution, verify_equivalence
 
 from conftest import FIXTURES, SRC, assert_no_children, count_runs
 from gen_programs import runnable_program
@@ -38,7 +37,8 @@ def _spawn(tmp: str, limits: RunLimits) -> tuple[int, bool]:
     """Run tmp/prog.py in a fresh interpreter: (return code, timed out).
 
     ``preexec_fn`` can deadlock when other threads run Python code, so
-    the reference runs only while no batch's worker threads are alive.
+    the reference runs only as lone runs, whose one worker thread is the
+    only thread running Python code.
     """
     tmp_path = Path(tmp)
     try:
@@ -46,7 +46,7 @@ def _spawn(tmp: str, limits: RunLimits) -> tuple[int, bool]:
                 open(tmp_path / "stdout", "wb") as fout, \
                 open(tmp_path / "stderr", "wb") as ferr:
             proc = subprocess.Popen(
-                [sys.executable, "-I", "prog.py"],
+                **sandbox._python("prog.py"),
                 stdin=fin,
                 stdout=fout,
                 stderr=ferr,
@@ -66,7 +66,7 @@ def _spawn(tmp: str, limits: RunLimits) -> tuple[int, bool]:
 
 
 class Spawner:
-    """Takes a one-shot run's zygote slot: every run spawns an interpreter."""
+    """Takes the place of a lone run's zygote: every run spawns an interpreter."""
 
     def run(self, tmp, limits):
         return _spawn(tmp, limits)
@@ -125,6 +125,11 @@ EDGE_CASES = {
     "input": "a = input()\nb = input()\nprint(int(a) + int(b))\n",
     "stdin_buffer": "import sys\nprint(sorted(sys.stdin.buffer.read().split()))\n",
     "stdin_tell": "import sys\nsys.stdin.readline()\nprint(sys.stdin.tell(), sys.stdout.seekable())\n",
+    "interpreter": (
+        "import os, sys\nprint(sys.orig_argv[1:], sys.path[0], sys.flags)\n"
+        "print(sorted(name for name in os.environ if name.startswith('PYTHON')))\n"
+    ),
+    "set_order": "print(' '.join({'ab', 'cd', 'ef'}))\n",
     "main_module": (
         "import sys\nprint(sorted(vars()), __name__, sys.argv,"
         " __file__.endswith('/prog.py'), type(__loader__).__name__)\n"
@@ -174,6 +179,9 @@ def test_edge_cases_agree():
     assert forked["exit_message"].detail == "bad input"
     assert forked["thread"].stdout == b"early\nlate\n"
     assert forked["atexit_after_error"].stdout == b"bye\n"
+    flags = forked["interpreter"].stdout
+    assert b"isolated=0" in flags and b"hash_randomization=0" in flags
+    assert flags.endswith(b"['PYTHONHASHSEED']\n")
 
 
 def test_long_stderr_is_judged_by_its_end():
@@ -359,7 +367,8 @@ def test_verify_equivalence_forks_every_run_from_one_zygote(fast_limits, monkeyp
     tests = [TestCase(b"3\n", b"6\n"), TestCase(b"4\n", b"8\n")]
     assert verify_equivalence(unit, unit, tests, fast_limits)
     assert not verify_equivalence(unit, parse("print(0)\n"), tests, fast_limits)
-    assert len(started) == 2  # one per call
+    assert verify_equivalence(unit, unit, [], fast_limits)
+    assert len(started) == 2  # one per call that runs something
     assert_no_children()
 
 
@@ -367,7 +376,8 @@ def test_one_shot_run_forks_from_a_zygote_of_its_own(fast_limits, monkeypatch):
     started = count_zygotes(monkeypatch)
     result = run_solution(DOUBLE, TestCase(b"3\n", b"6\n"), fast_limits)
     assert result.verdict == "pass"
-    assert len(started) == 1
+    assert sandbox.run_program(DOUBLE, b"4\n", fast_limits).stdout == b"8\n"
+    assert len(started) == 2  # one per run
     assert_no_children()
 
 
