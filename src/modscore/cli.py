@@ -36,6 +36,7 @@ from .errors import (
     CorpusFormatError,
     DomainError,
     DynamicCallUnsupported,
+    EmptyInput,
     EncodingError,
     ExternalNameCollision,
     InvalidLogProb,
@@ -277,7 +278,7 @@ def _classify_problem(problem: Problem, count_short_circuit: bool, tau: int) -> 
 
 
 def _cmd_classify(args, config: RunConfig) -> dict:
-    problems = sorted(load_corpus(args.corpus), key=lambda p: p.id)
+    problems = load_corpus(args.corpus)
     rows = _map_jobs(
         functools.partial(_classify_problem, count_short_circuit=_PROFILES[config.profile],
                           tau=config.tau),
@@ -293,6 +294,8 @@ def _cmd_singularize(args, config: RunConfig) -> None:
     transformed = singularize(unit)
     if args.verify:
         tests = read_rows(args.verify, None, case_from_row)
+        if not tests:
+            raise EmptyInput(f"{args.verify}: no tests to verify against")
         if not verify_equivalence(unit, transformed, tests, config.limits(),
                                   exact=config.exact_output):
             raise TransformUnsupported("verification failed: verdicts or outputs differ")
@@ -311,7 +314,6 @@ def _cmd_filter(args, config: RunConfig) -> dict:
         exact=config.exact_output,
         jobs=_effective_jobs(config.jobs),
     )
-    kept.sort(key=lambda p: p.id)
     save_corpus(kept, args.out)
     return {"filter": asdict(report)}
 
@@ -328,12 +330,11 @@ def _parse_ks(text: str) -> list[int]:
 
 def _cmd_passk(args, config: RunConfig) -> dict:
     ks = _parse_ks(args.k)
-    problems = {p.id: p for p in load_corpus(args.corpus)}
     generations = load_generations(args.gens)
     judged = []
     skipped = []
-    for pid in sorted(problems):
-        problem = problems[pid]
+    for problem in load_corpus(args.corpus):
+        pid = problem.id
         gens = generations.get(pid)
         if gens is None:
             skipped.append({"id": pid, "reason": "no generations"})
@@ -371,9 +372,9 @@ def _cmd_passk(args, config: RunConfig) -> dict:
 
 def _scored_sample(row, line_no: int) -> ScoredSample:
     return ScoredSample(
-        unit_id=str(require(row, "unit_id", line_no)),
-        mos=float(require(row, "mos", line_no)),
-        pass1=float(require(row, "pass1", line_no)),
+        unit_id=require(row, "unit_id", line_no, "a string or an integer"),
+        mos=require(row, "mos", line_no, "a number"),
+        pass1=require(row, "pass1", line_no, "a number"),
     )
 
 
@@ -398,12 +399,11 @@ def _cmd_correlate(args, config: RunConfig) -> dict:
 
 
 def _logprob_record(row, line_no: int) -> LogProbRecord:
-    record_id = str(require(row, "id", line_no))
-    category = str(require(row, "category", line_no))
-    logprobs = require(row, "token_logprobs", line_no)
-    if not isinstance(logprobs, list):
-        raise ValueError(f"record {record_id}: token_logprobs must be a list")
-    return LogProbRecord(record_id, category, tuple(float(v) for v in logprobs))
+    return LogProbRecord(
+        require(row, "id", line_no, "a string or an integer"),
+        require(row, "category", line_no, "a string"),
+        tuple(require(row, "token_logprobs", line_no, "a list of numbers")),
+    )
 
 
 def _cmd_ppl(args, config: RunConfig) -> dict:

@@ -13,6 +13,7 @@ tests or no surviving solutions are dropped and reported.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,14 +41,38 @@ class Problem:
     difficulty: str | None = None
 
 
-def require(row, key: str, line_no: int):
-    """``row[key]``, for a row read from line ``line_no``; refuses a row
-    that is not an object or lacks the key."""
+def _is_text(value) -> bool:  # a str; a lone surrogate raises UnicodeEncodeError
+    if type(value) is str and not value.isascii():  # no ASCII str can hold one
+        value.encode("utf-8")
+    return type(value) is str
+
+
+def _is_number(value) -> bool:  # an int or float, never a bool; an int must fit a float
+    return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
+
+
+# each kind a row field may hold, by its name in a refusal
+_HOLDS = {
+    "a string": _is_text,
+    "a list of strings": lambda v: type(v) is list and all(map(_is_text, v)),
+    "a list of test objects": lambda v: type(v) is list and all(type(t) is dict for t in v),
+    "a number": _is_number,
+    "a list of numbers": lambda v: type(v) is list and all(map(_is_number, v)),
+    "a string or an integer": lambda v: type(v) is int or _is_text(v),  # an id
+}
+
+
+def require(row, key: str, line_no: int, kind: str, default=None):
+    """``row[key]`` of ``kind`` for a row read from line ``line_no``, or
+    ``default`` if given and the key is absent; an integer id reads as its string."""
     if not isinstance(row, dict):
         raise CorpusFormatError(f"line {line_no}: expected an object")
-    if key not in row:
+    if key not in row and default is None:
         raise CorpusFormatError(f"line {line_no}: missing key {key!r}")
-    return row[key]
+    value = row.get(key, default)
+    if not _HOLDS[kind](value):
+        raise CorpusFormatError(f"line {line_no}: {key!r} must be {kind}")
+    return str(value) if kind == "a string or an integer" and type(value) is int else value
 
 
 def read_rows(path: str | Path, key: str | None, from_row) -> list:
@@ -90,39 +115,20 @@ def read_rows(path: str | Path, key: str | None, from_row) -> list:
     return items
 
 
-def _encode_each(texts: list[str]):
-    """Refuse a program holding a lone surrogate: it could never be written
-    out as UTF-8. The ``UnicodeEncodeError`` is a ``ValueError``, which
-    ``read_rows`` reports with the line number."""
-    for text in texts:
-        text.encode("utf-8")
-
-
 def case_from_row(row, line_no: int = 0) -> TestCase:
-    if not isinstance(row, dict) or "input" not in row or "output" not in row:
-        raise CorpusFormatError(f"line {line_no}: test needs input/output")
     return TestCase(
-        input=str(row["input"]).encode("utf-8"),
-        expected_output=str(row["output"]).encode("utf-8"),
+        input=require(row, "input", line_no, "a string").encode("utf-8"),
+        expected_output=require(row, "output", line_no, "a string").encode("utf-8"),
     )
 
 
-def problem_from_row(row: dict, line_no: int = 0) -> Problem:
-    if not isinstance(row, dict):
-        raise CorpusFormatError(f"line {line_no}: expected an object")
-    tests = row.get("tests", [])
-    if not isinstance(tests, list):
-        raise CorpusFormatError(f"line {line_no}: tests must be a list")
-    tests = [case_from_row(t, line_no) for t in tests]
-    solutions = require(row, "solutions", line_no)
-    if not isinstance(solutions, list) or not all(isinstance(s, str) for s in solutions):
-        raise CorpusFormatError(f"line {line_no}: solutions must be a list of strings")
-    _encode_each(solutions)
+def problem_from_row(row, line_no: int = 0) -> Problem:
+    tests = require(row, "tests", line_no, "a list of test objects", [])
     return Problem(
-        id=str(require(row, "id", line_no)),
-        description=str(row.get("description", "")),
-        solutions=list(solutions),
-        tests=tests,
+        id=require(row, "id", line_no, "a string or an integer"),
+        description=require(row, "description", line_no, "a string", ""),
+        solutions=require(row, "solutions", line_no, "a list of strings"),
+        tests=[case_from_row(t, line_no) for t in tests],
         difficulty=row.get("difficulty"),
     )
 
@@ -144,7 +150,8 @@ def problem_to_row(problem: Problem) -> dict:
 
 
 def load_corpus(path: str | Path) -> list[Problem]:
-    return read_rows(path, "id", problem_from_row)
+    """The problems of a corpus file, in id order."""
+    return sorted(read_rows(path, "id", problem_from_row), key=lambda p: p.id)
 
 
 def save_corpus(problems: list[Problem], path: str | Path):
@@ -154,13 +161,8 @@ def save_corpus(problems: list[Problem], path: str | Path):
 
 
 def _generations_from_row(row, line_no: int) -> tuple[str, list[str]]:
-    if not isinstance(row, dict) or "id" not in row or "generations" not in row:
-        raise CorpusFormatError(f"line {line_no}: need id and generations")
-    gens = row["generations"]
-    if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
-        raise CorpusFormatError(f"line {line_no}: generations must be strings")
-    _encode_each(gens)
-    return str(row["id"]), gens
+    return (require(row, "id", line_no, "a string or an integer"),
+            require(row, "generations", line_no, "a list of strings"))
 
 
 def load_generations(path: str | Path) -> dict[str, list[str]]:

@@ -462,7 +462,7 @@ class _EvalEvent:
     def __init__(self, node, ctx, owners):
         self.node = node  # a call, name, walrus, yield, yield from, await or with-item
         self.ctx = ctx  # "plain" | "conditional" | "deferred" | "repeated"
-        self.owners = owners  # enclosing call nodes, outermost first
+        self.owners = owners  # enclosing call and lambda nodes, outermost first
 
 
 # a with-item stands for the call of its context manager's ``__enter__``
@@ -494,7 +494,7 @@ def _linearize(expr, ctx, owners, events):
     if isinstance(expr, ast.Lambda):
         for d in expr.args.defaults + [d for d in expr.args.kw_defaults if d]:
             _linearize(d, ctx, owners, events)
-        _linearize(expr.body, _worse(ctx, "deferred"), owners, events)
+        _linearize(expr.body, _worse(ctx, "deferred"), owners + [expr], events)
         return
     if isinstance(expr, _COMPREHENSIONS):
         lazy = isinstance(expr, ast.GeneratorExp)
@@ -602,7 +602,11 @@ def _normalize_stmt(stmt, planned, shared, fresh, in_class_body):
 
     # a hoisted call runs at its rank; an effect runs at the rank of its
     # innermost hoisted owner, or after every hoist when it has none;
-    # ``latest`` is the furthest such position of the effects met so far
+    # ``latest`` is the furthest such position of the effects met so far.
+    # A lambda's body is skipped: it runs only when something calls the
+    # lambda, a call (an event of its own) or an object's operator (not
+    # checked for any operand). A generator's elements count: ``x in gen``,
+    # ``*gen`` or a comprehension over it runs them with no event.
     rank = {id(call): i for i, call in enumerate(hoisted)}
     latest = -1
     for event in events:
@@ -613,7 +617,8 @@ def _normalize_stmt(stmt, planned, shared, fresh, in_class_body):
                     f"cannot hoist call to {node.func.id!r} past an "
                     f"effectful expression (line {stmt.lineno})"
                 )
-        elif node is not root and (type(node) is not ast.Name or node.id in shared):
+        elif (node is not root and (type(node) is not ast.Name or node.id in shared)
+              and not any(type(o) is ast.Lambda for o in event.owners)):
             owner = next((rank[id(o)] for o in reversed(event.owners) if id(o) in rank),
                          len(hoisted))
             latest = max(latest, owner)

@@ -1,12 +1,16 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import modscore.cli as cli_module
+import modscore.corpus as corpus_module
 from modscore.cli import main
 from modscore.corpus import TestCase
 
@@ -359,6 +363,7 @@ def scored_rows(count: int) -> str:
 
 
 SCORED_ROW = scored_rows(1)
+VARIED_SCORED_ROWS = scored_rows(3).replace('"pass1": 1.0', '"pass1": 0.0', 1)
 DUPLICATE_ID_CORPUS = (
     '{"id": "p", "solutions": ["print(1)"], "tests": [{"input": "", "output": "1\\n"}]}\n'
     '{"id": "q", "solutions": ["print(1)"], "tests": [{"input": "", "output": "1\\n"}]}\n'
@@ -401,7 +406,8 @@ BAD_INPUT_CASES = {
     "input-path-too-long": ("analyze-long-path", None, None, 2, "File name too long"),
     "out-path-too-long": ("singularize-long-out", None, None, 2, "File name too long"),
     "verify-not-json": ("verify", "nope", None, 2, "line 1: invalid JSON"),
-    "verify-lacks-output": ("verify", '{"input": "1"}', None, 2, "line 1: test needs input/output"),
+    "verify-empty": ("verify", "", None, 1, "no tests to verify against"),
+    "verify-lacks-output": ("verify", '{"input": "1"}', None, 2, "line 1: missing key 'output'"),
     "scored-row-not-object": ("correlate", "[1]", None, 2, "line 1: expected an object"),
     "scored-row-missing-key": ("correlate", '{"unit_id": "u0", "mos": 0.5}\n', None, 2,
                                "line 1: missing key 'pass1'"),
@@ -420,7 +426,7 @@ BAD_INPUT_CASES = {
     "corpus-cr-lines-not-utf8": ("corpus", b'{"id": "p1", "solutions": []}\r{"id": "\xff"}\r',
                                  None, 2, "line 2: not valid UTF-8"),
     "corpus-tests-not-a-list": ("corpus", '{"id": "p1", "solutions": [], "tests": 5}\n',
-                                None, 2, "line 1: tests must be a list"),
+                                None, 2, "line 1: 'tests' must be a list of test objects"),
     "classify-duplicate-id": ("corpus", DUPLICATE_ID_CORPUS, None, 2,
                               "line 3: duplicate id 'p' (first on line 1)"),
     "passk-duplicate-id": ("passk-given", DUPLICATE_ID_CORPUS, None, 2,
@@ -452,8 +458,30 @@ BAD_INPUT_CASES = {
                                        '{"id": "p01", "generations": ["print(1)\\ud800"]}\n',
                                        None, 2, "line 1: 'utf-8' codec can't encode"),
     "corpus-row-not-object": ("corpus", "[1]\n", None, 2, "line 1: expected an object"),
+    # a value of another kind than its key takes, which a str() or float()
+    # used to read as something else
+    "corpus-test-input-a-list": ("corpus", '{"id": "p1", "solutions": [], "tests": '
+                                 '[{"input": ["x"], "output": "[\'x\']"}]}\n',
+                                 None, 2, "line 1: 'input' must be a string"),
+    "corpus-test-output-null": ("corpus", '{"id": "p1", "solutions": [], "tests": '
+                                '[{"input": "", "output": null}]}\n',
+                                None, 2, "line 1: 'output' must be a string"),
+    "corpus-id-an-object": ("corpus", '{"id": {"p": 1}, "solutions": []}\n', None, 2,
+                            "line 1: 'id' must be a string or an integer"),
+    "correlate-mos-a-bool": ("correlate", '{"unit_id": "x", "mos": true, "pass1": 0.5}\n'
+                             + VARIED_SCORED_ROWS, None, 2, "line 1: 'mos' must be a number"),
+    "correlate-pass1-a-string": ("correlate", '{"unit_id": "x", "mos": 0.25, "pass1": "0.5"}\n'
+                                 + VARIED_SCORED_ROWS, None, 2,
+                                 "line 1: 'pass1' must be a number"),
+    "ppl-log-prob-a-string": ("ppl-given", '{"id": "a", "category": "MC", '
+                              '"token_logprobs": ["-1"]}\n',
+                              None, 2, "line 1: 'token_logprobs' must be a list of numbers"),
+    "ppl-log-prob-too-large-for-a-float": ("ppl-given", '{"id": "a", "category": "MC", '
+                                           '"token_logprobs": [-1' + "1" * 400 + ']}\n',
+                                           None, 2,
+                                           "line 1: 'token_logprobs' must be a list of numbers"),
     "gens-not-strings": ("passk-gens-given", '{"id": "p01", "generations": [1]}\n', None, 2,
-                         "line 1: generations must be strings"),
+                         "line 1: 'generations' must be a list of strings"),
     "correlate-zero-bins": ("correlate-bins-0", SCORED_ROW, None, 1,
                             "bins and per_bin must be positive"),
     "correlate-zero-per-bin": ("correlate-per-bin-0", SCORED_ROW, None, 1,
@@ -491,7 +519,7 @@ BAD_INPUT_CASES = {
                              None, 2, "line 1: record a: category 'XX' is not one of MC, SC, TMC, TSC"),
     "ppl-log-probs-not-a-list": ("ppl-given",
                                  '{"id": "a", "category": "MC", "token_logprobs": "-1"}\n',
-                                 None, 2, "line 1: record a: token_logprobs must be a list"),
+                                 None, 2, "line 1: 'token_logprobs' must be a list of numbers"),
     "ppl-no-tokens": ("ppl-given", '{"id": "a", "category": "MC", "token_logprobs": []}\n',
                       None, 2, "line 1: record a: no tokens"),
     "ppl-nan-log-prob": ("ppl-given", '{"id": "a", "category": "MC", "token_logprobs": [-1, NaN]}\n',
@@ -611,6 +639,137 @@ def test_bad_input_exits_with_one_line(capsys, monkeypatch, tmp_path, case):
     assert code == want_code
     assert out == ""
     assert err.count("\n") == 1 and message in err
+
+
+# -- each row field is read with its kind -------------------------------------
+
+# in an argv, these stand for the file of rows and a unit to singularize
+GIVEN, UNIT = "<rows>", "<unit>"
+# Each row type: an argv that reads a file of its rows, a well-typed row,
+# and the path to each typed field in it with the kinds of JSON value the
+# field takes, and for a list the kinds its items take.
+ROW_FIELDS = {
+    "corpus": (
+        ["filter", GIVEN, "--out", os.devnull],
+        {"id": "p1", "description": "", "difficulty": None, "solutions": ["print(1)\n"],
+         "tests": [{"input": "", "output": "1\n"}]},
+        {("id",): ({"string", "int"}, None), ("description",): ({"string"}, None),
+         ("solutions",): ({"list"}, {"string"}), ("tests",): ({"list"}, {"object"}),
+         ("tests", 0, "input"): ({"string"}, None), ("tests", 0, "output"): ({"string"}, None)},
+    ),
+    "generations": (
+        ["passk", str(FIXTURES / "mini_corpus.jsonl"), "--gens", GIVEN],
+        {"id": "p01", "generations": ["print(1)\n"]},
+        {("id",): ({"string", "int"}, None), ("generations",): ({"list"}, {"string"})},
+    ),
+    "verify": (
+        ["singularize", UNIT, "--verify", GIVEN],
+        {"input": "", "output": "1\n"},
+        {("input",): ({"string"}, None), ("output",): ({"string"}, None)},
+    ),
+    "scored": (
+        ["correlate", GIVEN],
+        {"unit_id": "u0", "mos": 0.5, "pass1": 1.0},
+        {("unit_id",): ({"string", "int"}, None), ("mos",): ({"int", "float"}, None),
+         ("pass1",): ({"int", "float"}, None)},
+    ),
+    "logprobs": (
+        ["ppl", GIVEN],
+        {"id": "a", "category": "MC", "token_logprobs": [-1.0]},
+        {("id",): ({"string", "int"}, None), ("category",): ({"string"}, None),
+         ("token_logprobs",): ({"list"}, {"int", "float"})},
+    ),
+}
+JSON_KINDS = {type(None): "null", bool: "bool", int: "int", float: "float", str: "string",
+              list: "list", dict: "object"}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=5,
+)
+
+
+def values_not_taken(kinds: set, item_kinds: set | None):
+    """JSON values of each kind outside ``kinds``; for a list field, also
+    lists holding an item of a kind outside ``item_kinds``."""
+    values = JSON_VALUES.filter(lambda v: JSON_KINDS[type(v)] not in kinds)
+    if item_kinds is None:
+        return values
+    return values | st.lists(JSON_VALUES, min_size=1, max_size=3).filter(
+        lambda v: any(JSON_KINDS[type(item)] not in item_kinds for item in v))
+
+
+@pytest.mark.parametrize("row_type, path", [
+    pytest.param(row_type, path, id=f"{row_type}-{'.'.join(map(str, path))}")
+    for row_type, (_, _, fields) in ROW_FIELDS.items() for path in fields
+])
+def test_a_field_of_another_kind_exits_2_naming_its_key(tmp_path_factory, row_type, path):
+    argv, row, fields = ROW_FIELDS[row_type]
+    work = tmp_path_factory.mktemp("rows")
+    rows, unit = work / "rows.jsonl", work / "unit.py"
+    unit.write_text("def f(x):\n    return x\nprint(f(1))\n")
+    argv = [{GIVEN: str(rows), UNIT: str(unit)}.get(arg, arg) for arg in argv]
+
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a program ran")
+
+    @settings(max_examples=30, deadline=None)
+    @given(value=values_not_taken(*fields[path]))
+    def check(value):
+        bad = json.loads(json.dumps(row))
+        holder = bad
+        for step in path[:-1]:
+            holder = holder[step]
+        holder[path[-1]] = value
+        rows.write_text(json.dumps(bad) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue().count("\n") == 1 and f"{path[-1]!r}" in err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli_module, "passes_each", no_runs)
+        patch.setattr(corpus_module, "passes_each", no_runs)
+        patch.setattr(cli_module, "verify_equivalence", no_runs)
+        check()
+
+
+def test_an_integer_id_reads_as_its_string(capsys, tmp_path):
+    rows = [{"id": 7, "solutions": ["print(1)\n"]}, {"id": "8", "solutions": ["print(2)\n"]}]
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    code, out, err = run_cli(capsys, "classify", str(corpus))
+    assert (code, err) == (0, "")
+    assert [row["problem_id"] for row in json.loads(out)["problems"]] == ["7", "8"]
+    corpus.write_text(corpus.read_text() + '{"id": "7", "solutions": []}\n')
+    code, _, err = run_cli(capsys, "classify", str(corpus))
+    assert code == 2 and "line 3: duplicate id '7' (first on line 1)" in err
+
+
+@pytest.mark.parametrize("name", ["mini_corpus", "filter_corpus"])
+def test_corpus_commands_give_the_same_output_in_any_row_order(capsys, tmp_path, name):
+    # problems come in id order, whatever the order of the rows
+    lines = (FIXTURES / f"{name}.jsonl").read_text().splitlines(keepends=True)
+    gens = (FIXTURES / "mini_generations.jsonl").read_text().splitlines(keepends=True)
+    results = []
+    for order in (slice(None), slice(None, None, -1)):
+        corpus, gens_file = tmp_path / "corpus.jsonl", tmp_path / "gens.jsonl"
+        corpus.write_text("".join(lines[order]))
+        gens_file.write_text("".join(gens[order]))
+        runs = [["classify", str(corpus)],
+                ["filter", str(corpus), "--out", str(tmp_path / "kept.jsonl"),
+                 "--report", str(tmp_path / "report.json"), "--jobs", "2"]]
+        if name == "mini_corpus":
+            runs.append(["passk", str(corpus), "--gens", str(gens_file), "--k", "1,2",
+                         "--jobs", "2"])
+        result = [run_cli(capsys, *argv) for argv in runs]
+        result += [(tmp_path / "kept.jsonl").read_bytes(), (tmp_path / "report.json").read_bytes()]
+        results.append(result)
+    assert results[0] == results[1]
+    assert all(code == 0 for code, _, _ in results[0][:-2])
 
 
 # -- classify and analyze over --jobs worker processes ------------------------

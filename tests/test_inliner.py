@@ -466,6 +466,11 @@ DEFERRED_EVALUATION_CASES = {
     ),
     # the lambda is the generator, not the helper
     "helper-lambda-body-yields": "def f():\n    g = lambda: (yield)\n    return 1\nprint(f())\n",
+    # a lambda's body runs when the lambda is called, not with its
+    # statement, so a call hoisted out of the statement may pass it
+    "lambda-body-before-a-hoisted-call": (
+        "def f():\n    return 1\nx = (lambda: print(2), f())\nprint(x[1])\n"
+    ),
 }
 
 
@@ -939,6 +944,22 @@ HOIST_CASES = {
         "import contextlib, io\nbuf = io.StringIO()\ncm = contextlib.redirect_stdout(buf)\n"
         "def f():\n    print('f')\n    return contextlib.nullcontext()\n"
         "with cm, f():\n    pass\nprint(repr(buf.getvalue()))\n"
+    ),
+    "refused-call-of-a-lambda-before-call": (
+        "a = [0]\ndef f():\n    a.append(1)\n    return 1\n"
+        "print(list(map(lambda v: v, a)), f())\n"
+    ),
+    # a generator's elements may run with no call: ``in``, ``*`` or a comprehension
+    "refused-generator-consumed-by-in-before-call": (
+        "def f():\n    print('f')\n    return 1\n"
+        "x = (2 in (print(c) for c in 'ab'), f())\nprint(x[1])\n"
+    ),
+    "refused-generator-unpacked-before-call": (
+        "def f():\n    print('f')\n    return 1\nprint(*(print(c) for c in 'ab'), f())\n"
+    ),
+    "refused-generator-iterated-by-a-comprehension-before-call": (
+        "def f():\n    print('f')\n    return 1\n"
+        "x = ([y for y in (print(c) for c in 'ab')], f())\nprint(x[1])\n"
     ),
     "control-argument-read-before-call": (
         "def solve(n):\n    return n * 2\nn = 4\nprint(n, solve(n))\n"
