@@ -18,17 +18,21 @@ wrong. Mechanics:
     were evaluated once at the definition site;
   - inlined locals are alpha-renamed with fresh ``__inl<N>`` suffixes;
   - a body whose single return is its last statement becomes an
-    assignment to a fresh result variable; early returns set the result
-    plus a fresh completion flag that guards the remainder of the body
-    (inside loops the flag also breaks out).
+    assignment to a fresh result variable. Otherwise a ``return`` sets
+    the result and a fresh done flag (and breaks, inside a loop of the
+    helper), and the flag guards what would still run after it: the rest
+    of each block, and a ``try``'s ``else`` after a body that returned.
 
 Rejected outright: recursion, any non-call use of a function name,
 rebinding or shadowing of one (by assignment, parameter, import, except
 clause, class or match capture), decorated/generator/async definitions,
-*args/**kwargs, ``nonlocal``, dotted imports without ``as`` in a helper,
-units that read names dynamically anywhere (a call of the builtin
-``eval``, ``exec``, ``globals`` or ``locals``, or of ``vars`` or ``dir``
-without an argument), classes with methods (methods are modules but only
+*args/**kwargs, a keyword argument for a positional-only parameter,
+``nonlocal``, dotted imports without ``as`` in a helper, a ``return`` in
+a ``finally`` block or a ``break`` or ``continue`` there outside a loop
+of that block (the flag cannot express the jump out of it), units that
+read names dynamically anywhere (a call of the builtin ``eval``,
+``exec``, ``globals`` or ``locals``, or of ``vars`` or ``dir`` without
+an argument), classes with methods (methods are modules but only
 dynamically invocable), call sites in deferred or repeated positions
 (lambda bodies, comprehensions, while-tests, short-circuit operands,
 ternary arms), hoists that would run a call ahead of anything else (any
@@ -37,14 +41,15 @@ other call, a name some ``global`` statement declares, a walrus, a
 before their helper's ``def`` in the same block, calls in an ``except``
 clause's type (it runs only when an exception propagates) or in a
 module-level annotation, annotations without a value (``x: T``) in a
-function, and sources nested too deeply for the rewrite's recursion. An annotated local ``x: T = v`` becomes
-``x = v``: a function never evaluates the annotation, and the spliced
-copy must not either. A helper's parameter and return annotations run
-when its ``def`` does, unless annotations are deferred (Python 3.14,
-``from __future__ import annotations``), so neither hoisting nor dropping
-them is sound: a helper keeps only constants and builtin names the unit
-never binds there, and any other annotation is refused. An output that
-still names a helper is refused as an internal error.
+function, and sources nested too deeply for the rewrite's recursion. An
+annotated local ``x: T = v`` becomes ``x = v``: a function never
+evaluates the annotation, and the spliced copy must not either. A
+helper's parameter and return annotations run when its ``def`` does,
+unless annotations are deferred (Python 3.14, ``from __future__ import
+annotations``), so neither hoisting nor dropping them is sound: a helper
+keeps only constants and builtin names the unit never binds there, and
+any other annotation is refused. An output that still names a helper is
+refused as an internal error.
 
 The checks read the unit through one walk over the whole tree
 (``_gather``), which collects its definitions, the names it binds and
@@ -57,9 +62,9 @@ The helper call graph is walked once, depth first (``_analyze``): the
 walk meets the first cycle and gives each helper the free names it reads
 through its callees, for the capture check, and the helpers it runs, for
 the definition-order check. One walk of a helper's own scope
-(``_scope_of``) finds its locals, free names, returns, ``global``
-declarations and first refused construct; it runs once as written and
-once flattened, never per call site.
+(``_scope_of``) finds its locals, free names, returns and first refused
+construct; it runs once as written and once flattened, never per call
+site.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ from .errors import (
     RecursionUnsupported,
     TransformUnsupported,
 )
-from .parsing import EVALUATES, SourceUnit, parse, statement_blocks
+from .parsing import EVALUATES, TRY_NODES, SourceUnit, parse, statement_blocks
 
 HEADER_COMMENT = (
     "# de-modularized output: every helper was inlined at its call sites;"
@@ -91,6 +96,7 @@ _BARE_SCOPE_READERS = frozenset({"vars", "dir"})
 
 _DEF_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 _LOOPS = (ast.While, ast.For, ast.AsyncFor)
+_FINALLY_JUMPS = (ast.Return, ast.Break, ast.Continue)
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 # The field through which each node type binds a name. A Name binds when
@@ -143,7 +149,6 @@ class _Scope:  # what one walk of a def's own scope finds
     locals: set[str]  # the names bound in it
     free: set[str]  # the names its body resolves outside it
     returns: int  # its ``return`` statements
-    declares_global: bool
     refusal: str | None  # for its first yield, nonlocal, dotted import or class
 
 
@@ -159,7 +164,7 @@ def _scope_of(node) -> _Scope:
     bound = {p.arg for p in args.posonlyargs + args.args + args.kwonlyargs}
     used: set[str] = set()
     declared: set[str] = set()
-    returns, declares_global, refusal = 0, False, None
+    returns, refusal = 0, None
     # (node, the names scopes inside this def's bind around it, whether a lambda's body holds it)
     stack = [(n, frozenset(), False) for n in node.body]
     while stack:
@@ -185,7 +190,6 @@ def _scope_of(node) -> _Scope:
         if isinstance(n, (ast.Global, ast.Nonlocal)):
             declared.update(n.names)
             used.update(n.names)
-            declares_global |= type(n) is ast.Global
         elif isinstance(n, _DEF_NODES):
             stack += [(part, inner, in_lambda) for part in _runs_where_def_stands(n)]
         elif isinstance(n, ast.Lambda):
@@ -207,7 +211,7 @@ def _scope_of(node) -> _Scope:
         elif not isinstance(n, ast.ClassDef):
             stack += [(c, inner, in_lambda) for c in ast.iter_child_nodes(n)]
     local_names = bound - declared
-    return _Scope(local_names, used - local_names, returns, declares_global, refusal)
+    return _Scope(local_names, used - local_names, returns, refusal)
 
 
 @dataclass(frozen=True)
@@ -729,72 +733,72 @@ def _assign(name: str, value: ast.expr, like) -> ast.stmt:
     return ast.copy_location(node, like)
 
 
-def _rewrite_returns(body, returns: int, ret_name: str, done_name: str):
-    """(new_body, whether the body returns anywhere), given the number of
-    ``return`` statements in the body."""
+def _rewrite_returns(body, returns: int, ret_name: str, done_name: str) -> list[ast.stmt]:
+    """The flat helper's body with each of its ``returns`` return
+    statements replaced. A lone return at the end assigns the result.
+    Otherwise one rule holds: a ``return`` sets the result and the done
+    flag, and inside a loop of the helper it also breaks. Whatever would
+    still run after a statement that may have returned is guarded by the
+    flag: the rest of its block, and a ``try``'s ``else`` after a body
+    that returned. Inside a loop the guard is ``if done: break``, and the
+    break already skips the ``else``; outside one it is ``if not done:``
+    around what follows.
+
+    Raises TransformUnsupported for a jump out of a ``finally`` block (a
+    ``return``, or a ``break`` or ``continue`` outside a loop of that
+    block): it drops a pending exception or return, which the flag cannot.
+    """
     if returns == 0:
-        return list(body), False
+        return body
     if returns == 1 and isinstance(body[-1], ast.Return):
         tail = body[-1]
-        value = tail.value if tail.value is not None else _none()
-        return list(body[:-1]) + [_assign(ret_name, value, tail)], True
+        return body[:-1] + [_assign(ret_name, tail.value or _none(), tail)]
 
-    def rw_block(stmts, in_loop):
+    def guarded(stmts, like, in_loop) -> list[ast.stmt]:
+        """What runs after ``like``, which may have returned: ``stmts``,
+        already rewritten, under the flag."""
+        done = ast.Name(id=done_name, ctx=ast.Load())
+        if in_loop:
+            guard = ast.If(test=done, body=[ast.Break()], orelse=[])
+            return [ast.copy_location(guard, like)] + stmts
+        guard = ast.If(test=ast.UnaryOp(op=ast.Not(), operand=done), body=stmts, orelse=[])
+        return [ast.copy_location(guard, like)] if stmts else []
+
+    def walk(stmts, in_loop, jumps) -> tuple[list[ast.stmt], bool]:
+        """``stmts`` rewritten, and whether any of them may return;
+        ``jumps`` are the statement types that would leave a finally block."""
         out: list[ast.stmt] = []
-        for idx, s in enumerate(stmts):
+        for i, s in enumerate(stmts):
+            if type(s) in jumps:
+                kind = type(s).__name__.lower()
+                raise TransformUnsupported(
+                    f"{kind!r} jumps out of a finally block (line {s.lineno})")
             if isinstance(s, ast.Return):
-                value = s.value if s.value is not None else _none()
-                out.append(_assign(ret_name, value, s))
-                out.append(_assign(done_name, ast.Constant(value=True), s))
-                if in_loop:
-                    out.append(ast.copy_location(ast.Break(), s))
+                out += [_assign(ret_name, s.value or _none(), s),
+                        _assign(done_name, ast.Constant(value=True), s)]
+                out += [ast.copy_location(ast.Break(), s)] if in_loop else []
                 return out, True
             out.append(s)
-            if rw_stmt(s, in_loop):
-                rest = stmts[idx + 1:]
-                if in_loop:
-                    guard = ast.If(
-                        test=ast.Name(id=done_name, ctx=ast.Load()),
-                        body=[ast.Break()],
-                        orelse=[],
-                    )
-                    out.append(ast.copy_location(guard, s))
-                    if rest:
-                        rest_out, _ = rw_block(rest, in_loop)
-                        out.extend(rest_out)
-                else:
-                    if rest:
-                        rest_out, _ = rw_block(rest, in_loop)
-                        guard = ast.If(
-                            test=ast.UnaryOp(
-                                op=ast.Not(),
-                                operand=ast.Name(id=done_name, ctx=ast.Load()),
-                            ),
-                            body=rest_out,
-                            orelse=[],
-                        )
-                        out.append(ast.copy_location(guard, s))
-                return out, True
+            returned = guard_else = False
+            for holder, field in statement_blocks(s):
+                loop = field == "body" and isinstance(holder, _LOOPS)
+                # return is listed first: a loop in a finally keeps its break and continue
+                inner = _FINALLY_JUMPS if field == "finalbody" else jumps[:1] if loop else jumps
+                new, block_returned = walk(getattr(holder, field), in_loop or loop, inner)
+                if holder is s and field == "body":  # a try's else runs after its body
+                    guard_else = block_returned and not in_loop and isinstance(s, TRY_NODES)
+                elif field == "orelse" and guard_else:
+                    new = guarded(new, s, False)
+                setattr(holder, field, new)
+                returned |= block_returned
+            if returned:
+                rest, _ = walk(stmts[i + 1:], in_loop, jumps)
+                return out + guarded(rest, s, in_loop), True
         return out, False
 
-    def rw_stmt(s, in_loop) -> bool:
-        """Rewrite the blocks of ``s`` in place; True if any returned."""
-        if isinstance(s, (*_DEF_NODES, ast.ClassDef)):
-            return False
-        early = False
-        for holder, field in statement_blocks(s):
-            loop_body = field == "body" and isinstance(holder, _LOOPS)
-            new, returned = rw_block(getattr(holder, field), in_loop or loop_body)
-            setattr(holder, field, new)
-            early |= returned
-        return early
-
-    new_body, _ = rw_block(list(body), False)
-    init = [
-        _assign(ret_name, _none(), body[0]),
-        _assign(done_name, ast.Constant(value=False), body[0]),
-    ]
-    return init + new_body, True
+    init = [_assign(ret_name, _none(), body[0]),
+            _assign(done_name, ast.Constant(value=False), body[0])]
+    return init + walk(body, False, ())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +809,8 @@ def _bind_arguments(call: ast.Call, def_node, rename, default_temps, fname):
     """Assignments binding renamed params, one per written argument."""
     args = def_node.args
     positional = args.posonlyargs + args.args
-    by_name = {a.arg: a for a in positional + args.kwonlyargs}
+    # as in the signature, a positional-only parameter takes no keyword
+    keywords = {a.arg for a in args.args + args.kwonlyargs}
     assigns: list[ast.stmt] = []
     bound: set[str] = set()
     for i, value in enumerate(call.args):
@@ -825,7 +830,7 @@ def _bind_arguments(call: ast.Call, def_node, rename, default_temps, fname):
             raise TransformUnsupported(
                 f"call to {fname!r} uses **unpacking (line {call.lineno})"
             )
-        if kw.arg not in by_name or kw.arg in bound:
+        if kw.arg not in keywords or kw.arg in bound:
             raise TransformUnsupported(
                 f"call to {fname!r}: bad keyword argument {kw.arg!r}"
             )
@@ -845,25 +850,23 @@ def _bind_arguments(call: ast.Call, def_node, rename, default_temps, fname):
     return assigns
 
 
-class _GlobalStripper(ast.NodeTransformer):
-    # module scope is the global scope: the declaration is a no-op there,
-    # and compile() rejects it after an earlier toplevel assignment
-    def visit_Global(self, node):
-        return ast.copy_location(ast.Pass(), node)
-
-
-def _copy_tree(node, rename: dict[str, str]):
+def _copy_tree(node, rename: dict[str, str], into_module: bool):
     """Copy a statement list or subtree field by field, renaming each name
     in ``rename`` wherever a node binds or reads it. Nodes without fields
     (contexts and operators) are shared, as ``ast.parse`` shares them;
-    other leaf values (names, constants) are immutable."""
+    other leaf values (names, constants) are immutable. Copied
+    ``into_module``, a ``global`` becomes ``pass``: module scope is the
+    global scope, and compile() rejects the declaration there after an
+    earlier toplevel assignment."""
     if type(node) is list:
-        return [_copy_tree(item, rename) for item in node]
+        return [_copy_tree(item, rename, into_module) for item in node]
     if not isinstance(node, ast.AST) or not node._fields:
         return node
+    if into_module and type(node) is ast.Global:
+        return ast.copy_location(ast.Pass(), node)
     new = ast.AST.__new__(type(node))
     for key, value in node.__dict__.items():
-        setattr(new, key, _copy_tree(value, rename))
+        setattr(new, key, _copy_tree(value, rename, into_module))
     name = _name_of(node)
     if name in rename:
         setattr(new, _BINDS[type(node)], rename[name])
@@ -877,19 +880,13 @@ def _splice_one(stmt, call, def_node, scope: _Scope, fresh, default_temps,
     rename = {name: fresh.make(name) for name in sorted(scope.locals)}
     parts = _bind_arguments(call, def_node, rename, default_temps, fname)
 
-    body = _copy_tree(def_node.body, rename)
-    if scope.declares_global and not into_function:
-        body = [_GlobalStripper().visit(s) for s in body]
-
+    body = _copy_tree(def_node.body, rename, not into_function)
     ret_name = fresh.make(f"{fname}_ret")
     done_name = fresh.make(f"{fname}_done")
-    new_body, had_return = _rewrite_returns(body, scope.returns, ret_name, done_name)
-    parts.extend(new_body)
+    parts += _rewrite_returns(body, scope.returns, ret_name, done_name)
 
     if isinstance(stmt, ast.Assign):
-        value = (
-            ast.Name(id=ret_name, ctx=ast.Load()) if had_return else _none()
-        )
+        value = ast.Name(id=ret_name, ctx=ast.Load()) if scope.returns else _none()
         result = ast.Assign(targets=stmt.targets, value=value)
         parts.append(ast.copy_location(result, stmt))
     return parts

@@ -1213,6 +1213,67 @@ def test_control_flow_shapes_preserved(src):
     assert_same_behavior(src)
 
 
+# Each unit returns where Python skips what would follow: a try's else
+# after a body that returned, or a pending exception or return that a
+# jump out of a finally block drops. Per case: the source, what it
+# prints, and the refusal message when the done flag cannot express the
+# jump (or a keyword binds a positional-only parameter). A unit that is
+# not refused must print the same flat.
+RETURN_SKIP_CASES = {
+    "try-else-after-body-returned": (
+        "def f(x):\n    try:\n        if x > 0:\n            return 1\n"
+        "    except ValueError:\n        pass\n    else:\n        print('else ran')\n"
+        "    return 2\nprint(f(5))\nprint(f(0))\n",
+        "1\nelse ran\n2\n", None),
+    "try-else-after-body-returned-in-loop": (
+        "def f(xs):\n    for x in xs:\n        try:\n            if x > 0:\n"
+        "                return x\n        except ValueError:\n            pass\n"
+        "        else:\n            print('else ran')\n    return 0\n"
+        "print(f([0, 5]))\nprint(f([]))\n",
+        "else ran\n5\n0\n", None),
+    "try-except-else-finally-body-returns": (
+        "def f(x):\n    try:\n        if x > 0:\n            return 10 // (x - 1)\n"
+        "        print('body done')\n    except ZeroDivisionError:\n        return -1\n"
+        "    else:\n        print('else ran')\n    finally:\n        print('finally ran')\n"
+        "    return 0\nprint(f(5))\nprint(f(1))\nprint(f(0))\n",
+        "finally ran\n2\nfinally ran\n-1\nbody done\nelse ran\nfinally ran\n0\n", None),
+    # a loop of the finally block keeps its own break
+    "control-break-in-a-loop-of-a-finally-block": (
+        "def f(xs):\n    try:\n        if not xs:\n            return -1\n"
+        "    finally:\n        for x in xs:\n            if x:\n                break\n"
+        "        print('finally ran')\n    return len(xs)\nprint(f([]))\nprint(f([0, 1]))\n",
+        "finally ran\n-1\nfinally ran\n2\n", None),
+    "refused-positional-only-passed-by-keyword": (
+        "def f(x, /):\n    return x\nprint(f(x=1))\n",
+        "", "call to 'f': bad keyword argument 'x'"),
+    "refused-return-in-finally": (
+        "def f(x):\n    try:\n        return 10 // x\n    finally:\n        return -1\n"
+        "print(f(0))\n",
+        "-1\n", "'return' jumps out of a finally block (line 5)"),
+    "refused-continue-in-finally": (
+        "def f(xs):\n    for x in xs:\n        try:\n            return 10 // x\n"
+        "        finally:\n            continue\n    return 0\nprint(f([0, 1]))\n",
+        "0\n", "'continue' jumps out of a finally block (line 6)"),
+}
+
+
+@pytest.mark.parametrize("case", RETURN_SKIP_CASES)
+def test_inlined_return_skips_what_python_skips(case, fast_limits):
+    src, printed, refusal = RETURN_SKIP_CASES[case]
+    if refusal is None:
+        programs = [src, singularize(parse(src)).text]
+    else:
+        with pytest.raises(TransformUnsupported) as raised:
+            singularize(parse(src))
+        assert str(raised.value) == refusal
+        programs = [src]
+    results = _in_zygotes(
+        lambda code: run_program(code, b"", fast_limits), programs, jobs=1
+    )
+    assert results[0].stdout == printed.encode()
+    assert len({(r.verdict, r.stdout) for r in results}) == 1
+
+
 # -- randomized semantic preservation ----------------------------------------
 
 
