@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import os
+import signal
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -128,27 +129,85 @@ def _effective_jobs(jobs: int) -> int:
     return os.cpu_count() or 1
 
 
+def _map_share(fn, items: list) -> tuple[list, Exception | None]:
+    """``fn`` over ``items`` up to the first call that raises, and what it raised."""
+    results = []
+    try:
+        for item in items:
+            results.append(fn(item))
+    except Exception as exc:
+        return results, exc
+    return results, None
+
+
+def _how_it_ended(status: int) -> str:
+    if os.WIFSIGNALED(status):
+        return f"was killed by signal {os.WTERMSIG(status)}"
+    return f"exited with status {os.waitstatus_to_exitcode(status)}"
+
+
 def _map_jobs(fn, items: list, jobs: int) -> list:
     """``fn`` over ``items`` in order, in ``min(jobs, len(items))`` processes.
 
-    One worker maps in this process. More are forked, not spawned: a
-    spawned worker re-imports modscore, which on a few cores costs most of
-    what it would save. Forking is safe because the process that forks has
-    no other thread: nothing the CLI imports starts one. numpy's OpenBLAS
-    would start one at import, so only the statistics functions import
-    numpy, and no subcommand that maps calls them. Results come back in
-    input order, and the first item in that order whose call raised
-    raises here, as a serial map does.
+    Item i belongs to share ``i % workers``. This process forks one child
+    per share but share 0, before any work starts, then maps share 0
+    itself. Forked, not spawned: a spawned worker re-imports modscore,
+    which on a few cores costs most of what it would save. Forking is safe
+    because the process that forks has no other thread: nothing the CLI
+    imports starts one, and no subcommand that maps computes statistics,
+    the only code that loads numpy. Each child maps its share up to its
+    first error, writes ``(results, error)`` into its own pipe as a pickle
+    and leaves by ``os._exit``. Results come back in input order, and the
+    first item in that order whose call raised raises here, as a serial
+    map does. A child that ends without a full result makes the call
+    raise ``RuntimeError``, saying how the child ended. If this process
+    raises, it kills and reaps the children it has not reaped yet.
     """
     workers = min(jobs, len(items))
     if workers <= 1:
         return list(map(fn, items))
-    # imported here so that importing the CLI loads no multiprocessing
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    import pickle
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(fn, items))
+    children = {}  # share -> (pid, read end of its pipe), until reaped
+    try:
+        for share in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_fd)
+                    for _, pipe in children.values():
+                        pipe.close()
+                    with open(write_fd, "wb") as pipe:
+                        pickle.dump(_map_share(fn, items[share::workers]), pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children[share] = (pid, open(read_fd, "rb"))
+        shares = [_map_share(fn, items[::workers])]
+        for share in range(1, workers):
+            pid, pipe = children[share]
+            data = pipe.read()
+            pipe.close()
+            _, status = os.waitpid(pid, 0)
+            del children[share]
+            if status != 0:
+                raise RuntimeError(
+                    f"worker process {pid} {_how_it_ended(status)} before handing back its results"
+                )
+            shares.append(pickle.loads(data))
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failed = [(share + len(results) * workers, exc)
+              for share, (results, exc) in enumerate(shares) if exc is not None]
+    if failed:
+        raise min(failed, key=lambda pair: pair[0])[1]
+    return [shares[i % workers][0][i // workers] for i in range(len(items))]
 
 
 def _read_config(path: str) -> dict:

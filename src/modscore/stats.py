@@ -4,19 +4,24 @@ p-values come from a seeded two-sided permutation test (10,000 resamples
 by default) rather than a closed form: assumption-free, and reproducible
 bit-for-bit for a fixed seed. ``correlations`` runs the Pearson and the
 Spearman test on one stream: each block of resamples is one matrix of
-shuffled indices (256 rows of n at a time), and each test gathers its
-own values through it, so the p-values are those of ``pearson`` and
-``spearman`` with the same seed. Category summaries use the population
-standard deviation.
+shuffled indices (as many rows of n as fit ``_PERMUTATION_BLOCK``
+elements, at least one), and each test gathers its own values through
+it, so the p-values are those of ``pearson`` and ``spearman`` with the
+same seed. Category summaries use the population standard deviation.
 
-numpy is imported by the functions that use it, on first use, so that a
-process that never computes statistics never loads it: importing numpy
-costs about 100 ms and 13 MiB, and its BLAS starts a thread.
+numpy is loaded by ``_numpy``, on the first call that computes
+statistics, so that a process that never computes them never loads it:
+importing numpy costs about 100 ms and 13 MiB. Its OpenBLAS starts one
+thread per core as it loads, and splits a long dot product across them,
+which rounds by the number of threads; so unless the caller loaded numpy
+first, it is loaded with one BLAS thread, and a result does not depend
+on the cores it ran on.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -31,12 +36,32 @@ from .errors import (
 
 DEFAULT_PERMUTATIONS = 10_000
 DEFAULT_BINS = 10
-# resamples permuted at a time: bounds the tests' memory at this many rows
-# of n indices plus as many of n floats; the generator draws the same
-# stream as for one whole matrix
-_PERMUTATION_BLOCK = 256
+# elements of the matrix of resamples permuted at a time: bounds the tests'
+# scratch at this many indices plus as many floats (one row of n when n is
+# larger); the generator draws the same stream as for one whole matrix
+_PERMUTATION_BLOCK = 1 << 15
 # the largest x whose exp is a finite float
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _numpy():
+    """numpy; loaded with ``OPENBLAS_NUM_THREADS=1`` unless already loaded.
+
+    The variable is set for the import only: the caller's environment is
+    restored exactly, and a caller that loaded numpy first keeps its threads.
+    """
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        if saved is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
+    return numpy
 
 
 @dataclass(frozen=True)
@@ -108,8 +133,7 @@ def binned_sample(
 
 
 def _check_pair(xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
-
+    np = _numpy()
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.ndim != 1 or y.ndim != 1 or len(x) != len(y):
@@ -125,8 +149,7 @@ def _permutation_tests(pairs, permutations: int, seed: int) -> list[tuple[float,
     """(coefficient, two-sided permutation p) of each (x, y) pair of equal
     length. Every test permutes its centred ``y`` by the same rows of
     indices, so two tests cost one draw of the stream."""
-    import numpy as np
-
+    np = _numpy()
     rng = np.random.default_rng(seed)
     tests = []
     for x, y in pairs:
@@ -134,12 +157,12 @@ def _permutation_tests(pairs, permutations: int, seed: int) -> list[tuple[float,
         yc = y - y.mean()
         denom = math.sqrt(float((xc @ xc) * (yc @ yc)))
         tests.append((xc, yc, denom, float((xc @ yc) / denom)))
-    rows = min(permutations, _PERMUTATION_BLOCK)
     n = len(pairs[0][0])
+    rows = max(1, min(permutations, _PERMUTATION_BLOCK // n))
     order = np.arange(n)
     block = np.empty((rows, n), dtype=np.intp)
     hits = [0] * len(tests)
-    for start in range(0, permutations, _PERMUTATION_BLOCK):
+    for start in range(0, permutations, rows):
         idx = block[: permutations - start]
         idx[:] = order
         # the same draws as permuting the values themselves: a row's
@@ -164,8 +187,7 @@ def pearson(
 
 def average_ranks(values) -> np.ndarray:
     """1-based ranks; ties share the mean of their rank positions."""
-    import numpy as np
-
+    np = _numpy()
     arr = np.asarray(values, dtype=float)
     order = np.argsort(arr, kind="stable")
     ranks = np.empty(len(arr), dtype=float)
@@ -218,8 +240,7 @@ def ppl_compare(records: list[LogProbRecord]) -> dict[str, CategorySummary]:
 
     Raises InvalidLogProb when a category's mean or std overflows.
     """
-    import numpy as np
-
+    np = _numpy()
     grouped: dict[str, list[float]] = {}
     for record in records:
         grouped.setdefault(record.category, []).append(perplexity(record))

@@ -3,8 +3,11 @@ import contextlib
 import io
 import json
 import os
+import random
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -869,8 +872,65 @@ def test_classify_runs_in_place_or_in_one_worker_per_problem_at_most(
     pids = {row["pid"] for row in json.loads(out)["problems"]}
     if jobs == "1":
         assert pids == {os.getpid()}
-    else:
-        assert os.getpid() not in pids and 1 <= len(pids) <= 10
+    else:  # one share per problem, share 0 in the CLI's own process
+        assert os.getpid() in pids and len(pids) == 10
+    assert_no_children()
+
+
+def _fail_at(*bad):
+    def fn(i):
+        if i in bad:
+            raise ValueError(f"item {i}")
+        return i, os.getpid()
+    return fn
+
+
+def test_map_jobs_gives_rows_in_input_order_one_share_per_process():
+    rows = cli_module._map_jobs(_fail_at(), list(range(10)), 3)
+    assert [i for i, _ in rows] == list(range(10))
+    pids = [pid for _, pid in rows]
+    assert pids[::3] == [os.getpid()] * 4
+    assert len(set(pids)) == 3 and pids[1::3] == [pids[1]] * 3
+    assert_no_children()
+
+
+# with two shares, item i is in share i % 2: share 1 fails first (3, 6),
+# share 0 fails first (2, 5), or share 1 fails twice (7, 9)
+@pytest.mark.parametrize("bad, first", [((3, 6), 3), ((2, 5), 2), ((7, 9), 7)])
+def test_map_jobs_raises_the_first_failing_item_in_input_order(bad, first):
+    with pytest.raises(ValueError, match=f"^item {first}$"):
+        cli_module._map_jobs(_fail_at(*bad), list(range(10)), 2)
+    assert_no_children()
+
+
+def test_classify_raises_when_a_worker_is_killed(capsys, monkeypatch):
+    cli_pid = os.getpid()
+
+    def killed_in_a_worker(problem, count_short_circuit, tau):
+        if os.getpid() != cli_pid:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return _classify_problem(problem, count_short_circuit, tau)
+
+    monkeypatch.setattr(cli_module, "_classify_problem", killed_in_a_worker)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="was killed by signal 9"):
+        main(["classify", str(FIXTURES / "mini_corpus.jsonl"), "--jobs", "2"])
+    assert time.monotonic() - start < 10
+    assert_no_children()
+
+
+def test_map_jobs_kills_its_workers_when_it_is_interrupted():
+    cli_pid = os.getpid()
+
+    def interrupted_here_stuck_in_workers(i):
+        if os.getpid() == cli_pid:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        cli_module._map_jobs(interrupted_here_stuck_in_workers, list(range(6)), 3)
+    assert time.monotonic() - start < 10
     assert_no_children()
 
 
@@ -908,15 +968,30 @@ def run_probe(probe: str) -> str:
     return proc.stdout
 
 
+# which of the process-pool modules classify once forked with and of numpy
+# are loaded (numpy's OpenBLAS starts threads at import, and classify
+# forks), then how many threads the process has
+PRINT_LOADED_AND_THREADS = (
+    "print(sorted(m for m in sys.modules if m == 'multiprocessing'"
+    " or m.startswith('multiprocessing.') or m == 'concurrent.futures.process'"
+    " or m == 'numpy'))\n"
+    "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1)\n"
+)
+
+
 def test_importing_the_cli_loads_no_multiprocessing():
-    # numpy too: its OpenBLAS starts a thread at import, and classify forks
+    probe = "import os, sys, modscore.cli\n" + PRINT_LOADED_AND_THREADS
+    assert run_probe(probe).splitlines() == ["[]", "1"]
+
+
+def test_classify_over_jobs_loads_no_multiprocessing_and_leaves_one_thread():
     probe = (
-        "import os, sys, modscore.cli\n"
-        "print(sorted(m for m in sys.modules if m == 'multiprocessing'"
-        " or m.startswith('multiprocessing.') or m == 'concurrent.futures.process'"
-        " or m == 'numpy'))\n"
-        "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1)\n"
-    )
+        "import contextlib, io, os, sys\n"
+        "from modscore.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['classify', {str(FIXTURES / 'mini_corpus.jsonl')!r},"
+        " '--jobs', '2']) == 0\n"
+    ) + PRINT_LOADED_AND_THREADS
     assert run_probe(probe).splitlines() == ["[]", "1"]
 
 
@@ -940,6 +1015,55 @@ def test_only_the_statistics_commands_load_numpy(tmp_path):
         "print('numpy' in sys.modules)\n"
     )
     assert run_probe(probe).split() == ["False", "True"]
+
+
+def test_correlate_gives_the_same_output_for_any_blas_threads(tmp_path):
+    # past 10,000 rows OpenBLAS splits a dot product across its threads,
+    # which rounds r by their number unless numpy loads with one thread
+    rng = random.Random(20_000)
+    scored = tmp_path / "scored.jsonl"
+    with open(scored, "w", encoding="utf-8") as handle:
+        for i in range(20_000):
+            mos = round(rng.random(), 3)
+            pass1 = round(min(1.0, 0.3 * mos + 0.7 * rng.random()), 2)
+            handle.write(json.dumps({"unit_id": f"u{i}", "mos": mos, "pass1": pass1}) + "\n")
+    probe = (
+        "import contextlib, io, json, os\n"
+        "from modscore.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    assert main(['correlate', {str(scored)!r}]) == 0\n"
+        "print(json.dumps([out.getvalue(), os.environ.get('OPENBLAS_NUM_THREADS')]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    runs = {threads: subprocess.Popen(
+                [sys.executable, "-c", probe], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True, env={**env, "OPENBLAS_NUM_THREADS": threads})
+            for threads in ("1", "2")}
+    outs = {}
+    for threads, proc in runs.items():
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        outs[threads], left_set = json.loads(out)
+        assert left_set == threads  # the caller's setting, restored
+    assert outs["1"] == outs["2"]
+    assert json.loads(outs["1"])["samples"] == 20_000
+
+
+def test_statistics_leave_the_blas_variable_as_they_found_it():
+    probe = (
+        "import os, sys\n"
+        "from modscore import stats\n"
+        "stats.correlations([1, 2, 3, 4], [1, 3, 2, 4], 10)\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env={**env, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["None", "1"]
 
 
 # -- each report echoes the settings its command read -------------------------

@@ -1,11 +1,13 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from modscore import stats
 from modscore.errors import (
     DegenerateInput,
     EmptyCategory,
@@ -157,7 +159,8 @@ def test_permutation_p_pinned(seed, n, slope, permutations, pearson_hits, spearm
     assert correlations(xs, ys, permutations, seed) == ((r, p), (rho, rho_p))
 
 
-# resample counts on both sides of the 256-row block, one block and several
+# resample counts that fill one block (n = 3) and several (n = 501: 65 rows
+# a block), with and without a short last block
 @pytest.mark.parametrize("permutations", [1, 100, 255, 256, 257, 600])
 @pytest.mark.parametrize("n", [3, 501])
 def test_correlations_share_one_stream_at_any_block_count(n, permutations):
@@ -166,6 +169,27 @@ def test_correlations_share_one_stream_at_any_block_count(n, permutations):
     for seed in (0, 9):
         assert correlations(xs, ys, permutations, seed) == (
             pearson(xs, ys, permutations, seed), spearman(xs, ys, permutations, seed))
+
+
+def test_p_values_do_not_depend_on_the_block_size(monkeypatch):
+    xs, ys = _pinned_pair(6, 50, 0.1)
+    permutations = 1_000
+    monkeypatch.setattr(stats, "_PERMUTATION_BLOCK", 50 * permutations)
+    one_block = correlations(xs, ys, permutations, 3)
+    monkeypatch.setattr(stats, "_PERMUTATION_BLOCK", 50 * 7)  # 7 rows a block
+    assert correlations(xs, ys, permutations, 3) == one_block
+
+
+def test_permutation_memory_stays_bounded_at_corpus_size():
+    # 256 rows of 20,000 indices and as many floats took about 78 MiB
+    xs, ys = _pinned_pair(7, 20_000, 0.05)
+    tracemalloc.start()
+    try:
+        correlations(xs, ys, 300, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_permuted_shuffles_indices_as_it_shuffles_values():
