@@ -12,6 +12,7 @@ tests or no surviving solutions are dropped and reported.
 
 from __future__ import annotations
 
+import codecs
 import json
 import sys
 from dataclasses import dataclass, field
@@ -87,9 +88,10 @@ def read_rows(path: str | Path, key: str | None, from_row) -> list:
     items = []
     first_lines: dict[str, int] = {}
     # read bytes so a line that is not UTF-8 is reported by its number;
-    # bytes.splitlines ends lines at \n, \r and \r\n, as text mode does
+    # bytes.splitlines ends lines at \n, \r and \r\n, as text mode does;
+    # a BOM at the start of the file is not part of its first line
     with open(path, "rb") as handle:
-        lines = handle.read().splitlines()
+        lines = handle.read().removeprefix(codecs.BOM_UTF8).splitlines()
     for line_no, raw in enumerate(lines, start=1):
         try:
             line = raw.decode("utf-8").strip()

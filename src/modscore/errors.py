@@ -11,7 +11,7 @@ class ModscoreError(Exception):
 
 
 class EncodingError(ModscoreError):
-    """Input bytes are not valid UTF-8."""
+    """Input bytes are not valid UTF-8, or declare another encoding."""
 
 
 class UnsupportedConstruct(ModscoreError):

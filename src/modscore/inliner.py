@@ -4,14 +4,17 @@ that function's body, then remove the definitions.
 The transform is behavior-preserving or loudly rejected, never silently
 wrong. Mechanics:
 
-  - call sites are normalized first: a call buried in a larger expression
-    is hoisted into a fresh temp assignment, and it may move ahead only of
-    constants and of names that no ``global`` statement in the unit
-    declares (what an attribute, subscript or operator reads is not
-    checked against what the helper changes); hoisted calls keep Python's
-    evaluation order, which ``parsing.EVALUATES`` lists per statement type
-    (a class's decorators before its bases, an assignment's value before
-    its targets, an annotated target before its annotation);
+  - every helper call site takes one path: for each call in a statement,
+    in Python's evaluation order (``parsing.EVALUATES`` lists it per
+    statement type: a class's decorators before its bases, an assignment's
+    value before its targets, an annotated target before its annotation),
+    the helper's flat body is spliced ahead of the statement, and the call
+    becomes its result variable (``None`` for a helper with no
+    ``return``); a statement that is nothing but the call is dropped. A
+    spliced body may move ahead only of constants and of names that no
+    ``global`` statement in the unit declares (what an attribute,
+    subscript or operator reads is not checked against what the helper
+    changes);
   - parameters become assignments of the argument expressions, one per
     written argument (so each argument is evaluated exactly once, in call
     order); unsupplied parameters read from hoisted default temps that
@@ -21,7 +24,13 @@ wrong. Mechanics:
     assignment to a fresh result variable. Otherwise a ``return`` sets
     the result and a fresh done flag (and breaks, inside a loop of the
     helper), and the flag guards what would still run after it: the rest
-    of each block, and a ``try``'s ``else`` after a body that returned.
+    of each block, and a ``try``'s ``else`` after a body that returned. A
+    handler that may catch an exception from a ``finally`` block or a
+    ``__exit__`` run after a return clears both, as the exception cancels
+    the return;
+  - a helper is flattened on its first call, and one that nothing calls
+    is deleted unrewritten, so only a called helper's body can refuse the
+    unit.
 
 Rejected outright: recursion, any non-call use of a function name,
 rebinding or shadowing of one (by assignment, parameter, import, except
@@ -35,13 +44,15 @@ read names dynamically anywhere (a call of the builtin ``eval``,
 an argument), classes with methods (methods are modules but only
 dynamically invocable), call sites in deferred or repeated positions
 (lambda bodies, comprehensions, while-tests, short-circuit operands,
-ternary arms), hoists that would run a call ahead of anything else (any
-other call, a name some ``global`` statement declares, a walrus, a
-``yield`` or ``await``, or a with-item's ``__enter__``), calls that run
-before their helper's ``def`` in the same block, calls in an ``except``
-clause's type (it runs only when an exception propagates) or in a
-module-level annotation, annotations without a value (``x: T``) in a
-function, and sources nested too deeply for the rewrite's recursion. An
+ternary arms), splices that would run a helper's body ahead of anything
+else (any other call, a name some ``global`` statement declares, a
+walrus, a ``yield`` or ``await``, or a with-item's ``__enter__``), units
+with functions but no call at the top level that reaches one (the flat
+program would keep none of their code), calls that run before their
+helper's ``def`` in the same block, calls in an ``except`` clause's type
+(it runs only when an exception propagates) or in a module-level
+annotation, annotations without a value (``x: T``) in a function, and
+sources nested too deeply for the rewrite's recursion. An
 annotated local ``x: T = v`` becomes ``x = v``: a function never
 evaluates the annotation, and the spliced copy must not either. A
 helper's parameter and return annotations run when its ``def`` does,
@@ -71,6 +82,7 @@ from __future__ import annotations
 
 import ast
 import builtins
+import functools
 from dataclasses import dataclass
 
 from .errors import (
@@ -457,7 +469,7 @@ def _check_transformable(facts: _UnitFacts, scopes: dict[str, _Scope]):
 
 
 # ---------------------------------------------------------------------------
-# phase 1: call-site normalization (hoisting)
+# evaluation order of a statement's calls
 
 
 class _EvalEvent:
@@ -554,92 +566,13 @@ def _is_helper_call(node, planned) -> bool:
     return type(node) is ast.Call and type(node.func) is ast.Name and node.func.id in planned
 
 
-def _canonical_root_call(stmt, planned) -> ast.Call | None:
-    """The statement's own call when it is already in splice position."""
-    value = None
-    if isinstance(stmt, ast.Expr):
-        value = stmt.value
-    elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-        value = stmt.value
-    return value if _is_helper_call(value, planned) else None
-
-
 class _CallSwap(ast.NodeTransformer):
-    def __init__(self, mapping: dict[int, str]):
+    def __init__(self, mapping: dict[int, ast.expr]):
         self.mapping = mapping
 
     def visit_Call(self, node):
         self.generic_visit(node)
-        name = self.mapping.get(id(node))
-        if name is not None:
-            return ast.copy_location(ast.Name(id=name, ctx=ast.Load()), node)
-        return node
-
-
-def _normalize_stmt(stmt, planned, shared, fresh, in_class_body):
-    """Hoist unit calls out of compound positions; None means keep as is.
-
-    A hoisted call may move ahead of constants and of names outside
-    ``shared`` (the names a ``global`` statement declares); any other event
-    it would move ahead of refuses the hoist.
-    """
-    events: list[_EvalEvent] = []
-    for expr, ctx in _stmt_eval_parts(stmt):
-        _linearize(expr, ctx, [], events)
-    calls = [e for e in events if _is_helper_call(e.node, planned)]
-    if not calls:
-        return None
-    if in_class_body:
-        raise TransformUnsupported(
-            "call to a unit function inside a class body"
-        )
-    root = _canonical_root_call(stmt, planned)
-    hoisted = [e.node for e in calls if e.node is not root]
-    for event in calls:
-        if event.ctx != "plain":
-            raise TransformUnsupported(
-                f"call to {event.node.func.id!r} in a {event.ctx} position "
-                f"(line {event.node.lineno})"
-            )
-    if not hoisted:
-        return None
-
-    # a hoisted call runs at its rank; an effect runs at the rank of its
-    # innermost hoisted owner, or after every hoist when it has none;
-    # ``latest`` is the furthest such position of the effects met so far.
-    # A lambda's body is skipped: it runs only when something calls the
-    # lambda, a call (an event of its own) or an object's operator (not
-    # checked for any operand). A generator's elements count: ``x in gen``,
-    # ``*gen`` or a comprehension over it runs them with no event.
-    rank = {id(call): i for i, call in enumerate(hoisted)}
-    latest = -1
-    for event in events:
-        node = event.node
-        if id(node) in rank:
-            if latest > rank[id(node)]:
-                raise TransformUnsupported(
-                    f"cannot hoist call to {node.func.id!r} past an "
-                    f"effectful expression (line {stmt.lineno})"
-                )
-        elif (node is not root and (type(node) is not ast.Name or node.id in shared)
-              and not any(type(o) is ast.Lambda for o in event.owners)):
-            owner = next((rank[id(o)] for o in reversed(event.owners) if id(o) in rank),
-                         len(hoisted))
-            latest = max(latest, owner)
-
-    swap: dict[int, str] = {}
-    prelude: list[ast.stmt] = []
-    for call_node in hoisted:
-        # inner hoisted calls were already swapped to temp names in place
-        pulled = _CallSwap(swap).visit(call_node)
-        temp = fresh.make("tmp")
-        assign = ast.Assign(
-            targets=[ast.Name(id=temp, ctx=ast.Store())], value=pulled
-        )
-        prelude.append(ast.copy_location(assign, stmt))
-        swap[id(call_node)] = temp
-    new_stmt = _CallSwap(swap).visit(stmt)
-    return prelude + [new_stmt]
+        return self.mapping.get(id(node), node)
 
 
 # ---------------------------------------------------------------------------
@@ -733,6 +666,14 @@ def _assign(name: str, value: ast.expr, like) -> ast.stmt:
     return ast.copy_location(node, like)
 
 
+def _cleanup_after_return(stmts) -> bool:
+    """Whether a ``return`` in ``stmts`` sits inside a ``finally``-bearing
+    ``try`` or a ``with`` there: cleanup that runs after the return."""
+    return any((type(n) is ast.With or isinstance(n, TRY_NODES) and n.finalbody)
+               and any(type(r) is ast.Return for r in ast.walk(n))
+               for s in stmts for n in ast.walk(s))
+
+
 def _rewrite_returns(body, returns: int, ret_name: str, done_name: str) -> list[ast.stmt]:
     """The flat helper's body with each of its ``returns`` return
     statements replaced. A lone return at the end assigns the result.
@@ -742,7 +683,10 @@ def _rewrite_returns(body, returns: int, ret_name: str, done_name: str) -> list[
     flag: the rest of its block, and a ``try``'s ``else`` after a body
     that returned. Inside a loop the guard is ``if done: break``, and the
     break already skips the ``else``; outside one it is ``if not done:``
-    around what follows.
+    around what follows. So only a ``finally`` block or an ``__exit__``
+    runs while the flag is set, and an exception it raises cancels the
+    return: a handler of a ``try`` whose body holds a return inside a
+    ``finally``-bearing ``try`` or a ``with`` first clears both.
 
     Raises TransformUnsupported for a jump out of a ``finally`` block (a
     ``return``, or a ``break`` or ``continue`` outside a loop of that
@@ -780,6 +724,7 @@ def _rewrite_returns(body, returns: int, ret_name: str, done_name: str) -> list[
                 return out, True
             out.append(s)
             returned = guard_else = False
+            cancels = isinstance(s, TRY_NODES) and _cleanup_after_return(s.body)
             for holder, field in statement_blocks(s):
                 loop = field == "body" and isinstance(holder, _LOOPS)
                 # return is listed first: a loop in a finally keeps its break and continue
@@ -789,6 +734,9 @@ def _rewrite_returns(body, returns: int, ret_name: str, done_name: str) -> list[
                     guard_else = block_returned and not in_loop and isinstance(s, TRY_NODES)
                 elif field == "orelse" and guard_else:
                     new = guarded(new, s, False)
+                elif holder is not s and cancels:  # an except handler
+                    new = [_assign(ret_name, _none(), holder),
+                           _assign(done_name, ast.Constant(value=False), holder)] + new
                 setattr(holder, field, new)
                 returned |= block_returned
             if returned:
@@ -802,7 +750,7 @@ def _rewrite_returns(body, returns: int, ret_name: str, done_name: str) -> list[
 
 
 # ---------------------------------------------------------------------------
-# phase 2: splicing
+# splicing
 
 
 def _bind_arguments(call: ast.Call, def_node, rename, default_temps, fname):
@@ -873,9 +821,10 @@ def _copy_tree(node, rename: dict[str, str], into_module: bool):
     return new
 
 
-def _splice_one(stmt, call, def_node, scope: _Scope, fresh, default_temps,
-                into_function):
-    """Expand one canonical call site; ``scope`` is the flat helper's."""
+def _splice_one(call, def_node, scope: _Scope, fresh, default_temps, into_function):
+    """One call site of a flat helper: the statements that run its body,
+    and the expression that reads its result. ``scope`` is the flat
+    helper's."""
     fname = def_node.name
     rename = {name: fresh.make(name) for name in sorted(scope.locals)}
     parts = _bind_arguments(call, def_node, rename, default_temps, fname)
@@ -884,40 +833,85 @@ def _splice_one(stmt, call, def_node, scope: _Scope, fresh, default_temps,
     ret_name = fresh.make(f"{fname}_ret")
     done_name = fresh.make(f"{fname}_done")
     parts += _rewrite_returns(body, scope.returns, ret_name, done_name)
-
-    if isinstance(stmt, ast.Assign):
-        value = ast.Name(id=ret_name, ctx=ast.Load()) if scope.returns else _none()
-        result = ast.Assign(targets=stmt.targets, value=value)
-        parts.append(ast.copy_location(result, stmt))
-    return parts
+    result = ast.Name(id=ret_name, ctx=ast.Load()) if scope.returns else _none()
+    return parts, ast.copy_location(result, call)
 
 
-def _splice_all(tree, planned, fresh, default_temps):
-    """Splice every call site and drop every definition in one walk.
+@dataclass(frozen=True)
+class _Inlining:  # what every call site of one unit reads
+    defs: dict[str, ast.AST]  # every def by name: each one is a helper
+    shared: set[str]  # the names a ``global`` statement declares
+    fresh: _FreshNames
+    default_temps: dict[tuple[str, str], str]
+    flat: dict[str, _Scope]  # each helper flattened so far, by name: its flat scope
 
-    The first time a call site of a helper is reached, the helper's own
-    body gets its callees spliced, so every copy of it is already flat;
-    ``_analyze`` has rejected cycles, so this recursion ends. What the
-    call sites read of the flat helper, its scope, is taken then, once. A
-    helper that is never called is dropped unspliced.
+
+def _inline_stmt(unit: _Inlining, stmt, ctx: _BlockCtx) -> list[ast.stmt] | None:
+    """The one path for a helper call site; None keeps ``stmt`` as it is.
+
+    A def is dropped: its defaults were hoisted ahead of it. Each helper
+    call in ``stmt``, in the order CPython runs them, has its flat body
+    spliced ahead of ``stmt`` and reads as its result. A body may move
+    ahead only of constants and of names outside ``unit.shared``. A helper
+    is flattened by this same walk on its first call; ``_analyze`` has
+    rejected cycles, so this recursion ends.
     """
-    flat: dict[str, _Scope] = {}
+    if isinstance(stmt, _DEF_NODES):
+        return []
+    events: list[_EvalEvent] = []
+    for expr, when in _stmt_eval_parts(stmt):
+        _linearize(expr, when, [], events)
+    calls = [e for e in events if _is_helper_call(e.node, unit.defs)]
+    if not calls:
+        return None
+    if ctx.in_class:
+        raise TransformUnsupported("call to a unit function inside a class body")
+    for event in calls:
+        if event.ctx != "plain":
+            raise TransformUnsupported(
+                f"call to {event.node.func.id!r} in a {event.ctx} position "
+                f"(line {event.node.lineno})"
+            )
 
-    def visit(stmt, ctx):
-        if isinstance(stmt, _DEF_NODES):
-            return []  # definition removed; hoisted defaults already placed
-        call = _canonical_root_call(stmt, planned)
-        if call is None:
-            return None
-        def_node = planned[call.func.id]
-        scope = flat.get(def_node.name)
+    # a call is spliced at its rank; an effect runs at the rank of its
+    # innermost call owner, or after every splice when it has none;
+    # ``latest`` is the furthest such position of the effects met so far.
+    # A lambda's body is skipped: it runs only when something calls the
+    # lambda, a call (an event of its own) or an object's operator (not
+    # checked for any operand). A generator's elements count: ``x in gen``,
+    # ``*gen`` or a comprehension over it runs them with no event.
+    rank = {id(e.node): i for i, e in enumerate(calls)}
+    latest = -1
+    for event in events:
+        node = event.node
+        if id(node) in rank:
+            if latest > rank[id(node)]:
+                raise TransformUnsupported(
+                    f"cannot hoist call to {node.func.id!r} past an "
+                    f"effectful expression (line {stmt.lineno})"
+                )
+        elif ((type(node) is not ast.Name or node.id in unit.shared)
+              and not any(type(o) is ast.Lambda for o in event.owners)):
+            owner = next((rank[id(o)] for o in reversed(event.owners) if id(o) in rank),
+                         len(calls))
+            latest = max(latest, owner)
+
+    results: dict[int, ast.expr] = {}  # per call spliced, what reads its result
+    spliced: list[ast.stmt] = []
+    for event in calls:
+        call = _CallSwap(results).visit(event.node)  # the calls in it already spliced
+        def_node = unit.defs[call.func.id]
+        scope = unit.flat.get(def_node.name)
         if scope is None:
-            _rewrite_blocks(def_node, visit, _BlockCtx(in_function=True))
-            scope = flat[def_node.name] = _scope_of(def_node)
-        return _splice_one(stmt, call, def_node, scope, fresh, default_temps,
-                           ctx.in_function)
-
-    _rewrite_blocks(tree, visit)
+            _rewrite_blocks(def_node, functools.partial(_inline_stmt, unit),
+                            _BlockCtx(in_function=True))
+            scope = unit.flat[def_node.name] = _scope_of(def_node)
+        body, results[id(call)] = _splice_one(call, def_node, scope, unit.fresh,
+                                              unit.default_temps, ctx.in_function)
+        spliced += body
+    if type(stmt) is ast.Expr and stmt.value is calls[-1].node:
+        return spliced
+    return spliced + [_CallSwap(results).visit(stmt)]
 
 
 # ---------------------------------------------------------------------------
@@ -952,12 +946,8 @@ def _singularize(unit: SourceUnit) -> SourceUnit:
 
     fresh = _FreshNames(facts.names)
     default_temps = _hoist_defaults(tree, planned, fresh)
-
-    def normalize(stmt, ctx):
-        return _normalize_stmt(stmt, planned, facts.shared, fresh, ctx.in_class)
-
-    _rewrite_blocks(tree, normalize)
-    _splice_all(tree, planned, fresh, default_temps)
+    inlining = _Inlining(planned, facts.shared, fresh, default_temps, {})
+    _rewrite_blocks(tree, functools.partial(_inline_stmt, inlining))
 
     # every def is a helper: a name of one left in the output is a call
     # site the rewrite missed, or a def it kept
@@ -966,6 +956,8 @@ def _singularize(unit: SourceUnit) -> SourceUnit:
             raise TransformUnsupported(
                 f"internal: the output still names {_name_of(n)!r} (line {n.lineno})"
             )
+    if not inlining.flat:
+        # nothing reaches a def: the unit would come out with none of its code
+        raise TransformUnsupported("no function is called at the top level")
     text = HEADER_COMMENT + "\n" + ast.unparse(tree) + "\n"
     return parse(text, unit_id=f"{unit.id}:singular")
-

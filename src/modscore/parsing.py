@@ -8,6 +8,9 @@ toplevel record for the statements outside any definition.
 from __future__ import annotations
 
 import ast
+import codecs
+import io
+import tokenize
 from dataclasses import dataclass
 
 from .errors import EncodingError
@@ -50,12 +53,20 @@ class SourceUnit:
 
 
 def _decode(text: bytes | str) -> str:
-    if isinstance(text, str):
-        return text
-    try:
-        return text.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise EncodingError(f"input is not valid UTF-8: {exc}") from exc
+    """The source as text. Bytes are UTF-8, after a leading BOM if there is
+    one, as CPython reads a file. A PEP 263 cookie that names another
+    encoding is refused: CPython would read the program's bytes in that
+    encoding, and the sandbox writes every program as UTF-8."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise EncodingError(f"input is not valid UTF-8: {exc}") from exc
+    head = "\n".join(text.split("\n", 2)[:2]).encode("utf-8", "surrogatepass")
+    encoding, _ = tokenize.detect_encoding(io.BytesIO(head).readline)
+    if codecs.lookup(encoding).name not in ("utf-8", "utf-8-sig"):
+        raise EncodingError(f"input declares the encoding {encoding!r}, not UTF-8")
+    return text
 
 
 # the fields of a statement or module that hold statements, in source
@@ -148,14 +159,15 @@ def parse(text: bytes | str, unit_id: str = "<unit>") -> SourceUnit:
     """Parse source and extract its definitions.
 
     Raises SyntaxError on unparseable input (with position, except for
-    input nested too deeply to parse) and EncodingError on invalid UTF-8.
-    ``compile`` runs as well so grammar-valid but illegal statements
-    (``break`` outside a loop, ``return`` at module level) surface here,
-    not during analysis. It compiles the source, which parses the text a
-    second time. Compiling the tree instead gains too little to matter:
-    the 500 solutions of the benchmark's seed-7 study corpus compile in
-    0.17 s from source and 0.15 s from their trees (Python 3.11.7 on a
-    2-vCPU host, best of 5), under 3% of what ``parse`` costs them in all.
+    input nested too deeply to parse) and EncodingError on invalid UTF-8
+    or an encoding cookie other than UTF-8. ``compile`` runs as well so
+    grammar-valid but illegal statements (``break`` outside a loop,
+    ``return`` at module level) surface here, not during analysis. It
+    compiles the source, which parses the text a second time. Compiling
+    the tree instead gains too little to matter: the 500 solutions of the
+    benchmark's seed-7 study corpus compile in 0.17 s from source and
+    0.15 s from their trees (Python 3.11.7 on a 2-vCPU host, best of 5),
+    under 3% of what ``parse`` costs them in all.
     """
     source = _decode(text)
     try:

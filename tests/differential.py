@@ -2,13 +2,21 @@
 
     python tests/differential.py dump OUT
     python tests/differential.py compare A B
+    python tests/differential.py behave
 
 ``dump`` imports ``src/`` of the checkout this file sits in, runs a fixed
 unit set through it and writes one JSON file. ``compare`` reads two such
 files (say, one dumped by the parent commit's own ``tests/differential.py``
 and one by the change's) and prints the counts, with each dump's
-singularize refusals per error class; it exits 1 when they differ in
-anything but the allowed qualname change below. This file calls
+singularize refusals per error class and fresh names per kind; it exits
+1 when they differ in anything but the allowed qualname change below.
+Singularize differences are summed up by kind (text changed, refusal
+class or message changed, transformed to refused, refused to
+transformed), each with at most 20 unit keys. ``behave`` singularizes
+every unit of the set in this checkout and runs each transformed one,
+original and flat, on its stdins through one sandbox batch; it exits 1
+when any unit's verdict or stdout differs, so a change meant to alter
+flat outputs can show that they still print the same. This file calls
 ``parse(source, unit_id=...)`` and ``unit_complexity(unit, flag)``, the
 signatures from the commit that removed ``modscore.profiles``; a checkout
 from before it is dumped with its own copy of this file.
@@ -41,7 +49,9 @@ its CC. Every unit but the ``structured_function`` and
 ``statement_kinds_unit`` ones (6,148) is also singularized: the output
 text, or the refusal's class and message (a ``SyntaxError`` counts as a
 refusal: a yield in a nested def's default once escaped into the flat
-program and raised one).
+program and raised one). Those units carry their stdins (7,518 in all):
+a generated program's own stdin, a ``make_units`` unit's ``stdins`` and
+a fixture solution's test inputs.
 
 Qualnames may differ only for a definition enclosed by a function that is
 itself inside a class: before the enclosing classes were kept in the
@@ -55,7 +65,9 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
+import os
 import random
+import re
 import sys
 import time
 from collections import Counter
@@ -228,33 +240,41 @@ def statement_kinds_unit(seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def units() -> list[tuple[str, str, bool, bool]]:
-    """(key, source, measured, singularized) for every unit, in a fixed
-    order; ``measured`` units get ``unit_complexity``."""
+def units() -> list[tuple[str, str, list[str], bool, bool]]:
+    """(key, source, stdins, measured, singularized) for every unit, in a
+    fixed order; ``measured`` units get ``unit_complexity``. A singularized
+    unit's ``stdins`` are the inputs it is meant to run on: its generator's
+    stdin, or its problem's test inputs."""
     import gen_programs as gp
     import workloads
 
-    out = [(f"structured:{i}", gp.structured_function(i), True, False) for i in range(1000)]
-    out += [(f"runnable:{i}", gp.runnable_program(i)[0], True, True) for i in range(200)]
+    def runnable(i: int) -> tuple[str, list[str]]:
+        source, stdin = gp.runnable_program(i)
+        return source, [stdin.decode()]
+
+    out = [(f"structured:{i}", gp.structured_function(i), [], True, False) for i in range(1000)]
+    out += [(f"runnable:{i}", *runnable(i), True, True) for i in range(200)]
     for seed in range(1, 11):
         made, _ = workloads.make_units(seed, workloads.SIZES["full"])
-        out += [(f"units{seed}:{u['id']}", u["source"], True, True) for u in made]
+        out += [(f"units{seed}:{u['id']}", u["source"], u["stdins"], True, True) for u in made]
     for name in CORPORA:
         lines = (ROOT / "tests" / "fixtures" / name).read_text(encoding="utf-8").splitlines()
         for row in map(json.loads, lines):
+            stdins = [test["input"] for test in row.get("tests", [])]
             for i, source in enumerate(row["solutions"]):
-                out.append((f"{name}:{row['id']}[{i}]", source, True, True))
+                out.append((f"{name}:{row['id']}[{i}]", source, stdins, True, True))
     for seed in range(11, 51):
         made, _ = workloads.make_units(seed, workloads.SIZES["full"])
-        out += [(f"units{seed}:{u['id']}", u["source"], False, True) for u in made]
+        out += [(f"units{seed}:{u['id']}", u["source"], u["stdins"], False, True) for u in made]
     for i in range(200):
-        source = gp.runnable_program(i)[0]
+        source, stdins = runnable(i)
         source += TRIGGERS[i % 10](0) + TRIGGERS[i // 10 % 10](1)
-        out.append((f"triggered:{i}", source, False, True))
+        out.append((f"triggered:{i}", source, stdins, False, True))
     for i in range(80):
-        source = gp.runnable_program(i)[0] + NESTED_DEFAULTS[i % 8](i // 8)
-        out.append((f"nested-default:{i}", source, False, True))
-    out += [(f"kinds:{i}", statement_kinds_unit(i), True, False) for i in range(1000)]
+        source, stdins = runnable(i)
+        out.append((f"nested-default:{i}", source + NESTED_DEFAULTS[i % 8](i // 8), stdins,
+                    False, True))
+    out += [(f"kinds:{i}", statement_kinds_unit(i), [], True, False) for i in range(1000)]
     return out
 
 
@@ -296,7 +316,7 @@ def dump(out_path: str) -> int:
     cc: dict[str, dict] = {}
     singular: dict[str, dict] = {}
     cc_cpu = singularize_cpu = 0.0
-    for key, source, measured, singularized in units():
+    for key, source, _, measured, singularized in units():
         for name, flag in PROFILES.items() if measured else ():
             start = time.process_time()
             try:
@@ -330,6 +350,23 @@ def dump(out_path: str) -> int:
     print(f"cc: {len(cc)} (unit, profile) pairs, parse + unit_complexity {cc_cpu:.2f} s CPU")
     print(f"singularize: {len(singular)} units, {refused} refused, {singularize_cpu:.2f} s CPU")
     return 0
+
+
+# how a unit's singularize result changed, by whether (before, after) is a refusal
+CHANGE_KINDS = {
+    (False, False): "text changed",
+    (True, True): "refusal class or message changed",
+    (False, True): "transformed -> refused",
+    (True, False): "refused -> transformed",
+}
+SHOWN = 20  # keys listed per kind of change
+# a fresh name, counted once per unit, by the end of its base
+FRESH_NAME = re.compile(r"\b\w+?__inl\d+(?:__inl\d+)*\b")
+FRESH_KINDS = ("tmp", "_ret", "_done", "_default")
+
+def _some(keys: list[str]) -> str:
+    more = f", and {len(keys) - SHOWN} more" if len(keys) > SHOWN else ""
+    return ", ".join(keys[:SHOWN]) + more
 
 
 CC_FIELDS = ("per_function", "toplevel_cc", "cc_total", "cc_avg", "graphs", "refused", "message")
@@ -369,20 +406,62 @@ def compare(a_path: str, b_path: str) -> int:
           f"function on {qual_allowed}")
 
     same = refused = 0
+    changed: dict[str, list[str]] = {kind: [] for kind in CHANGE_KINDS.values()}
     for key, old in a["singularize"].items():
-        if old == b["singularize"][key]:
+        new = b["singularize"][key]
+        if old == new:
             same += 1
             refused += "refused" in old
         else:
             bad += 1
-            print(f"singularize differs: {key}")
+            changed[CHANGE_KINDS[("refused" in old, "refused" in new)]].append(key)
     print(f"singularize: {same}/{len(a['singularize'])} units identical "
           f"({refused} of them refused with the same class and message)")
+    for kind, keys in changed.items():
+        if keys:
+            print(f"singularize {kind}: {len(keys)} ({_some(keys)})")
     for path, dumped in ((a_path, a), (b_path, b)):
         by_class = Counter(v["refused"] for v in dumped["singularize"].values() if "refused" in v)
         counts = ", ".join(f"{name} {n}" for name, n in sorted(by_class.items()))
         print(f"singularize refusals in {path}: {counts or 'none'}")
+        fresh = Counter()
+        for value in dumped["singularize"].values():
+            for name in set(FRESH_NAME.findall(value.get("text", ""))):
+                base = name.split("__inl")[0]
+                fresh[next((k for k in FRESH_KINDS if base.endswith(k)), "other")] += 1
+        kinds = ", ".join(f"{kind} {fresh[kind]}" for kind in (*FRESH_KINDS, "other"))
+        print(f"fresh names in {path}'s flat outputs: {sum(fresh.values())} ({kinds})")
     return 1 if bad else 0
+
+
+def behave() -> int:
+    from modscore.errors import ModscoreError
+    from modscore.inliner import singularize
+    from modscore.parsing import parse
+    from modscore.sandbox import RunLimits, _in_zygotes, run_program
+
+    runs: list[tuple[str, str, str]] = []  # (key, code, stdin): original, then flat
+    transformed = 0
+    for key, source, stdins, _, singularized in units():
+        if not singularized:
+            continue
+        try:
+            flat = singularize(parse(source, unit_id=key)).text
+        except (SyntaxError, ModscoreError):
+            continue
+        transformed += 1
+        runs += [(key, code, stdin) for stdin in stdins for code in (source, flat)]
+    limits = RunLimits(wall_time=10.0)
+    jobs = min(4, len(os.sched_getaffinity(0)))
+    start = time.monotonic()
+    results = _in_zygotes(lambda run: run_program(run[1], run[2].encode(), limits), runs, jobs)
+    differ = sorted({key for (key, _, _), before, after in zip(runs[::2], results[::2], results[1::2])
+                     if (before.verdict, before.stdout) != (after.verdict, after.stdout)})
+    print(f"behave: {transformed} transformed units, {len(runs) // 2} stdins, each run "
+          f"original and flat in {time.monotonic() - start:.0f} s over {jobs} workers; "
+          f"{len(differ)} units differ in verdict or stdout"
+          + (f" ({_some(differ)})" if differ else ""))
+    return 1 if differ else 0
 
 
 def main(argv: list[str]) -> int:
@@ -390,6 +469,8 @@ def main(argv: list[str]) -> int:
         return dump(argv[1])
     if len(argv) == 3 and argv[0] == "compare":
         return compare(argv[1], argv[2])
+    if argv == ["behave"]:
+        return behave()
     print(__doc__.split("\n\n")[1], file=sys.stderr)
     return 1
 

@@ -65,6 +65,16 @@ def test_read_rows_refuses_a_repeated_key_only_when_given_one(tmp_path):
         read_rows(path, "input", case_from_row)
 
 
+def test_read_rows_drops_a_bom_at_the_start_of_the_file_only(tmp_path):
+    path = tmp_path / "t.jsonl"
+    row = b'{"input": "1", "output": "2"}\n'
+    path.write_bytes(b"\xef\xbb\xbf" + row + row)
+    assert read_rows(path, None, case_from_row) == [TestCase(b"1", b"2")] * 2
+    path.write_bytes(row + b"\xef\xbb\xbf" + row)
+    with pytest.raises(CorpusFormatError, match="^line 2: invalid JSON"):
+        read_rows(path, None, case_from_row)
+
+
 def test_filter_keeps_only_passing(fast_limits):
     good = "print(int(input()) * 2)\n"
     bad = "print(int(input()) * 3)\n"

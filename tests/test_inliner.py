@@ -467,7 +467,7 @@ DEFERRED_EVALUATION_CASES = {
     # the lambda is the generator, not the helper
     "helper-lambda-body-yields": "def f():\n    g = lambda: (yield)\n    return 1\nprint(f())\n",
     # a lambda's body runs when the lambda is called, not with its
-    # statement, so a call hoisted out of the statement may pass it
+    # statement, so a body spliced ahead of the statement may pass it
     "lambda-body-before-a-hoisted-call": (
         "def f():\n    return 1\nx = (lambda: print(2), f())\nprint(x[1])\n"
     ),
@@ -534,7 +534,7 @@ def test_statement_evaluation_keeps_its_output(case, fast_limits):
 
 
 # Each unit calls helpers that print their names inside one expression:
-# hoisted out of it, the calls must run in the order CPython runs them,
+# spliced ahead of it, the calls must run in the order CPython runs them,
 # a dict display's key before its value and a ``**`` unpacking in place.
 EXPRESSION_EVALUATION_CASES = {
     "dict-display-key-value-pairs": (
@@ -555,7 +555,7 @@ def test_expression_evaluation_keeps_its_output(case, fast_limits):
 
 
 def test_missed_call_site_refused_not_left_calling_a_removed_def(monkeypatch):
-    # with the target out of the table the call in it is never hoisted,
+    # with the target out of the table the call in it is never spliced,
     # and its def is removed all the same
     monkeypatch.setitem(EVALUATES, ast.AnnAssign, (("value", "plain"), ("annotation", "deferred")))
     src = STATEMENT_EVALUATION_CASES["annotated-subscript-target-calls-helper"]
@@ -766,7 +766,7 @@ def test_idempotent_on_singular_unit():
 
 
 REWRITTEN_IN_PLACE = (
-    # hoisted defaults, a hoisted nested call, early returns, a global
+    # hoisted defaults, nested calls, early returns, a global
     "def f(x, acc=[], *, k=len('ab')):\n"
     "    global total\n"
     "    for i in range(x):\n"
@@ -796,8 +796,8 @@ def test_helper_spliced_at_two_sites_gets_independent_copies():
     before = ast.dump(helper, include_attributes=True)
     fresh = _FreshNames(_gather(tree).names)
     scope = _scope_of(helper)
-    first = _splice_one(site_a, site_a.value, helper, scope, fresh, {}, False)
-    second = _splice_one(site_b, site_b.value, helper, scope, fresh, {}, False)
+    first, first_result = _splice_one(site_a.value, helper, scope, fresh, {}, False)
+    second, second_result = _splice_one(site_b.value, helper, scope, fresh, {}, False)
 
     def owned(stmts):
         # nodes with fields; contexts and operators are shared singletons
@@ -807,6 +807,10 @@ def test_helper_spliced_at_two_sites_gets_independent_copies():
     assert not owned(helper.body) & (owned(first) | owned(second))
     assert ast.dump(helper, include_attributes=True) == before
     assert ast.unparse(ast.Module(first, [])) != ast.unparse(ast.Module(second, []))
+    # each result reads the variable its own copy assigns last
+    assert [ast.unparse(first[-1].targets[0]), ast.unparse(second[-1].targets[0])] == [
+        first_result.id, second_result.id]
+    assert first_result.id != second_result.id
 
 
 def test_modularity_collapses_to_zero(fixtures_dir):
@@ -921,11 +925,11 @@ def test_hoist_past_builtin_rebound_by_except_or_match_rejected(binder):
         singularize(parse(src))
 
 
-# A helper call hoisted out of a statement may move ahead of constants
-# and of names no ``global`` statement declares; it is refused ahead of
-# anything else evaluated before it: another call (builtin or not), a
-# name some ``global`` statement declares, a walrus, or a context
-# manager's ``__enter__``.
+# A helper's body, spliced ahead of the statement that calls it, may move
+# ahead of constants and of names no ``global`` statement declares; it is
+# refused ahead of anything else evaluated before the call: another call
+# (builtin or not), a name some ``global`` statement declares, a walrus,
+# or a context manager's ``__enter__``.
 HOIST_CASES = {
     "refused-global-read-before-call": (
         "x = 0\ndef f():\n    global x\n    x = 10\n    return 1\nprint(x, f())\n"
@@ -986,6 +990,23 @@ HOIST_CASES = {
 @pytest.mark.parametrize("case", HOIST_CASES)
 def test_hoist_keeps_output_or_is_refused(case, fast_limits):
     assert_flat_keeps_output(case, HOIST_CASES[case], fast_limits)
+
+
+def test_every_helper_call_of_a_statement_is_spliced_in_evaluation_order():
+    # an assignment's value runs before its target, the value's inner call first
+    src = (
+        "def f(a):\n    print('f')\n    return a\n"
+        "def g(b=0):\n    print('g')\n    return 0\n"
+        "y = [0]\ny[g()] = f(5)\ny[g(0)] = f(f(0))\nprint(y)\n"
+    )
+    out = assert_same_behavior(src)
+    assert run(out.text) == (b"f\ng\nf\nf\ng\n[0]\n", 0)
+
+
+def test_a_call_inside_a_statement_reads_the_helpers_result_with_no_temp():
+    out = singularize(parse("def f(a):\n    return a + 1\nprint(f(1))\n"))
+    assert "tmp__inl" not in out.text
+    assert re.fullmatch(r"print\(f_ret__inl\d+\)", out.text.splitlines()[-1])
 
 
 def test_dotted_import_in_helper_rejected():
@@ -1052,9 +1073,33 @@ def test_uncalled_function_removed_but_default_effects_kept():
     src = (
         "def unused(x=print('def-time')):\n"
         "    return x\n"
-        "print('done')\n"
+        "def used(y):\n"
+        "    return y + 1\n"
+        "print('done', used(1))\n"
     )
-    assert_same_behavior(src)
+    out = assert_same_behavior(src)
+    assert "def-time" in out.text
+
+
+def test_dead_helper_is_dropped_unrewritten():
+    # dead's body alone would refuse the unit (a call in a ternary arm),
+    # but nothing calls it, so it goes unrewritten next to a called helper
+    src = (
+        "def f(a):\n    return a * 2\n"
+        "def dead(c):\n    return f(1) if c else 0\n"
+        "print(f(int(input())))\n"
+    )
+    assert_same_behavior(src, b"4\n")
+
+
+@pytest.mark.parametrize("src", [
+    "def helper(x):\n    return x + 1\ndef solution(n):\n    return helper(n) * 2\n",
+    "def main():\n    print('hi')\nif False:\n    print('never')\n",
+], ids=["call-based", "entry-never-called"])
+def test_unit_whose_defs_no_top_level_call_reaches_is_refused(src):
+    # flat, it would keep none of its functions' code
+    with pytest.raises(TransformUnsupported, match="^no function is called at the top level$"):
+        singularize(parse(src))
 
 
 # -- verify_equivalence ------------------------------------------------------
@@ -1243,6 +1288,20 @@ RETURN_SKIP_CASES = {
         "    finally:\n        for x in xs:\n            if x:\n                break\n"
         "        print('finally ran')\n    return len(xs)\nprint(f([]))\nprint(f([0, 1]))\n",
         "finally ran\n-1\nfinally ran\n2\n", None),
+    # an exception from the cleanup that runs after a return cancels it,
+    # and the handler that catches it goes on as if nothing had returned
+    "return-cancelled-by-a-finally-block": (
+        "def f(x):\n    try:\n        try:\n            return 1\n        finally:\n"
+        "            10 // x\n    except ZeroDivisionError:\n        pass\n    return 2\n"
+        "print(f(0))\nprint(f(1))\n",
+        "2\n1\n", None),
+    "return-cancelled-by-a-context-managers-exit": (
+        "import contextlib\ndef f(x):\n    try:\n"
+        "        with contextlib.ExitStack() as stack:\n"
+        "            stack.callback(lambda: 10 // x)\n            return 1\n"
+        "    except ZeroDivisionError:\n        pass\n    return 2\n"
+        "print(f(0))\nprint(f(1))\n",
+        "2\n1\n", None),
     "refused-positional-only-passed-by-keyword": (
         "def f(x, /):\n    return x\nprint(f(x=1))\n",
         "", "call to 'f': bad keyword argument 'x'"),

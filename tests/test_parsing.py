@@ -74,6 +74,16 @@ def test_invalid_utf8_bytes():
         parse(b"print('\xff\xfe')")
 
 
+def test_a_leading_bom_is_dropped_and_only_utf8_is_read():
+    assert parse(b"\xef\xbb\xbfx = '\xc3\xa9'\n").text == "x = '\u00e9'\n"
+    assert parse(b"#!/usr/bin/env python\n# -*- coding: utf8 -*-\nx = 1\n").function_count == 0
+    # CPython would read these bytes as latin-1, the flat output as UTF-8
+    for source in (b"# coding: latin-1\nx = '\xc3\xa9'\n", "\n# vim: set fileencoding=cp1252 :\n",
+                   b"\xef\xbb\xbf# coding: latin-1\nx = 1\n"):
+        with pytest.raises(EncodingError, match="declares the encoding"):
+            parse(source)
+
+
 def test_figure_style_modular_snippet_has_functions(fixtures_dir):
     text = (fixtures_dir / "figure_style" / "mc.py").read_text()
     unit = parse(text)
