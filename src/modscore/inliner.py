@@ -48,7 +48,12 @@ ternary arms), splices that would run a helper's body ahead of anything
 else (any other call, a name some ``global`` statement declares, a
 walrus, a ``yield`` or ``await``, or a with-item's ``__enter__``), units
 with functions but no call at the top level that reaches one (the flat
-program would keep none of their code), calls that run before their
+program would keep none of their code), a helper called in a ``for`` or
+``while`` body (not its ``else``) whose flat body has a lambda or a
+generator expression that reads one of its locals (the closure may run
+after the next pass has rebound the spliced local; this also refuses
+``sorted(xs, key=lambda i: a[i])``, whose key runs at once), calls that
+run before their
 helper's ``def`` in the same block, calls in an ``except`` clause's type
 (it runs only when an exception propagates) or in a module-level
 annotation, annotations without a value (``x: T``) in a function, and
@@ -62,27 +67,32 @@ keeps only constants and builtin names the unit never binds there, and
 any other annotation is refused. An output that still names a helper is
 refused as an internal error.
 
-The checks read the unit through one walk over the whole tree
-(``_gather``), which collects its definitions, the names it binds and
-reads, the names its ``global`` statements declare, and its scope-reading
-calls and classes, each in ``ast.walk`` order, so the first reason to
-refuse is still the first one raised. Only a def's body runs in a scope
-of its own: its decorators, defaults and annotations run where it stands,
-and every check counts a call or a yield there as the enclosing scope's.
-The helper call graph is walked once, depth first (``_analyze``): the
-walk meets the first cycle and gives each helper the free names it reads
-through its callees, for the capture check, and the helpers it runs, for
-the definition-order check. One walk of a helper's own scope
-(``_scope_of``) finds its locals, free names, returns and first refused
-construct; it runs once as written and once flattened, never per call
-site.
+One walker models what runs in which scope (``_survey``). It reads the
+unit once, breadth first in ``ast.walk`` order, before the rewrite: its
+definitions, the names it binds and reads, the names its ``global``
+statements declare, its scope-reading calls and classes, every call site
+with the def whose body holds it, each def's parent, each name's first
+use that is not a call, and each def's own scope (locals, free names,
+returns, first refused construct, and the locals that a lambda body or a
+generator reads). The checks go through these in walk order, so the
+first reason to refuse is the first one raised. Only a def's body runs
+in a scope of its own: its decorators, defaults and annotations run where
+it stands, and every check counts a call or a yield there as the
+enclosing scope's. The helper call graph is walked once, depth first
+(``_analyze``): the walk meets the first cycle and gives each helper the
+free names it reads through its callees, for the capture check, and the
+helpers it runs, for the definition-order check. The same walker scopes
+each helper once more when it is flattened, never per call site; that
+flat scope holds its callees' closures.
 """
 
 from __future__ import annotations
 
 import ast
 import builtins
+import dataclasses
 import functools
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -156,119 +166,145 @@ def _runs_where_def_stands(node) -> list[ast.expr]:
     return [part for part in parts if part is not None]
 
 
-@dataclass(frozen=True)
-class _Scope:  # what one walk of a def's own scope finds
+@dataclass
+class _Scope:  # what ``_survey`` finds in one def's own scope
     locals: set[str]  # the names bound in it
     free: set[str]  # the names its body resolves outside it
-    returns: int  # its ``return`` statements
-    refusal: str | None  # for its first yield, nonlocal, dotted import or class
+    declared: set[str]  # by ``global`` or ``nonlocal``
+    late: list[ast.Name]  # its locals a lambda body or a generator reads, in walk order
+    returns: int = 0  # its ``return`` statements
+    refusal: str | None = None  # for its first yield, nonlocal, dotted import or class
 
 
-def _scope_of(node) -> _Scope:
-    """The one walk of a def's own scope. A nested def or class binds its
-    name here and runs its body in a scope of its own; the rest of a
-    nested def, and a lambda's defaults, run here. A lambda's parameters
-    and walrus targets, and a comprehension's targets, bind in scopes of
-    their own: they are neither locals nor free where those scopes read
-    them. A walrus target in a comprehension binds here. A yield in a
-    lambda's body makes the lambda a generator, not this def."""
-    args = node.args
-    bound = {p.arg for p in args.posonlyargs + args.args + args.kwonlyargs}
-    used: set[str] = set()
-    declared: set[str] = set()
-    returns, refusal = 0, None
-    # (node, the names scopes inside this def's bind around it, whether a lambda's body holds it)
-    stack = [(n, frozenset(), False) for n in node.body]
-    while stack:
-        n, inner, in_lambda = stack.pop()
-        name = _name_of(n)
-        if name is not None and name not in inner:
-            if type(n) is ast.Name:
-                used.add(name)
-            if not _reads(n):
-                bound.add(name)
-        returns += type(n) is ast.Return
-        if refusal is None:
-            if isinstance(n, (ast.Yield, ast.YieldFrom)) and not in_lambda:
-                refusal = f"{node.name!r} is a generator function"
-            elif type(n) is ast.Nonlocal:
-                refusal = f"{node.name!r} declares nonlocal"
-            elif type(n) is ast.alias and n.asname is None and "." in n.name:
-                # the renamed copy would read `import a.b as a__inl0`,
-                # which binds the submodule, not the package
-                refusal = f"{node.name!r} imports {n.name!r} without 'as'"
-            elif type(n) is ast.ClassDef:
-                refusal = f"{node.name!r} defines class {n.name!r} in its body"
-        if isinstance(n, (ast.Global, ast.Nonlocal)):
-            declared.update(n.names)
-            used.update(n.names)
-        elif isinstance(n, _DEF_NODES):
-            stack += [(part, inner, in_lambda) for part in _runs_where_def_stands(n)]
-        elif isinstance(n, ast.Lambda):
-            a = n.args
-            stack += [(d, inner, in_lambda) for d in a.defaults + a.kw_defaults if d]
-            params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
-            own = {p.arg for p in params if p}
-            own |= {w.target.id for w in ast.walk(n.body) if type(w) is ast.NamedExpr}
-            stack.append((n.body, inner | own, True))
-        elif isinstance(n, _COMPREHENSIONS):
-            first = n.generators[0]
-            own = {x.id for g in n.generators for x in ast.walk(g.target)
-                   if type(x) is ast.Name and not _reads(x)}
-            stack.append((first.iter, inner, in_lambda))
-            stack += [(c, inner | own, in_lambda)
-                      for c in ast.iter_child_nodes(n) if c is not first]
-            stack += [(c, inner | own, in_lambda)
-                      for c in ast.iter_child_nodes(first) if c is not first.iter]
-        elif not isinstance(n, ast.ClassDef):
-            stack += [(c, inner, in_lambda) for c in ast.iter_child_nodes(n)]
-    local_names = bound - declared
-    return _Scope(local_names, used - local_names, returns, refusal)
+class _Survey:
+    """What one walk from a module or a def finds, in ``ast.walk`` order."""
+
+    def __init__(self):
+        self.defs: dict[str, ast.AST] = {}  # every def by name
+        self.parents: dict[str, str | None] = {}  # per def, the def whose body holds it
+        self.scopes: dict[str, _Scope] = {}  # per def, its own scope
+        self.names: set[str] = set()  # every identifier bound or read
+        self.stored: set[str] = set()  # those bound
+        self.shared: set[str] = set()  # those a ``global`` statement declares
+        self.suspects: list[ast.AST] = []  # scope-reading calls and classes
+        # per name called, per call, the defs whose bodies hold it, outermost first
+        self.sites: dict[str, list[tuple[str, ...]]] = {}
+        # per name, the refusal for its first binding but a def, declaration,
+        # or use but a call, should it name a def
+        self.misuses: dict[str, str] = {}
 
 
-@dataclass(frozen=True)
-class _UnitFacts:
-    defs: dict[str, ast.AST]  # every def by name, in ``ast.walk`` order
-    names: set[str]  # every identifier the unit binds or reads
-    stored: set[str]  # those it binds
-    shared: set[str]  # those a ``global`` statement declares
-    suspects: list[ast.AST]  # scope-reading calls and classes, in walk order
+def _survey(root: ast.Module | ast.FunctionDef) -> _Survey:
+    """The one walk of what runs in which scope, breadth first from
+    ``root`` in ``ast.walk`` order.
 
+    Each node carries the defs whose scopes run it, the innermost one's
+    ``_Scope`` (None in a class body, which runs in a scope no check
+    reads), the names that lambdas and comprehensions around it bind there
+    (they are neither local nor free where those read them), and whether
+    it runs later than the statement that holds it: in a lambda's body, or
+    in a generator expression past its first iterable. Only a def's body
+    runs in its own scope: its decorators, defaults and annotations run
+    where it stands, and its parameters bind only in its body. A lambda's
+    defaults and a comprehension's first iterable run around it as well. A
+    walrus target binds in the def, also inside a comprehension, unless it
+    sits in a lambda. A yield that runs later makes the lambda a
+    generator, not the def.
 
-def _is_scope_reader(node) -> bool:
-    """A call by the name of a builtin that reads the calling scope (the
-    name may still be a helper's)."""
-    if type(node) is not ast.Call or type(node.func) is not ast.Name:
-        return False
-    name = node.func.id
-    return name in _SCOPE_READERS or (
-        name in _BARE_SCOPE_READERS and not (node.args or node.keywords))
-
-
-def _gather(tree: ast.Module) -> _UnitFacts:
-    """The unit-wide facts the checks and the rewrite read, in one walk.
-
-    Raises DynamicCallUnsupported on the first definition, in walk order,
-    whose name an earlier one already took.
+    Raises DynamicCallUnsupported on the first def, in walk order, whose
+    name an earlier one already took.
     """
-    defs: dict[str, ast.AST] = {}
-    loaded: set[str] = set()
-    stored: set[str] = set()
-    shared: set[str] = set()
-    suspects: list[ast.AST] = []
-    for node in ast.walk(tree):
+    found = _Survey()
+    called: set[int] = set()  # the names that are a call's function, by id
+    outside: dict[int, tuple] = {}  # a comprehension's first iterable: the context around it
+    queue = deque([(root, ((), None, frozenset(), False))])
+    while queue:
+        node, context = queue.popleft()
+        owners, scope, inner, later = context
+        kind = type(node)
         name = _name_of(node)
         if name is not None:
-            (loaded if _reads(node) else stored).add(name)
-        if isinstance(node, _DEF_NODES):
-            if name in defs:
+            reads = kind is ast.Name and type(node.ctx) is ast.Load
+            (found.names if reads else found.stored).add(name)
+            if reads and id(node) in called:
+                found.sites.setdefault(name, []).append(owners)
+            elif kind not in _DEF_NODES and name not in found.misuses:
+                found.misuses[name] = (
+                    f"function {name!r} is used as a value, not called" if reads else
+                    f"function name {name!r} is rebound by {kind.__name__} (line {node.lineno})")
+            if scope is not None and kind is not ast.arg and name not in inner:
+                if kind is ast.Name:
+                    scope.free.add(name)
+                    if later:
+                        scope.late.append(node)
+                if not reads:
+                    scope.locals.add(name)
+        if kind in _DEF_NODES:
+            if name in found.defs:
                 raise DynamicCallUnsupported(f"function name {name!r} is defined more than once")
-            defs[name] = node
-        elif type(node) is ast.Global:
-            shared.update(node.names)
-        elif type(node) is ast.ClassDef or _is_scope_reader(node):
-            suspects.append(node)
-    return _UnitFacts(defs, loaded | stored, stored, shared, suspects)
+            found.defs[name], found.parents[name] = node, owners[-1] if owners else None
+            args = node.args
+            params = {p.arg for p in args.posonlyargs + args.args + args.kwonlyargs}
+            own = found.scopes[name] = _Scope(params, set(), set(), [])
+            body = {id(stmt) for stmt in node.body}
+            runs_own = (owners + (name,), own, frozenset(), False)
+            queue.extend((c, runs_own if id(c) in body else context)
+                         for c in ast.iter_child_nodes(node))
+            continue
+        if kind is ast.Lambda:
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            own = {p.arg for p in params if p}
+            own |= {w.target.id for w in ast.walk(node.body) if type(w) is ast.NamedExpr}
+            queue += [(args, context), (node.body, (owners, scope, inner | own, True))]
+            continue
+        if kind in _COMPREHENSIONS:
+            own = {x.id for g in node.generators for x in ast.walk(g.target)
+                   if type(x) is ast.Name and not _reads(x)}
+            outside[id(node.generators[0].iter)] = context
+            context = (owners, scope, inner | own, later or kind is ast.GeneratorExp)
+        elif kind is ast.comprehension:
+            queue.extend((c, outside.pop(id(c), context)) for c in ast.iter_child_nodes(node))
+            continue
+        elif kind is ast.ClassDef:
+            found.suspects.append(node)
+            if scope is not None and scope.refusal is None:
+                scope.refusal = f"{owners[-1]!r} defines class {node.name!r} in its body"
+            context = (owners, None, inner, later)
+        elif kind is ast.Call and type(node.func) is ast.Name:
+            called.add(id(node.func))
+            # the name may still be a helper's
+            if node.func.id in _SCOPE_READERS or node.func.id in _BARE_SCOPE_READERS and not (
+                    node.args or node.keywords):
+                found.suspects.append(node)
+        elif kind is ast.Global or kind is ast.Nonlocal:
+            if kind is ast.Global:
+                found.shared.update(node.names)
+            for declared in sorted(set(node.names) - found.misuses.keys()):
+                found.misuses[declared] = (
+                    f"global/nonlocal declaration of function name {declared!r}")
+            if scope is not None:
+                scope.declared.update(node.names)
+                scope.free.update(node.names)
+                if kind is ast.Nonlocal and scope.refusal is None:
+                    scope.refusal = f"{owners[-1]!r} declares nonlocal"
+        elif kind is ast.Return and scope is not None:
+            scope.returns += 1
+        elif scope is None or scope.refusal is not None:
+            pass  # outside every def, in a class body, or refused already
+        elif (kind is ast.Yield or kind is ast.YieldFrom) and not later:
+            scope.refusal = f"{owners[-1]!r} is a generator function"
+        elif kind is ast.alias and node.asname is None and "." in node.name:
+            # the renamed copy would read `import a.b as a__inl0`, which
+            # binds the submodule, not the package
+            scope.refusal = f"{owners[-1]!r} imports {node.name!r} without 'as'"
+        queue.extend((c, context) for c in ast.iter_child_nodes(node))
+    found.names |= found.stored
+    for scope in found.scopes.values():  # a declared name binds outside the def
+        scope.locals -= scope.declared
+        scope.free -= scope.locals
+        scope.late = [n for n in scope.late if n.id in scope.locals]
+    return found
 
 
 class _FreshNames:
@@ -289,65 +325,31 @@ class _FreshNames:
 # call-graph analysis
 
 
-def _analyze(tree: ast.Module, defs: dict[str, ast.AST]) -> dict[str, _Scope]:
-    """Check that the call graph of ``defs``, every definition by name, is
-    inlinable, and return each helper's own scope as written.
+def _analyze(tree: ast.Module, facts: _Survey):
+    """Check that the call graph of ``facts.defs``, every definition by
+    name, is inlinable.
 
-    One scan of the tree finds each helper's call sites and the defs whose
-    bodies enclose them; one depth-first walk of the call graph, in sorted
-    order, meets the first cycle and gives each helper its scope, the free
+    The survey gives each helper's call sites, the def that holds each
+    one and each def's parent; one depth-first walk of the call graph, in
+    sorted order, meets the first cycle and gives each helper the free
     names it reads itself or through its callees, and the helpers it runs.
 
     Raises RecursionUnsupported, DynamicCallUnsupported,
     ExternalNameCollision, or TransformUnsupported (a call that runs before
     its helper is defined) when the unit cannot be inlined soundly.
     """
-    planned = set(defs)
-    # per call site of a helper, the defs whose bodies hold it, outermost first
-    sites: dict[str, list[list[str]]] = {name: [] for name in planned}
-    parent_def: dict[str, str | None] = {}
-
-    def scan(node, owners: list[str], call: ast.Call | None):
-        """``call`` is the call whose ``func`` is ``node``, if any."""
-        if isinstance(node, _DEF_NODES):
-            # only the body runs in the def's own scope
-            parent_def[node.name] = owners[-1] if owners else None
-            body = {id(stmt) for stmt in node.body}
-            for child in ast.iter_child_nodes(node):
-                scan(child, owners + [node.name] if id(child) in body else owners, None)
-            return
-        if (name := _name_of(node)) in planned:
-            if not _reads(node):
-                raise DynamicCallUnsupported(
-                    f"function name {name!r} is rebound by {type(node).__name__} "
-                    f"(line {node.lineno})"
-                )
-            if call is None:
-                raise DynamicCallUnsupported(
-                    f"function {name!r} is used as a value, not called"
-                )
-            sites[name].append(owners)
-            return
-        elif isinstance(node, (ast.Global, ast.Nonlocal)):
-            hit = planned.intersection(node.names)
-            if hit:
-                raise DynamicCallUnsupported(
-                    f"global/nonlocal declaration of function name {sorted(hit)[0]!r}"
-                )
-        func = node.func if type(node) is ast.Call else None
-        for child in ast.iter_child_nodes(node):
-            scan(child, owners, node if child is func else None)
-
-    for stmt in tree.body:
-        scan(stmt, [], None)
+    planned = facts.defs
+    misuse = next((refusal for name, refusal in facts.misuses.items() if name in planned), None)
+    if misuse:
+        raise DynamicCallUnsupported(misuse)
 
     # owner -> callee; a nested def may only be called inside its parent.
-    # This check and the capture check go through ``defs`` in walk order,
-    # so the error raised first does not depend on the hash seed.
+    # This check and the capture check go through ``planned`` in walk
+    # order, so the error raised first does not depend on the hash seed.
     calls_of: dict[str, set[str]] = {name: set() for name in planned}
-    for name in defs:
-        parent = parent_def[name]
-        for owners in sites[name]:
+    for name in planned:
+        parent = facts.parents[name]
+        for owners in facts.sites.get(name, ()):
             if parent is not None and parent not in owners:
                 raise DynamicCallUnsupported(
                     f"{name!r} is called outside the scope that defines it"
@@ -355,15 +357,13 @@ def _analyze(tree: ast.Module, defs: dict[str, ast.AST]) -> dict[str, _Scope]:
             if owners:
                 calls_of[owners[-1]].add(name)
 
-    scopes: dict[str, _Scope] = {}
     free_of: dict[str, set[str]] = {}  # read by it or by a helper it calls
     runs: dict[str, set[str]] = {}  # itself and every helper it calls
     trail: list[str] = []
 
     def walk(name: str):
         trail.append(name)
-        scopes[name] = _scope_of(defs[name])
-        free = scopes[name].free - planned
+        free = facts.scopes[name].free - planned.keys()
         ran = {name}
         for callee in sorted(calls_of[name]):
             if callee in trail:
@@ -379,9 +379,9 @@ def _analyze(tree: ast.Module, defs: dict[str, ast.AST]) -> dict[str, _Scope]:
         if name not in runs:
             walk(name)
 
-    for name in defs:
-        for owners in sites[name]:
-            captured = free_of[name] & set().union(*(scopes[o].locals for o in owners))
+    for name in planned:
+        for owners in facts.sites.get(name, ()):
+            captured = free_of[name] & set().union(*(facts.scopes[o].locals for o in owners))
             if captured:
                 raise ExternalNameCollision(
                     f"inlining {name!r} would capture {sorted(captured)[0]!r} "
@@ -389,7 +389,6 @@ def _analyze(tree: ast.Module, defs: dict[str, ast.AST]) -> dict[str, _Scope]:
                 )
 
     _check_definition_order(tree, runs)
-    return scopes
 
 
 def _check_definition_order(tree: ast.Module, runs: dict[str, set[str]]):
@@ -428,11 +427,10 @@ def _check_definition_order(tree: ast.Module, runs: dict[str, set[str]]):
 # transformability checks
 
 
-def _check_transformable(facts: _UnitFacts, scopes: dict[str, _Scope]):
-    planned = facts.defs
+def _check_transformable(facts: _Survey):
     for node in facts.suspects:
         if type(node) is ast.Call:
-            if node.func.id not in planned:
+            if node.func.id not in facts.defs:
                 raise TransformUnsupported(
                     f"the unit reads names dynamically through {node.func.id}() "
                     f"(line {node.lineno})"
@@ -444,7 +442,7 @@ def _check_transformable(facts: _UnitFacts, scopes: dict[str, _Scope]):
                         f"class {node.name!r} defines method {n.name!r}; methods "
                         "are only dynamically invocable"
                     )
-    for name, node in planned.items():
+    for name, node in facts.defs.items():
         if isinstance(node, ast.AsyncFunctionDef):
             raise TransformUnsupported(f"{name!r} is an async function")
         if node.decorator_list:
@@ -464,8 +462,8 @@ def _check_transformable(facts: _UnitFacts, scopes: dict[str, _Scope]):
                     f"{name!r} has an annotation that is neither a constant nor "
                     f"a builtin name (line {annotation.lineno})"
                 )
-        if scopes[name].refusal:
-            raise TransformUnsupported(scopes[name].refusal)
+        if facts.scopes[name].refusal:
+            raise TransformUnsupported(facts.scopes[name].refusal)
 
 
 # ---------------------------------------------------------------------------
@@ -583,14 +581,17 @@ class _CallSwap(ast.NodeTransformer):
 class _BlockCtx:
     in_class: bool = False
     in_function: bool = False
+    in_loop: bool = False  # in a ``for`` or ``while`` body, not its ``else``
 
 
 def _rewrite_blocks(node, fn, ctx: _BlockCtx = _BlockCtx()):
     """Apply fn(stmt, ctx) -> list | None over every statement list."""
     for holder, field in statement_blocks(node):
+        loop = field == "body" and isinstance(holder, _LOOPS)
+        block_ctx = dataclasses.replace(ctx, in_loop=True) if loop else ctx
         new_list: list[ast.stmt] = []
         for stmt in getattr(holder, field):
-            replacement = fn(stmt, ctx)
+            replacement = fn(stmt, block_ctx)
             if replacement is None:
                 new_list.append(stmt)
             else:
@@ -604,7 +605,7 @@ def _rewrite_blocks(node, fn, ctx: _BlockCtx = _BlockCtx()):
             elif isinstance(stmt, ast.ClassDef):
                 child_ctx = _BlockCtx(in_class=True, in_function=ctx.in_function)
             else:
-                child_ctx = ctx
+                child_ctx = block_ctx
             _rewrite_blocks(stmt, fn, child_ctx)
 
 
@@ -629,12 +630,12 @@ def _strip_local_annotations(stmt, ctx: _BlockCtx):
 # default-value hoisting
 
 
-def _hoist_defaults(tree, planned_names, fresh) -> dict[tuple[str, str], str]:
-    """Evaluate defaults once, at the definition site, into fresh temps."""
+def _hoist_defaults(tree, fresh) -> dict[tuple[str, str], str]:
+    """Evaluate each def's defaults once, where it stands, into fresh temps."""
     temp_of: dict[tuple[str, str], str] = {}
 
     def visit(stmt, _ctx):
-        if not isinstance(stmt, _DEF_NODES) or stmt.name not in planned_names:
+        if not isinstance(stmt, _DEF_NODES):
             return None
         args = stmt.args
         positional = args.posonlyargs + args.args
@@ -662,8 +663,8 @@ def _none() -> ast.expr:
 
 
 def _assign(name: str, value: ast.expr, like) -> ast.stmt:
-    node = ast.Assign(targets=[ast.Name(id=name, ctx=ast.Store())], value=value)
-    return ast.copy_location(node, like)
+    target = ast.copy_location(ast.Name(id=name, ctx=ast.Store()), like)
+    return ast.copy_location(ast.Assign(targets=[target], value=value), like)
 
 
 def _cleanup_after_return(stmts) -> bool:
@@ -905,7 +906,12 @@ def _inline_stmt(unit: _Inlining, stmt, ctx: _BlockCtx) -> list[ast.stmt] | None
         if scope is None:
             _rewrite_blocks(def_node, functools.partial(_inline_stmt, unit),
                             _BlockCtx(in_function=True))
-            scope = unit.flat[def_node.name] = _scope_of(def_node)
+            scope = unit.flat[def_node.name] = _survey(def_node).scopes[def_node.name]
+        if ctx.in_loop and scope.late:
+            raise TransformUnsupported(
+                f"{def_node.name!r} is called in a loop, and a lambda or generator in it "
+                f"reads its local {scope.late[0].id!r} (line {scope.late[0].lineno})"
+            )
         body, results[id(call)] = _splice_one(call, def_node, scope, unit.fresh,
                                               unit.default_temps, ctx.in_function)
         spliced += body
@@ -939,20 +945,19 @@ def singularize(unit: SourceUnit) -> SourceUnit:
 def _singularize(unit: SourceUnit) -> SourceUnit:
     tree = ast.parse(unit.text)
     _rewrite_blocks(tree, _strip_local_annotations)
-    facts = _gather(tree)
-    planned = facts.defs
-    scopes = _analyze(tree, planned)
-    _check_transformable(facts, scopes)
+    facts = _survey(tree)
+    _analyze(tree, facts)
+    _check_transformable(facts)
 
     fresh = _FreshNames(facts.names)
-    default_temps = _hoist_defaults(tree, planned, fresh)
-    inlining = _Inlining(planned, facts.shared, fresh, default_temps, {})
+    default_temps = _hoist_defaults(tree, fresh)
+    inlining = _Inlining(facts.defs, facts.shared, fresh, default_temps, {})
     _rewrite_blocks(tree, functools.partial(_inline_stmt, inlining))
 
     # every def is a helper: a name of one left in the output is a call
     # site the rewrite missed, or a def it kept
     for n in ast.walk(tree):
-        if _name_of(n) in planned:
+        if _name_of(n) in facts.defs:
             raise TransformUnsupported(
                 f"internal: the output still names {_name_of(n)!r} (line {n.lineno})"
             )

@@ -18,11 +18,10 @@ from modscore.errors import (
 import modscore.inliner as inliner_module
 from modscore.inliner import (
     _FreshNames,
-    _gather,
     _linearize,
-    _scope_of,
     _splice_one,
     _stmt_eval_parts,
+    _survey,
     singularize,
 )
 from modscore.modularity import score_unit
@@ -113,12 +112,14 @@ def test_free_name_capture_rejected():
 
 
 # Units with two reasons to refuse each: the refusal raised must be the
-# first in the checks' order. That order is the duplicate def in
-# ``ast.walk`` order, then the call graph (a nested def called outside its
-# parent, a cycle, a capture, a call before its def), then the
-# scope readers and classes with methods in ``ast.walk`` order, then each
-# helper in the same order. Several units put the two reasons in one order
-# by the walk and in the other by the text.
+# first in the checks' order. One walk reads the unit, breadth first in
+# ``ast.walk`` order, and every order below is that walk's. The checks'
+# order is the duplicate def, then the call graph (a helper's name bound
+# other than by its def, declared, or used other than called; a nested
+# def called outside its parent; a cycle; a capture; a call before its
+# def), then the scope readers and classes with methods, then each
+# helper. Several units put the two reasons in one order by the walk and
+# in the other by the text.
 REFUSAL_ORDER_CASES = {
     "duplicate-def-then-eval": (
         "print(eval('1'))\ndef f():\n    return 1\ndef f():\n    return 2\nprint(f())\n",
@@ -172,6 +173,14 @@ REFUSAL_ORDER_CASES = {
         "def f():\n    def inner():\n        return 1\n    return inner()\n"
         "def r():\n    return r()\nprint(f(), inner(), r())\n",
         DynamicCallUnsupported, "'inner' is called outside the scope that defines it"),
+    # the rebinding is nearer the top of the tree than the value use
+    "nested-value-use-then-top-level-rebinding": (
+        "def f():\n    return 1\ndef g():\n    return [f]\nf = 2\nprint(g())\n",
+        DynamicCallUnsupported, "function name 'f' is rebound by Name (line 5)"),
+    "nested-value-use-then-shallower-one": (
+        "def a():\n    return 1\ndef b():\n    return 2\n"
+        "def c(n):\n    if n:\n        return [a]\n    return 0\nprint(b, c(1))\n",
+        DynamicCallUnsupported, "function 'b' is used as a value, not called"),
     "capture-through-callee-before-later-def": (
         "def h():\n    return z\ndef g():\n    return h()\ndef f():\n    z = 1\n    return g()\n"
         "z = 5\nprint(f(), late())\ndef late():\n    return 1\n",
@@ -229,6 +238,32 @@ REFUSAL_CASES = {
     "default-calls-its-own-def": (
         "def f(x=f()):\n    return x\nprint(f())\n",
         TransformUnsupported, "'f' is called before its definition runs"),
+    # a closure over a helper local outlives the next pass of the loop,
+    # which rebinds the spliced local: flat, every closure would read the
+    # last pass's value
+    "lambda-over-helper-local-in-for": (
+        "def f(a):\n    return lambda: a\nfs = []\nfor i in range(3):\n    fs.append(f(i))\n"
+        "print([g() for g in fs])\n",
+        TransformUnsupported,
+        "'f' is called in a loop, and a lambda or generator in it reads its local 'a' (line 2)"),
+    "generator-over-helper-local-in-while": (
+        "def f(a):\n    return (a + j for j in range(2))\ngs = []\ni = 0\n"
+        "while i < 3:\n    gs.append(f(i))\n    i += 1\nprint([list(g) for g in gs])\n",
+        TransformUnsupported,
+        "'f' is called in a loop, and a lambda or generator in it reads its local 'a' (line 2)"),
+    # a flattened caller holds its callee's closure
+    "closure-through-callee-in-loop": (
+        "def f(a):\n    return lambda: a\ndef g(b):\n    return f(b + 1)\nfs = []\n"
+        "for i in range(3):\n    fs.append(g(i))\nprint([h() for h in fs])\n",
+        TransformUnsupported,
+        "'g' is called in a loop, and a lambda or generator in it reads its local 'a__inl0' "
+        "(line 2)"),
+    # a false positive: the key runs within the call, before the next pass
+    "sort-key-over-helper-local-in-loop": (
+        "def f(xs, a):\n    return sorted(xs, key=lambda i: a[i])\n"
+        "for k in range(2):\n    print(f([0, 1, 2], [3, k, 2]))\n",
+        TransformUnsupported,
+        "'f' is called in a loop, and a lambda or generator in it reads its local 'a' (line 2)"),
     # a lambda's default runs in the helper, so the helper is the generator
     "lambda-default-yields-in-helper": (
         "def f():\n    g = lambda x=(yield): x\n    return 1\nprint(f())\n",
@@ -291,20 +326,21 @@ def test_first_refusal_does_not_depend_on_the_hash_seed():
 
 
 def test_helper_scope_taken_once_however_many_call_sites(monkeypatch):
-    # once by the capture check, once flattened; never per call site
+    # the unit's survey gives every scope as written, and each helper is
+    # surveyed once more when flattened; never per call site
     seen = []
-    scope_of = inliner_module._scope_of
+    survey = inliner_module._survey
 
-    def counted(node):
-        seen.append(node.name)
-        return scope_of(node)
+    def counted(root):
+        seen.append(getattr(root, "name", "<module>"))
+        return survey(root)
 
-    monkeypatch.setattr(inliner_module, "_scope_of", counted)
+    monkeypatch.setattr(inliner_module, "_survey", counted)
     src = "def sq(v):\n    w = v * v\n    return w\n"
     src += "".join(f"a{i} = sq({i})\n" for i in range(6)) + "print(a1 + a5)\n"
     out = assert_same_behavior(src)
     assert out.text.count("w__inl") >= 6
-    assert seen == ["sq", "sq"]
+    assert seen == ["<module>", "sq"]
 
 
 # Each unit is helpers, a caller, then print, and binds or reads a name
@@ -470,6 +506,16 @@ DEFERRED_EVALUATION_CASES = {
     # statement, so a body spliced ahead of the statement may pass it
     "lambda-body-before-a-hoisted-call": (
         "def f():\n    return 1\nx = (lambda: print(2), f())\nprint(x[1])\n"
+    ),
+    # the key reads a helper local, but the helper is spliced in no loop
+    "sort-key-over-helper-local": (
+        "def f(xs, a):\n    return sorted(xs, key=lambda i: a[i])\n"
+        "print(f([0, 1, 2], [3, 1, 2]))\n"
+    ),
+    # spliced in a loop's else, which runs once
+    "closure-over-helper-local-in-loop-else": (
+        "def f(a):\n    return lambda: a\nfs = []\nfor i in range(3):\n    pass\n"
+        "else:\n    fs.append(f(i))\nprint([g() for g in fs])\n"
     ),
 }
 
@@ -794,8 +840,8 @@ def test_helper_spliced_at_two_sites_gets_independent_copies():
     tree = ast.parse("def sq(v):\n    w = [v, -v]\n    return w[0] * w[1]\na = sq(2)\nb = sq(3)\n")
     helper, site_a, site_b = tree.body
     before = ast.dump(helper, include_attributes=True)
-    fresh = _FreshNames(_gather(tree).names)
-    scope = _scope_of(helper)
+    fresh = _FreshNames(_survey(tree).names)
+    scope = _survey(helper).scopes["sq"]
     first, first_result = _splice_one(site_a.value, helper, scope, fresh, {}, False)
     second, second_result = _splice_one(site_b.value, helper, scope, fresh, {}, False)
 
