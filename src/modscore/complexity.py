@@ -42,74 +42,36 @@ def cc_from_cfg(cfg: ControlFlowGraph) -> int:
     return e - n + 2 * p
 
 
-class _DecisionCounter(ast.NodeVisitor):
-    """Counts decision constructs; never descends into nested defs."""
-
-    def __init__(self, count_boolops: bool):
-        self.count_boolops = count_boolops
-        self.decisions = 0
-
-    def visit_If(self, node):
-        self.decisions += 1
-        self.generic_visit(node)
-
-    def visit_IfExp(self, node):
-        self.decisions += 1
-        self.generic_visit(node)
-
-    def visit_While(self, node):
-        self.decisions += 1
-        self.generic_visit(node)
-
-    def visit_For(self, node):
-        self.decisions += 1
-        self.generic_visit(node)
-
-    def visit_AsyncFor(self, node):
-        self.decisions += 1
-        self.generic_visit(node)
-
-    def visit_ExceptHandler(self, node):
-        self.decisions += 1
-        self.generic_visit(node)
-
-    def visit_BoolOp(self, node):
-        if self.count_boolops:
-            self.decisions += len(node.values) - 1
-        self.generic_visit(node)
-
-    def visit_comprehension(self, node):
-        self.decisions += len(node.ifs)
-        self.generic_visit(node)
-
-    def visit_Match(self, node):
-        self.generic_visit(node)
-
-    def visit_match_case(self, node):
-        pattern = node.pattern
-        catchall = isinstance(pattern, ast.MatchAs) and pattern.pattern is None
-        if not catchall:
-            self.decisions += 1
-        if node.guard is not None:
-            self.decisions += 1
-        self.generic_visit(node)
-
-    def visit_FunctionDef(self, node):
-        pass  # separate function, separate count
-
-    def visit_AsyncFunctionDef(self, node):
-        pass
-
-    def visit_Lambda(self, node):
-        self.generic_visit(node)  # anonymous: counts toward the encloser
+# each counts one decision: an elif arm is an If of its own
+_BRANCHES = frozenset({ast.If, ast.IfExp, ast.While, ast.For, ast.AsyncFor, ast.ExceptHandler})
 
 
 def cc_decision_points(fn: FunctionDef, count_short_circuit: bool = True) -> int:
-    """Classical decision-point form: 1 + number of decisions in the body."""
-    counter = _DecisionCounter(count_short_circuit)
-    for stmt in fn.body:
-        counter.visit(stmt)
-    return 1 + counter.decisions
+    """Classical decision-point form: 1 + number of decisions in the body.
+
+    One walk with an explicit stack, so a deeply nested expression cannot
+    exhaust the interpreter's recursion; it never enters a nested def.
+    """
+    decisions = 0
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is ast.FunctionDef or kind is ast.AsyncFunctionDef:
+            continue  # separate function, separate count
+        if kind in _BRANCHES:
+            decisions += 1
+        elif kind is ast.BoolOp:
+            if count_short_circuit:
+                decisions += len(node.values) - 1
+        elif kind is ast.comprehension:
+            decisions += len(node.ifs)
+        elif kind is ast.match_case:
+            pattern = node.pattern  # a bare capture arm is an else
+            catchall = type(pattern) is ast.MatchAs and pattern.pattern is None
+            decisions += (not catchall) + (node.guard is not None)
+        stack.extend(ast.iter_child_nodes(node))
+    return 1 + decisions
 
 
 def unit_complexity(unit: SourceUnit, count_short_circuit: bool = True) -> ComplexityReport:

@@ -17,8 +17,9 @@ wrong. Mechanics:
     changes);
   - parameters become assignments of the argument expressions, one per
     written argument (so each argument is evaluated exactly once, in call
-    order); unsupplied parameters read from hoisted default temps that
-    were evaluated once at the definition site;
+    order); unsupplied parameters read default temps: a def is replaced
+    by the assignments of its defaults to fresh temps, which run where
+    and when the def would;
   - inlined locals are alpha-renamed with fresh ``__inl<N>`` suffixes;
   - a body whose single return is its last statement becomes an
     assignment to a fresh result variable. Otherwise a ``return`` sets
@@ -53,12 +54,12 @@ program would keep none of their code), a helper called in a ``for`` or
 generator expression that reads one of its locals (the closure may run
 after the next pass has rebound the spliced local; this also refuses
 ``sorted(xs, key=lambda i: a[i])``, whose key runs at once), calls that
-run before their
-helper's ``def`` in the same block, calls in an ``except`` clause's type
-(it runs only when an exception propagates) or in a module-level
-annotation, annotations without a value (``x: T``) in a function, and
-sources nested too deeply for the rewrite's recursion. An
-annotated local ``x: T = v`` becomes ``x = v``: a function never
+come before their helper's ``def`` in source order, nested blocks
+included (directly or through the helpers they run), calls in an
+``except`` clause's type (it runs only when an exception propagates) or
+in a module-level annotation, annotations without a value (``x: T``) in
+a function, and sources nested too deeply for the rewrite's recursion.
+An annotated local ``x: T = v`` becomes ``x = v``: a function never
 evaluates the annotation, and the spliced copy must not either. A
 helper's parameter and return annotations run when its ``def`` does,
 unless annotations are deferred (Python 3.14, ``from __future__ import
@@ -80,10 +81,16 @@ in a scope of its own: its decorators, defaults and annotations run where
 it stands, and every check counts a call or a yield there as the
 enclosing scope's. The helper call graph is walked once, depth first
 (``_analyze``): the walk meets the first cycle and gives each helper the
-free names it reads through its callees, for the capture check, and the
-helpers it runs, for the definition-order check. The same walker scopes
-each helper once more when it is flattened, never per call site; that
-flat scope holds its callees' closures.
+free names it reads through its callees, for the capture check. The same
+walker scopes each helper once more when it is flattened, never per call
+site; that flat scope holds its callees' closures.
+
+One rewrite walk then visits the statements in source order, depth first
+(``_rewrite_blocks`` with ``_inline_stmt``): it replaces each def it
+meets by its default temps, splices each call site, and flattens a
+helper where the walk first meets a call to it. So a def is passed in
+the order its ``def`` statement would run, and a call to a helper whose
+def the walk has not passed is refused.
 """
 
 from __future__ import annotations
@@ -155,15 +162,6 @@ def _name_of(node) -> str | None:
 
 def _reads(node) -> bool:
     return type(node) is ast.Name and type(node.ctx) is ast.Load
-
-
-def _runs_where_def_stands(node) -> list[ast.expr]:
-    """A def's decorators, defaults and annotations: all of it but its body."""
-    args = node.args
-    params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
-    parts = node.decorator_list + args.defaults + args.kw_defaults + [node.returns]
-    parts += [p.annotation for p in params if p]
-    return [part for part in parts if part is not None]
 
 
 @dataclass
@@ -244,8 +242,8 @@ def _survey(root: ast.Module | ast.FunctionDef) -> _Survey:
                 raise DynamicCallUnsupported(f"function name {name!r} is defined more than once")
             found.defs[name], found.parents[name] = node, owners[-1] if owners else None
             args = node.args
-            params = {p.arg for p in args.posonlyargs + args.args + args.kwonlyargs}
-            own = found.scopes[name] = _Scope(params, set(), set(), [])
+            params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            own = found.scopes[name] = _Scope({p.arg for p in params if p}, set(), set(), [])
             body = {id(stmt) for stmt in node.body}
             runs_own = (owners + (name,), own, frozenset(), False)
             queue.extend((c, runs_own if id(c) in body else context)
@@ -325,18 +323,17 @@ class _FreshNames:
 # call-graph analysis
 
 
-def _analyze(tree: ast.Module, facts: _Survey):
+def _analyze(facts: _Survey):
     """Check that the call graph of ``facts.defs``, every definition by
     name, is inlinable.
 
     The survey gives each helper's call sites, the def that holds each
     one and each def's parent; one depth-first walk of the call graph, in
     sorted order, meets the first cycle and gives each helper the free
-    names it reads itself or through its callees, and the helpers it runs.
+    names it reads itself or through its callees.
 
-    Raises RecursionUnsupported, DynamicCallUnsupported,
-    ExternalNameCollision, or TransformUnsupported (a call that runs before
-    its helper is defined) when the unit cannot be inlined soundly.
+    Raises RecursionUnsupported, DynamicCallUnsupported or
+    ExternalNameCollision when the unit cannot be inlined soundly.
     """
     planned = facts.defs
     misuse = next((refusal for name, refusal in facts.misuses.items() if name in planned), None)
@@ -358,25 +355,22 @@ def _analyze(tree: ast.Module, facts: _Survey):
                 calls_of[owners[-1]].add(name)
 
     free_of: dict[str, set[str]] = {}  # read by it or by a helper it calls
-    runs: dict[str, set[str]] = {}  # itself and every helper it calls
     trail: list[str] = []
 
     def walk(name: str):
         trail.append(name)
         free = facts.scopes[name].free - planned.keys()
-        ran = {name}
         for callee in sorted(calls_of[name]):
             if callee in trail:
                 raise RecursionUnsupported(trail[trail.index(callee):] + [callee])
-            if callee not in runs:
+            if callee not in free_of:
                 walk(callee)
             free |= free_of[callee]
-            ran |= runs[callee]
         trail.pop()
-        free_of[name], runs[name] = free, ran
+        free_of[name] = free
 
     for name in sorted(planned):
-        if name not in runs:
+        if name not in free_of:
             walk(name)
 
     for name in planned:
@@ -387,40 +381,6 @@ def _analyze(tree: ast.Module, facts: _Survey):
                     f"inlining {name!r} would capture {sorted(captured)[0]!r} "
                     f"bound in {owners[-1]!r}"
                 )
-
-    _check_definition_order(tree, runs)
-
-
-def _check_definition_order(tree: ast.Module, runs: dict[str, set[str]]):
-    """Reject a call that runs before the ``def`` of its helper: as written
-    it raises NameError, inlined it would not. A statement runs ``runs[h]``
-    for each helper ``h`` it calls; a definition runs only the parts that
-    run where it stands."""
-    pending = [tree]
-    while pending:
-        for holder, field in statement_blocks(pending.pop()):
-            stmts = getattr(holder, field)
-            pending.extend(stmts)
-            later = {s.name for s in stmts if isinstance(s, _DEF_NODES)}
-            for stmt in stmts:
-                if not later:
-                    break
-                early: set[str] = set()
-                stack = [stmt]
-                while stack:
-                    n = stack.pop()
-                    if isinstance(n, _DEF_NODES):
-                        stack += _runs_where_def_stands(n)
-                        continue
-                    if _is_helper_call(n, runs):
-                        early |= later & runs[n.func.id]
-                    stack.extend(ast.iter_child_nodes(n))
-                if early:
-                    raise TransformUnsupported(
-                        f"{sorted(early)[0]!r} is called before its definition runs"
-                    )
-                if isinstance(stmt, _DEF_NODES):
-                    later.discard(stmt.name)
 
 
 # ---------------------------------------------------------------------------
@@ -585,28 +545,26 @@ class _BlockCtx:
 
 
 def _rewrite_blocks(node, fn, ctx: _BlockCtx = _BlockCtx()):
-    """Apply fn(stmt, ctx) -> list | None over every statement list."""
+    """Replace each statement under ``node`` by fn(stmt, ctx) -> list, or
+    keep it for None, in source order and depth first: a statement's
+    replacement, and the blocks nested in it, are walked before the next
+    statement."""
     for holder, field in statement_blocks(node):
         loop = field == "body" and isinstance(holder, _LOOPS)
         block_ctx = dataclasses.replace(ctx, in_loop=True) if loop else ctx
         new_list: list[ast.stmt] = []
         for stmt in getattr(holder, field):
             replacement = fn(stmt, block_ctx)
-            if replacement is None:
-                new_list.append(stmt)
-            else:
-                new_list.extend(replacement)
-        if not new_list:
-            new_list.append(ast.copy_location(ast.Pass(), holder))
-        setattr(holder, field, new_list)
-        for stmt in new_list:
-            if isinstance(stmt, _DEF_NODES):
-                child_ctx = _BlockCtx(in_class=False, in_function=True)
-            elif isinstance(stmt, ast.ClassDef):
-                child_ctx = _BlockCtx(in_class=True, in_function=ctx.in_function)
-            else:
-                child_ctx = block_ctx
-            _rewrite_blocks(stmt, fn, child_ctx)
+            for new in [stmt] if replacement is None else replacement:
+                if isinstance(new, _DEF_NODES):
+                    child_ctx = _BlockCtx(in_class=False, in_function=True)
+                elif isinstance(new, ast.ClassDef):
+                    child_ctx = _BlockCtx(in_class=True, in_function=ctx.in_function)
+                else:
+                    child_ctx = block_ctx
+                _rewrite_blocks(new, fn, child_ctx)
+                new_list.append(new)
+        setattr(holder, field, new_list or [ast.copy_location(ast.Pass(), holder)])
 
 
 def _strip_local_annotations(stmt, ctx: _BlockCtx):
@@ -624,34 +582,6 @@ def _strip_local_annotations(stmt, ctx: _BlockCtx):
             f"annotation without a value in a function (line {stmt.lineno})"
         )
     return [ast.copy_location(ast.Assign(targets=[stmt.target], value=stmt.value), stmt)]
-
-
-# ---------------------------------------------------------------------------
-# default-value hoisting
-
-
-def _hoist_defaults(tree, fresh) -> dict[tuple[str, str], str]:
-    """Evaluate each def's defaults once, where it stands, into fresh temps."""
-    temp_of: dict[tuple[str, str], str] = {}
-
-    def visit(stmt, _ctx):
-        if not isinstance(stmt, _DEF_NODES):
-            return None
-        args = stmt.args
-        positional = args.posonlyargs + args.args
-        pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
-        pairs += zip(args.kwonlyargs, args.kw_defaults)
-        prelude: list[ast.stmt] = []
-        for param, default in pairs:
-            if default is None:
-                continue
-            temp = fresh.make(f"{stmt.name}_{param.arg}_default")
-            temp_of[(stmt.name, param.arg)] = temp
-            prelude.append(_assign(temp, default, stmt))
-        return prelude + [stmt] if prelude else None
-
-    _rewrite_blocks(tree, visit)
-    return temp_of
 
 
 # ---------------------------------------------------------------------------
@@ -839,26 +769,44 @@ def _splice_one(call, def_node, scope: _Scope, fresh, default_temps, into_functi
 
 
 @dataclass(frozen=True)
-class _Inlining:  # what every call site of one unit reads
+class _Inlining:  # what the rewrite walk of one unit reads and fills in
     defs: dict[str, ast.AST]  # every def by name: each one is a helper
     shared: set[str]  # the names a ``global`` statement declares
     fresh: _FreshNames
-    default_temps: dict[tuple[str, str], str]
+    default_temps: dict[tuple[str, str], str]  # per (def, parameter), its default's temp
     flat: dict[str, _Scope]  # each helper flattened so far, by name: its flat scope
+    defined: set[str]  # each def the walk has passed
 
 
 def _inline_stmt(unit: _Inlining, stmt, ctx: _BlockCtx) -> list[ast.stmt] | None:
     """The one path for a helper call site; None keeps ``stmt`` as it is.
 
-    A def is dropped: its defaults were hoisted ahead of it. Each helper
-    call in ``stmt``, in the order CPython runs them, has its flat body
-    spliced ahead of ``stmt`` and reads as its result. A body may move
-    ahead only of constants and of names outside ``unit.shared``. A helper
-    is flattened by this same walk on its first call; ``_analyze`` has
-    rejected cycles, so this recursion ends.
+    ``_rewrite_blocks`` calls it on each statement in source order. A def
+    becomes the assignments of its defaults to fresh temps, each one
+    rewritten by this function, as it may call a helper; only then is the
+    def passed. Each helper call in ``stmt``, in the order CPython runs
+    them, has its flat body spliced ahead of ``stmt`` and reads as its
+    result. A body may move ahead only of constants and of names outside
+    ``unit.shared``. A helper is flattened by this same walk on its first
+    call, where its callees run too; ``_analyze`` has rejected cycles, so
+    this recursion ends. A call to a helper whose def the walk has not
+    passed is refused: as written it raises NameError. Each later call
+    site comes later in source order, so a flat body needs no new check.
     """
     if isinstance(stmt, _DEF_NODES):
-        return []
+        args = stmt.args
+        positional = args.posonlyargs + args.args
+        pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+        pairs += zip(args.kwonlyargs, args.kw_defaults)
+        temps: list[ast.stmt] = []
+        for param, default in pairs:
+            if default is not None:
+                temp = unit.default_temps[(stmt.name, param.arg)] = unit.fresh.make(
+                    f"{stmt.name}_{param.arg}_default")
+                assign = _assign(temp, default, stmt)
+                temps += _inline_stmt(unit, assign, ctx) or [assign]
+        unit.defined.add(stmt.name)
+        return temps
     events: list[_EvalEvent] = []
     for expr, when in _stmt_eval_parts(stmt):
         _linearize(expr, when, [], events)
@@ -902,6 +850,8 @@ def _inline_stmt(unit: _Inlining, stmt, ctx: _BlockCtx) -> list[ast.stmt] | None
     for event in calls:
         call = _CallSwap(results).visit(event.node)  # the calls in it already spliced
         def_node = unit.defs[call.func.id]
+        if def_node.name not in unit.defined:
+            raise TransformUnsupported(f"{def_node.name!r} is called before its definition runs")
         scope = unit.flat.get(def_node.name)
         if scope is None:
             _rewrite_blocks(def_node, functools.partial(_inline_stmt, unit),
@@ -946,12 +896,10 @@ def _singularize(unit: SourceUnit) -> SourceUnit:
     tree = ast.parse(unit.text)
     _rewrite_blocks(tree, _strip_local_annotations)
     facts = _survey(tree)
-    _analyze(tree, facts)
+    _analyze(facts)
     _check_transformable(facts)
 
-    fresh = _FreshNames(facts.names)
-    default_temps = _hoist_defaults(tree, fresh)
-    inlining = _Inlining(facts.defs, facts.shared, fresh, default_temps, {})
+    inlining = _Inlining(facts.defs, facts.shared, _FreshNames(facts.names), {}, {}, set())
     _rewrite_blocks(tree, functools.partial(_inline_stmt, inlining))
 
     # every def is a helper: a name of one left in the output is a call

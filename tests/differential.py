@@ -10,14 +10,18 @@ files (say, one dumped by the parent commit's own ``tests/differential.py``
 and one by the change's) and prints the counts, with each dump's
 singularize refusals per error class and fresh names per kind; it exits
 1 when they differ in anything but the allowed qualname change below.
-Singularize differences are summed up by kind (text changed, refusal
-class or message changed, transformed to refused, refused to
-transformed), each with at most 20 unit keys. ``behave`` singularizes
-every unit of the set in this checkout and runs each transformed one,
-original and flat, on its stdins through one sandbox batch; it exits 1
-when any unit's verdict or stdout differs, so a change meant to alter
-flat outputs can show that they still print the same. This file calls
-``parse(source, unit_id=...)`` and ``unit_complexity(unit, flag)``, the
+Singularize differences are summed up by kind (text renumbered only,
+text changed, refusal class or message changed, transformed to refused,
+refused to transformed), each with at most 20 unit keys. A text is
+renumbered only when the two are equal once each is ``renumbered``: its
+``__inl<N>`` numbers count fresh names in order of first appearance. It
+is still a difference, so a change meant to keep every text as it was
+sees it. ``behave`` singularizes every unit of the set in this checkout
+and runs each transformed one, original and flat, on its stdins through
+one sandbox batch; it exits 1 when any unit's verdict or stdout differs,
+so a change meant to alter flat outputs can show that they still print
+the same. This file calls ``parse(source, unit_id=...)`` and
+``unit_complexity(unit, flag)``, the
 signatures from the commit that removed ``modscore.profiles``; a checkout
 from before it is dumped with its own copy of this file.
 
@@ -352,17 +356,32 @@ def dump(out_path: str) -> int:
     return 0
 
 
-# how a unit's singularize result changed, by whether (before, after) is a refusal
+# how a unit's singularize result changed, by whether (before, after) is a
+# refusal; two texts equal once renumbered are their own kind
 CHANGE_KINDS = {
     (False, False): "text changed",
     (True, True): "refusal class or message changed",
     (False, True): "transformed -> refused",
     (True, False): "refused -> transformed",
 }
+RENUMBERED_ONLY = "text renumbered only"
 SHOWN = 20  # keys listed per kind of change
 # a fresh name, counted once per unit, by the end of its base
 FRESH_NAME = re.compile(r"\b\w+?__inl\d+(?:__inl\d+)*\b")
 FRESH_KINDS = ("tmp", "_ret", "_done", "_default")
+
+
+def renumbered(text: str) -> str:
+    """Each distinct fresh identifier becomes <base>__inl<k>, k counting
+    distinct identifiers in order of first appearance."""
+    seen: dict[str, str] = {}
+
+    def rename(match):
+        name = match.group(0)
+        return seen.setdefault(name, f"{name.split('__inl')[0]}__inl{len(seen)}")
+
+    return FRESH_NAME.sub(rename, text)
+
 
 def _some(keys: list[str]) -> str:
     more = f", and {len(keys) - SHOWN} more" if len(keys) > SHOWN else ""
@@ -406,15 +425,19 @@ def compare(a_path: str, b_path: str) -> int:
           f"function on {qual_allowed}")
 
     same = refused = 0
-    changed: dict[str, list[str]] = {kind: [] for kind in CHANGE_KINDS.values()}
+    kinds = (RENUMBERED_ONLY, *CHANGE_KINDS.values())
+    changed: dict[str, list[str]] = {kind: [] for kind in kinds}
     for key, old in a["singularize"].items():
         new = b["singularize"][key]
         if old == new:
             same += 1
             refused += "refused" in old
-        else:
-            bad += 1
-            changed[CHANGE_KINDS[("refused" in old, "refused" in new)]].append(key)
+            continue
+        bad += 1
+        kind = CHANGE_KINDS[("refused" in old, "refused" in new)]
+        if kind == "text changed" and renumbered(old["text"]) == renumbered(new["text"]):
+            kind = RENUMBERED_ONLY
+        changed[kind].append(key)
     print(f"singularize: {same}/{len(a['singularize'])} units identical "
           f"({refused} of them refused with the same class and message)")
     for kind, keys in changed.items():

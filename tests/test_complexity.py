@@ -123,6 +123,14 @@ def test_figure_style_singular_snippet_has_no_functions(fixtures_dir):
     assert report.function_count == 0
 
 
+def test_deeply_nested_expression_counted_without_recursion():
+    # a left-nested sum of 600 conditional expressions: deeper than a
+    # walk that recurses once per node can go
+    src = "def f(a, b, c):\n    x = " + " + ".join(["(a if b else c)"] * 600) + "\n    return x\n"
+    fn = fn_of(src)
+    assert cc_decision_points(fn) == cc_from_cfg(build_cfg(fn)) == 601
+
+
 def test_every_function_cc_at_least_one():
     src = structured_function(11)
     unit = parse(src)

@@ -28,6 +28,7 @@ from modscore.modularity import score_unit
 from modscore.parsing import EVALUATES, parse
 from modscore.sandbox import _in_zygotes, run_program, verify_equivalence
 
+from differential import renumbered
 from gen_programs import runnable_program
 
 
@@ -112,14 +113,15 @@ def test_free_name_capture_rejected():
 
 
 # Units with two reasons to refuse each: the refusal raised must be the
-# first in the checks' order. One walk reads the unit, breadth first in
-# ``ast.walk`` order, and every order below is that walk's. The checks'
-# order is the duplicate def, then the call graph (a helper's name bound
-# other than by its def, declared, or used other than called; a nested
-# def called outside its parent; a cycle; a capture; a call before its
-# def), then the scope readers and classes with methods, then each
-# helper. Several units put the two reasons in one order by the walk and
-# in the other by the text.
+# first in the checks' order. The checks' order is the duplicate def,
+# then the call graph (a helper's name bound other than by its def,
+# declared, or used other than called; a nested def called outside its
+# parent; a cycle; a capture), then the scope readers and classes with
+# methods, then each helper, then the rewrite walk's refusals (a call
+# before its def among them) in source order. Up to the rewrite, one walk
+# reads the unit, breadth first in ``ast.walk`` order, and every order is
+# that walk's. Several units put the two reasons in one order by the walk
+# and in the other by the text.
 REFUSAL_ORDER_CASES = {
     "duplicate-def-then-eval": (
         "print(eval('1'))\ndef f():\n    return 1\ndef f():\n    return 2\nprint(f())\n",
@@ -181,6 +183,10 @@ REFUSAL_ORDER_CASES = {
         "def a():\n    return 1\ndef b():\n    return 2\n"
         "def c(n):\n    if n:\n        return [a]\n    return 0\nprint(b, c(1))\n",
         DynamicCallUnsupported, "function 'b' is used as a value, not called"),
+    # the call before its def is met only by the rewrite, after the readers
+    "call-before-def-then-eval": (
+        "print(late())\ndef late():\n    return 1\nprint(eval('2'))\n",
+        TransformUnsupported, "the unit reads names dynamically through eval() (line 4)"),
     "capture-through-callee-before-later-def": (
         "def h():\n    return z\ndef g():\n    return h()\ndef f():\n    z = 1\n    return g()\n"
         "z = 5\nprint(f(), late())\ndef late():\n    return 1\n",
@@ -268,6 +274,18 @@ REFUSAL_CASES = {
     "lambda-default-yields-in-helper": (
         "def f():\n    g = lambda x=(yield): x\n    return 1\nprint(f())\n",
         TransformUnsupported, "'f' is a generator function"),
+    # the *args name is the helper's local, so the caller's 'a' is not captured
+    "star-args-read-in-helper": (
+        "def f(*a):\n    return a\ndef g(a):\n    return f(1)\nprint(g(2))\n",
+        TransformUnsupported, "'f' takes *args/**kwargs"),
+    # a def nested in a block below the call has not run yet either
+    "call-before-def-in-a-later-block": (
+        "print(f(1))\nif True:\n    def f(x):\n        return x\n",
+        TransformUnsupported, "'f' is called before its definition runs"),
+    "call-before-def-in-a-later-block-caught": (
+        "try:\n    print(f(1))\nexcept NameError:\n    print('ne')\n"
+        "if True:\n    def f(x):\n        return x + 1\nprint(f(2))\n",
+        TransformUnsupported, "'f' is called before its definition runs"),
 }
 
 
@@ -718,8 +736,8 @@ def test_order_cases_cover_every_expression_with_two_slots():
     assert with_two <= {kind for kind, _ in EVALUATION_ORDER_CASES.values()}
 
 
-# statements that evaluate nothing themselves: a def's defaults are
-# hoisted before the table is read, and a decorated def is refused
+# statements that evaluate nothing themselves: the rewrite turns a def's
+# defaults into assignments to temps, and a decorated def is refused
 EVALUATES_NOTHING = {
     ast.FunctionDef, ast.AsyncFunctionDef, ast.Import, ast.ImportFrom,
     ast.Global, ast.Nonlocal, ast.Pass, ast.Break, ast.Continue,
@@ -873,21 +891,6 @@ def test_output_header_documents_suffix():
     out = singularize(parse("def d(x):\n    return x\nprint(d(1))\n"))
     first = out.text.splitlines()[0]
     assert first.startswith("#") and "__inl" in first
-
-
-_FRESH_NAME = re.compile(r"\b\w*?__inl\d+(?:__inl\d+)*\b")
-
-
-def renumbered(text: str) -> str:
-    """Each distinct fresh identifier becomes <base>__inl<k>, k counting
-    distinct identifiers in order of first appearance."""
-    seen: dict[str, str] = {}
-
-    def rename(match):
-        name = match.group(0)
-        return seen.setdefault(name, f"{name.split('__inl')[0]}__inl{len(seen)}")
-
-    return _FRESH_NAME.sub(rename, text)
 
 
 def test_output_matches_golden_up_to_fresh_numbering(fixtures_dir):
@@ -1113,6 +1116,14 @@ def test_call_before_definition_rejected(src):
 def test_call_after_all_definitions_transformed():
     src = "def main():\n    return g()\ndef g():\n    return 1\nprint(main())\n"
     assert_same_behavior(src)
+
+
+def test_call_after_a_def_in_an_earlier_block_keeps_its_output(fast_limits):
+    # the def in the if block has run by the time the call does
+    src = "if True:\n    def f(x):\n        return x + 1\nprint(f(2))\n"
+    flat = singularize(parse(src)).text
+    results = _in_zygotes(lambda code: run_program(code, b"", fast_limits), [src, flat], jobs=1)
+    assert [r.stdout for r in results] == [b"3\n", b"3\n"]
 
 
 def test_uncalled_function_removed_but_default_effects_kept():
