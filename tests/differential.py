@@ -3,6 +3,8 @@
     python tests/differential.py dump OUT
     python tests/differential.py compare A B
     python tests/differential.py behave
+    python tests/differential.py digest
+    python tests/differential.py check
 
 ``dump`` imports ``src/`` of the checkout this file sits in, runs a fixed
 unit set through it and writes one JSON file. ``compare`` reads two such
@@ -20,7 +22,13 @@ sees it. ``behave`` singularizes every unit of the set in this checkout
 and runs each transformed one, original and flat, on its stdins through
 one sandbox batch; it exits 1 when any unit's verdict or stdout differs,
 so a change meant to alter flat outputs can show that they still print
-the same. This file calls ``parse(source, unit_id=...)`` and
+the same. ``digest`` writes one short sha256 per unit of every 16th unit
+of the set (its CC pairs with their graph digests, and its singularize
+text or refusal) to ``tests/fixtures/differential_digests.json``;
+``check`` recomputes them, names each unit whose digest differs and exits
+1 if any does, with no other checkout. A change that alters an output on
+purpose runs ``digest`` again, and the fixture's diff shows which units
+moved. This file calls ``parse(source, unit_id=...)`` and
 ``unit_complexity(unit, flag)``, the
 signatures from the commit that removed ``modscore.profiles``; a checkout
 from before it is dumped with its own copy of this file.
@@ -85,6 +93,9 @@ for path in (ROOT / "src", ROOT / "tests", ROOT / "perfbench"):
 # each profile name and whether it counts short-circuit operators
 PROFILES = {"py3": True, "py3-nosc": False}
 CORPORA = ("filter_corpus.jsonl", "mini_corpus.jsonl", "singularize_corpus.jsonl")
+# ``digest`` and ``check`` take every STRIDE-th unit of ``units()``
+STRIDE = 16
+DIGESTS = ROOT / "tests" / "fixtures" / "differential_digests.json"
 
 
 # Each appends a reason to refuse to a ``runnable_program``, whose helpers
@@ -310,7 +321,12 @@ def _refusal(exc: Exception) -> dict:
     return {"refused": type(exc).__name__, "message": str(exc)}
 
 
-def dump(out_path: str) -> int:
+def outcomes(key: str, source: str, measured: bool, singularized: bool,
+             cpu: Counter) -> tuple[dict, dict | None]:
+    """A unit's CC entry per profile ({} when not ``measured``) and its
+    singularize outcome (None when not ``singularized``); adds the CPU
+    seconds of parse + unit_complexity to ``cpu["cc"]`` and of singularize
+    to ``cpu["singularize"]``."""
     from modscore.cfg import build_cfg
     from modscore.complexity import unit_complexity
     from modscore.errors import ModscoreError
@@ -318,42 +334,89 @@ def dump(out_path: str) -> int:
     from modscore.parsing import parse
 
     cc: dict[str, dict] = {}
-    singular: dict[str, dict] = {}
-    cc_cpu = singularize_cpu = 0.0
-    for key, source, _, measured, singularized in units():
-        for name, flag in PROFILES.items() if measured else ():
-            start = time.process_time()
-            try:
-                unit = parse(source, unit_id=key)
-                report = unit_complexity(unit, flag)
-            except (SyntaxError, ModscoreError) as exc:  # compared like any output
-                cc_cpu += time.process_time() - start
-                cc[f"{key}|{name}"] = _refusal(exc)
-                continue
-            cc_cpu += time.process_time() - start
-            cc[f"{key}|{name}"] = {
-                "qualnames": [fn.qualname for fn in report.per_function],
-                "per_function": list(report.per_function.values()),
-                "toplevel_cc": report.toplevel_cc,
-                "cc_total": report.cc_total,
-                "cc_avg": report.cc_avg,
-                "renamed_ok": _under_class_and_function(unit.tree),
-                "graphs": [_graph_digest(build_cfg(fn, flag))
-                           for fn in (*unit.functions, unit.toplevel)],
-            }
-        if singularized:
+    for name, flag in PROFILES.items() if measured else ():
+        start = time.process_time()
+        try:
             unit = parse(source, unit_id=key)
-            start = time.process_time()
-            try:
-                singular[key] = {"text": singularize(unit).text}
-            except (SyntaxError, ModscoreError) as exc:
-                singular[key] = _refusal(exc)
-            singularize_cpu += time.process_time() - start
+            report = unit_complexity(unit, flag)
+        except (SyntaxError, ModscoreError) as exc:  # compared like any output
+            cpu["cc"] += time.process_time() - start
+            cc[name] = _refusal(exc)
+            continue
+        cpu["cc"] += time.process_time() - start
+        cc[name] = {
+            "qualnames": [fn.qualname for fn in report.per_function],
+            "per_function": list(report.per_function.values()),
+            "toplevel_cc": report.toplevel_cc,
+            "cc_total": report.cc_total,
+            "cc_avg": report.cc_avg,
+            "renamed_ok": _under_class_and_function(unit.tree),
+            "graphs": [_graph_digest(build_cfg(fn, flag))
+                       for fn in (*unit.functions, unit.toplevel)],
+        }
+    if not singularized:
+        return cc, None
+    unit = parse(source, unit_id=key)
+    start = time.process_time()
+    try:
+        singular = {"text": singularize(unit).text}
+    except (SyntaxError, ModscoreError) as exc:
+        singular = _refusal(exc)
+    cpu["singularize"] += time.process_time() - start
+    return cc, singular
+
+
+def dump(out_path: str) -> int:
+    cc: dict[str, dict] = {}
+    singular: dict[str, dict] = {}
+    cpu = Counter()
+    for key, source, _, measured, singularized in units():
+        by_profile, outcome = outcomes(key, source, measured, singularized, cpu)
+        cc.update((f"{key}|{name}", entry) for name, entry in by_profile.items())
+        if outcome is not None:
+            singular[key] = outcome
     Path(out_path).write_text(json.dumps({"cc": cc, "singularize": singular}), encoding="utf-8")
     refused = sum("refused" in v for v in singular.values())
-    print(f"cc: {len(cc)} (unit, profile) pairs, parse + unit_complexity {cc_cpu:.2f} s CPU")
-    print(f"singularize: {len(singular)} units, {refused} refused, {singularize_cpu:.2f} s CPU")
+    print(f"cc: {len(cc)} (unit, profile) pairs, parse + unit_complexity {cpu['cc']:.2f} s CPU")
+    print(f"singularize: {len(singular)} units, {refused} refused, "
+          f"{cpu['singularize']:.2f} s CPU")
     return 0
+
+
+def unit_digest(cc: dict, singular: dict | None) -> str:
+    """A short sha256 of one unit's ``outcomes``."""
+    blob = json.dumps({"cc": cc, "singularize": singular}, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def digests() -> dict[str, str]:
+    """``unit_digest`` of every ``STRIDE``-th unit, by key, in unit order."""
+    cpu = Counter()
+    return {key: unit_digest(*outcomes(key, source, measured, singularized, cpu))
+            for key, source, _, measured, singularized in units()[::STRIDE]}
+
+
+def digest() -> int:
+    found = digests()
+    DIGESTS.write_text(json.dumps(found, indent=0) + "\n", encoding="utf-8")
+    print(f"digest: {len(found)} units (every {STRIDE}th) written to {DIGESTS}")
+    return 0
+
+
+def differing() -> list[str]:
+    """The keys whose digest differs from ``DIGESTS``', or that only one
+    side holds, in unit order."""
+    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    found = digests()
+    return ([key for key, value in found.items() if pinned.get(key) != value]
+            + [key for key in pinned if key not in found])
+
+
+def check() -> int:
+    differ = differing()
+    print(f"check: {len(differ)} units differ from {DIGESTS.name}"
+          + (f": {', '.join(differ)}" if differ else ""))
+    return 1 if differ else 0
 
 
 # how a unit's singularize result changed, by whether (before, after) is a
@@ -494,6 +557,10 @@ def main(argv: list[str]) -> int:
         return compare(argv[1], argv[2])
     if argv == ["behave"]:
         return behave()
+    if argv == ["digest"]:
+        return digest()
+    if argv == ["check"]:
+        return check()
     print(__doc__.split("\n\n")[1], file=sys.stderr)
     return 1
 

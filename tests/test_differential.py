@@ -1,0 +1,17 @@
+"""The committed digests of ``tests/differential.py``'s unit set: every
+16th unit's CC pairs, graph digests and singularize outcome stay as
+pinned. A change that alters one on purpose regenerates the fixture
+(``python tests/differential.py digest``) and its diff names the units."""
+
+import differential
+
+
+def test_every_16th_unit_matches_its_committed_digest():
+    assert differential.differing() == []
+
+
+def test_a_one_byte_change_of_an_outcome_changes_its_digest():
+    text = {"text": "print(1)\n"}
+    assert differential.unit_digest({}, text) != differential.unit_digest({}, {"text": "print(2)\n"})
+    assert differential.unit_digest({"py3": {"cc_total": 1}}, text) != differential.unit_digest(
+        {"py3": {"cc_total": 2}}, text)
