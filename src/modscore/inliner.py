@@ -55,12 +55,15 @@ generator expression that reads one of its locals (the closure may run
 after the next pass has rebound the spliced local; this also refuses
 ``sorted(xs, key=lambda i: a[i])``, whose key runs at once), calls that
 come before their helper's ``def`` in source order, nested blocks
-included (directly or through the helpers they run), calls in an
-``except`` clause's type (it runs only when an exception propagates) or
-in a module-level annotation, annotations without a value (``x: T``) in
-a function, and sources nested too deeply for the rewrite's recursion.
-An annotated local ``x: T = v`` becomes ``x = v``: a function never
-evaluates the annotation, and the spliced copy must not either. A
+included (directly or through the helpers they run), calls of a helper
+whose ``def`` stands in a compound statement's block (``if``, ``try``,
+loop, ``with``, ``match``: it may not have run), calls in an ``except``
+clause's type (it runs only when an exception propagates) or in a
+module-level annotation, annotations without a value (``x: T``) in a
+called helper, and sources nested too deeply for the rewrite's
+recursion. An annotated local ``x: T = v`` becomes ``x = v``: a function
+never evaluates the annotation, so the survey does not read it, and
+neither the flat output nor a spliced copy keeps it. A
 helper's parameter and return annotations run when its ``def`` does,
 unless annotations are deferred (Python 3.14, ``from __future__ import
 annotations``), so neither hoisting nor dropping them is sound: a helper
@@ -68,8 +71,9 @@ keeps only constants and builtin names the unit never binds there, and
 any other annotation is refused. An output that still names a helper is
 refused as an internal error.
 
-One walker models what runs in which scope (``_survey``). It reads the
-unit once, breadth first in ``ast.walk`` order, before the rewrite: its
+The pipeline is one survey of the unit, the call-graph checks, and one
+rewrite walk. One walker models what runs in which scope (``_survey``).
+It reads the unit once, breadth first in ``ast.walk`` order: its
 definitions, the names it binds and reads, the names its ``global``
 statements declare, its scope-reading calls and classes, every call site
 with the def whose body holds it, each def's parent, each name's first
@@ -85,12 +89,15 @@ free names it reads through its callees, for the capture check. The same
 walker scopes each helper once more when it is flattened, never per call
 site; that flat scope holds its callees' closures.
 
-One rewrite walk then visits the statements in source order, depth first
-(``_rewrite_blocks`` with ``_inline_stmt``): it replaces each def it
-meets by its default temps, splices each call site, and flattens a
-helper where the walk first meets a call to it. So a def is passed in
-the order its ``def`` statement would run, and a call to a helper whose
-def the walk has not passed is refused.
+The rewrite walk then visits the statements in source order, depth
+first (``_rewrite_blocks`` with ``_inline_stmt``): it replaces each def
+it meets by its default temps, drops each local annotation, splices each
+call site, and flattens a helper where the walk first meets a call to
+it. So a def is passed in the order its ``def`` statement would run, and
+a call to a helper whose def the walk has not passed is refused. Each
+statement is rewritten once: the walk enters the blocks of a statement
+that stays in the output, never a spliced copy of a flat body (it holds
+no helper call and no def) nor a default temp.
 """
 
 from __future__ import annotations
@@ -98,7 +105,6 @@ from __future__ import annotations
 import ast
 import builtins
 import dataclasses
-import functools
 from collections import deque
 from dataclasses import dataclass
 
@@ -288,6 +294,10 @@ def _survey(root: ast.Module | ast.FunctionDef) -> _Survey:
                     scope.refusal = f"{owners[-1]!r} declares nonlocal"
         elif kind is ast.Return and scope is not None:
             scope.returns += 1
+        elif kind is ast.AnnAssign and scope is not None:
+            # a def never evaluates a local annotation, and the rewrite drops it
+            queue.extend((c, context) for c in (node.target, node.value) if c)
+            continue
         elif scope is None or scope.refusal is not None:
             pass  # outside every def, in a class body, or refused already
         elif (kind is ast.Yield or kind is ast.YieldFrom) and not later:
@@ -510,8 +520,8 @@ def _stmt_eval_parts(stmt) -> list[tuple[ast.AST, str]]:
 
     A with-item, keyword, except handler or match arm reaches
     ``_linearize``'s generic branch, which visits that node's expressions
-    in order; match patterns hold no call. ``_strip_local_annotations``
-    has already dropped the annotations in a def.
+    in order; match patterns hold no call. ``_inline_stmt`` has already
+    dropped the annotation of a local in a def.
     """
     parts = []
     for field, ctx in EVALUATES.get(type(stmt), ()):
@@ -531,57 +541,6 @@ class _CallSwap(ast.NodeTransformer):
     def visit_Call(self, node):
         self.generic_visit(node)
         return self.mapping.get(id(node), node)
-
-
-# ---------------------------------------------------------------------------
-# block rewriting framework
-
-
-@dataclass(frozen=True)
-class _BlockCtx:
-    in_class: bool = False
-    in_function: bool = False
-    in_loop: bool = False  # in a ``for`` or ``while`` body, not its ``else``
-
-
-def _rewrite_blocks(node, fn, ctx: _BlockCtx = _BlockCtx()):
-    """Replace each statement under ``node`` by fn(stmt, ctx) -> list, or
-    keep it for None, in source order and depth first: a statement's
-    replacement, and the blocks nested in it, are walked before the next
-    statement."""
-    for holder, field in statement_blocks(node):
-        loop = field == "body" and isinstance(holder, _LOOPS)
-        block_ctx = dataclasses.replace(ctx, in_loop=True) if loop else ctx
-        new_list: list[ast.stmt] = []
-        for stmt in getattr(holder, field):
-            replacement = fn(stmt, block_ctx)
-            for new in [stmt] if replacement is None else replacement:
-                if isinstance(new, _DEF_NODES):
-                    child_ctx = _BlockCtx(in_class=False, in_function=True)
-                elif isinstance(new, ast.ClassDef):
-                    child_ctx = _BlockCtx(in_class=True, in_function=ctx.in_function)
-                else:
-                    child_ctx = block_ctx
-                _rewrite_blocks(new, fn, child_ctx)
-                new_list.append(new)
-        setattr(holder, field, new_list or [ast.copy_location(ast.Pass(), holder)])
-
-
-def _strip_local_annotations(stmt, ctx: _BlockCtx):
-    """``x: T = v`` in a def's own scope becomes ``x = v``.
-
-    Python never evaluates an annotation in a function scope; spliced into
-    its caller, it would run. A bare ``x: T`` is refused: it makes ``x``
-    local, and dropping it would turn the def's reads of ``x`` into global
-    reads.
-    """
-    if type(stmt) is not ast.AnnAssign or not ctx.in_function or ctx.in_class:
-        return None
-    if stmt.value is None:
-        raise TransformUnsupported(
-            f"annotation without a value in a function (line {stmt.lineno})"
-        )
-    return [ast.copy_location(ast.Assign(targets=[stmt.target], value=stmt.value), stmt)]
 
 
 # ---------------------------------------------------------------------------
@@ -775,23 +734,59 @@ class _Inlining:  # what the rewrite walk of one unit reads and fills in
     fresh: _FreshNames
     default_temps: dict[tuple[str, str], str]  # per (def, parameter), its default's temp
     flat: dict[str, _Scope]  # each helper flattened so far, by name: its flat scope
-    defined: set[str]  # each def the walk has passed
+    defined: dict[str, bool]  # each def the walk has passed: whether it stands in a nested block
 
 
-def _inline_stmt(unit: _Inlining, stmt, ctx: _BlockCtx) -> list[ast.stmt] | None:
-    """The one path for a helper call site; None keeps ``stmt`` as it is.
+@dataclass(frozen=True)
+class _BlockCtx:
+    in_class: bool = False
+    in_function: bool = False
+    in_loop: bool = False  # in a ``for`` or ``while`` body, not its ``else``
+    in_block: bool = False  # in a compound statement's block, not the module's or a def's own
 
-    ``_rewrite_blocks`` calls it on each statement in source order. A def
-    becomes the assignments of its defaults to fresh temps, each one
+
+def _rewrite_blocks(unit: _Inlining, node, ctx: _BlockCtx):
+    """Replace each statement in the blocks right under ``node`` by what
+    ``_inline_stmt`` gives for it, in source order and depth first: a
+    statement that stays in the output has its own blocks walked before
+    the next statement. What is spliced ahead of it, and a def's default
+    temps, are not walked: a flat body holds no helper call and no def,
+    and each temp has been through ``_inline_stmt`` already."""
+    for holder, field in statement_blocks(node):
+        loop = field == "body" and isinstance(holder, _LOOPS)
+        block_ctx = dataclasses.replace(ctx, in_loop=True) if loop else ctx
+        new_list: list[ast.stmt] = []
+        for stmt in getattr(holder, field):
+            new = _inline_stmt(unit, stmt, block_ctx)
+            if new and new[-1] is stmt:
+                in_class = block_ctx.in_class or type(stmt) is ast.ClassDef
+                _rewrite_blocks(unit, stmt, dataclasses.replace(
+                    block_ctx, in_class=in_class, in_block=True))
+            new_list += new
+        setattr(holder, field, new_list or [ast.copy_location(ast.Pass(), holder)])
+
+
+def _inline_stmt(unit: _Inlining, stmt, ctx: _BlockCtx) -> list[ast.stmt]:
+    """The statements that replace ``stmt``, ``stmt`` itself last among
+    them when it stays; the one path for a helper call site.
+
+    ``_rewrite_blocks`` calls it once on each statement in source order.
+    A def becomes the assignments of its defaults to fresh temps, each one
     rewritten by this function, as it may call a helper; only then is the
-    def passed. Each helper call in ``stmt``, in the order CPython runs
-    them, has its flat body spliced ahead of ``stmt`` and reads as its
-    result. A body may move ahead only of constants and of names outside
+    def passed. A local ``x: T = v`` becomes ``x = v``: Python never
+    evaluates an annotation in a function scope, and spliced into a caller
+    it would run. A bare ``x: T`` is refused: it makes ``x`` local, and
+    dropping it would turn the def's reads of ``x`` into global reads.
+    Each helper call in ``stmt``, in the order CPython runs them, has its
+    flat body spliced ahead of ``stmt`` and reads as its result. A body
+    may move ahead only of constants and of names outside
     ``unit.shared``. A helper is flattened by this same walk on its first
     call, where its callees run too; ``_analyze`` has rejected cycles, so
     this recursion ends. A call to a helper whose def the walk has not
-    passed is refused: as written it raises NameError. Each later call
-    site comes later in source order, so a flat body needs no new check.
+    passed is refused: as written it raises NameError. So is one whose
+    def stands in a compound statement's block, which may not run before
+    the call. Each later call site comes later in source order, so a flat
+    body needs no new check.
     """
     if isinstance(stmt, _DEF_NODES):
         args = stmt.args
@@ -803,16 +798,20 @@ def _inline_stmt(unit: _Inlining, stmt, ctx: _BlockCtx) -> list[ast.stmt] | None
             if default is not None:
                 temp = unit.default_temps[(stmt.name, param.arg)] = unit.fresh.make(
                     f"{stmt.name}_{param.arg}_default")
-                assign = _assign(temp, default, stmt)
-                temps += _inline_stmt(unit, assign, ctx) or [assign]
-        unit.defined.add(stmt.name)
+                temps += _inline_stmt(unit, _assign(temp, default, stmt), ctx)
+        unit.defined[stmt.name] = ctx.in_block
         return temps
+    if type(stmt) is ast.AnnAssign and ctx.in_function and not ctx.in_class:
+        if stmt.value is None:
+            raise TransformUnsupported(
+                f"annotation without a value in a function (line {stmt.lineno})")
+        stmt = ast.copy_location(ast.Assign(targets=[stmt.target], value=stmt.value), stmt)
     events: list[_EvalEvent] = []
     for expr, when in _stmt_eval_parts(stmt):
         _linearize(expr, when, [], events)
     calls = [e for e in events if _is_helper_call(e.node, unit.defs)]
     if not calls:
-        return None
+        return [stmt]
     if ctx.in_class:
         raise TransformUnsupported("call to a unit function inside a class body")
     for event in calls:
@@ -852,10 +851,12 @@ def _inline_stmt(unit: _Inlining, stmt, ctx: _BlockCtx) -> list[ast.stmt] | None
         def_node = unit.defs[call.func.id]
         if def_node.name not in unit.defined:
             raise TransformUnsupported(f"{def_node.name!r} is called before its definition runs")
+        if unit.defined[def_node.name]:
+            raise TransformUnsupported(f"{def_node.name!r} is defined in a block that may "
+                                       f"not run (line {def_node.lineno})")
         scope = unit.flat.get(def_node.name)
         if scope is None:
-            _rewrite_blocks(def_node, functools.partial(_inline_stmt, unit),
-                            _BlockCtx(in_function=True))
+            _rewrite_blocks(unit, def_node, _BlockCtx(in_function=True))
             scope = unit.flat[def_node.name] = _survey(def_node).scopes[def_node.name]
         if ctx.in_loop and scope.late:
             raise TransformUnsupported(
@@ -894,13 +895,12 @@ def singularize(unit: SourceUnit) -> SourceUnit:
 
 def _singularize(unit: SourceUnit) -> SourceUnit:
     tree = ast.parse(unit.text)
-    _rewrite_blocks(tree, _strip_local_annotations)
     facts = _survey(tree)
     _analyze(facts)
     _check_transformable(facts)
 
-    inlining = _Inlining(facts.defs, facts.shared, _FreshNames(facts.names), {}, {}, set())
-    _rewrite_blocks(tree, functools.partial(_inline_stmt, inlining))
+    inlining = _Inlining(facts.defs, facts.shared, _FreshNames(facts.names), {}, {}, {})
+    _rewrite_blocks(inlining, tree, _BlockCtx())
 
     # every def is a helper: a name of one left in the output is a call
     # site the rewrite missed, or a def it kept

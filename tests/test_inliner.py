@@ -286,6 +286,22 @@ REFUSAL_CASES = {
         "try:\n    print(f(1))\nexcept NameError:\n    print('ne')\n"
         "if True:\n    def f(x):\n        return x + 1\nprint(f(2))\n",
         TransformUnsupported, "'f' is called before its definition runs"),
+    # a def in a compound statement's block may not have run by the call:
+    # each of the first two raises NameError as written
+    "def-in-an-if-block-that-does-not-run": (
+        "if False:\n    def f(x):\n        return x\nprint(f(1))\n",
+        TransformUnsupported, "'f' is defined in a block that may not run (line 2)"),
+    "def-in-a-try-body-after-a-raise": (
+        "try:\n    1 / 0\n    def f(x):\n        return x\nexcept ZeroDivisionError:\n"
+        "    pass\nprint(f(1))\n",
+        TransformUnsupported, "'f' is defined in a block that may not run (line 3)"),
+    "def-in-an-earlier-if-block": (
+        "if True:\n    def f(x):\n        return x + 1\nprint(f(2))\n",
+        TransformUnsupported, "'f' is defined in a block that may not run (line 2)"),
+    "nested-def-in-a-block-of-its-parent": (
+        "def g(c):\n    if c:\n        def f():\n            return 1\n        return f()\n"
+        "    return 0\nprint(g(1))\n",
+        TransformUnsupported, "'f' is defined in a block that may not run (line 3)"),
 }
 
 
@@ -513,6 +529,14 @@ DEFERRED_EVALUATION_CASES = {
     ),
     "refused-bare-local-annotation": (
         "def f():\n    x: Undefined\n    x = 1\n    return x\nprint(f())\n"
+    ),
+    # only a called helper's body can refuse the unit
+    "bare-local-annotation-in-an-uncalled-helper": (
+        "def dead():\n    x: int\n    return 1\ndef f():\n    return 2\nprint(f())\n"
+    ),
+    # the annotation is not read, so it is no use of 'g' as a value
+    "local-annotation-names-a-helper": (
+        "def g():\n    return 1\ndef f():\n    x: g = 5\n    return x\nprint(f())\n"
     ),
     "refused-helper-call-in-except-type": (
         "def exc_type():\n    return ValueError\n"
@@ -1118,12 +1142,10 @@ def test_call_after_all_definitions_transformed():
     assert_same_behavior(src)
 
 
-def test_call_after_a_def_in_an_earlier_block_keeps_its_output(fast_limits):
-    # the def in the if block has run by the time the call does
-    src = "if True:\n    def f(x):\n        return x + 1\nprint(f(2))\n"
-    flat = singularize(parse(src)).text
-    results = _in_zygotes(lambda code: run_program(code, b"", fast_limits), [src, flat], jobs=1)
-    assert [r.stdout for r in results] == [b"3\n", b"3\n"]
+def test_uncalled_def_in_a_block_refuses_nothing():
+    # only a splice of a helper defined in a block is refused
+    src = "if False:\n    def g():\n        return 2\ndef f():\n    return 1\nprint(f())\n"
+    assert_same_behavior(src)
 
 
 def test_uncalled_function_removed_but_default_effects_kept():
@@ -1136,6 +1158,29 @@ def test_uncalled_function_removed_but_default_effects_kept():
     )
     out = assert_same_behavior(src)
     assert "def-time" in out.text
+
+
+def test_each_statement_is_rewritten_once(monkeypatch):
+    # the helper holds a loop and an if and is spliced three times; the
+    # rewrite visits each statement of the source and each default temp
+    # once, never a spliced copy
+    seen = []
+    inline_stmt = inliner_module._inline_stmt
+
+    def counted(unit, stmt, ctx):
+        seen.append(stmt)
+        return inline_stmt(unit, stmt, ctx)
+
+    monkeypatch.setattr(inliner_module, "_inline_stmt", counted)
+    src = (
+        "def f(n, k=2):\n    t = 0\n    for i in range(n):\n        if i % k:\n"
+        "            t += i\n        else:\n            t -= 1\n    return t\n"
+        "a = f(3)\nb = f(4, 3)\nprint(a, b, f(5))\n"
+    )
+    assert_same_behavior(src)
+    statements = [n for n in ast.walk(ast.parse(src)) if isinstance(n, ast.stmt)]
+    assert len(seen) == len(statements) + 1  # one default temp, for k
+    assert sum(type(s) is ast.AugAssign for s in seen) == 2
 
 
 def test_dead_helper_is_dropped_unrewritten():
