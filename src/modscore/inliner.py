@@ -57,10 +57,12 @@ after the next pass has rebound the spliced local; this also refuses
 come before their helper's ``def`` in source order, nested blocks
 included (directly or through the helpers they run), calls of a helper
 whose ``def`` stands in a compound statement's block (``if``, ``try``,
-loop, ``with``, ``match``: it may not have run), calls in an ``except``
-clause's type (it runs only when an exception propagates) or in a
-module-level annotation, annotations without a value (``x: T``) in a
-called helper, and sources nested too deeply for the rewrite's
+loop, ``with``, ``match``: it may not have run) from outside that block
+(a call in the block, or in a block nested in it, is spliced; a call in
+a helper's body counts at each of that helper's call sites), calls in
+an ``except`` clause's type (it runs only when an exception propagates)
+or in a module-level annotation, annotations without a value (``x: T``)
+in a called helper, and sources nested too deeply for the rewrite's
 recursion. An annotated local ``x: T = v`` becomes ``x = v``: a function
 never evaluates the annotation, so the survey does not read it, and
 neither the flat output nor a spliced copy keeps it. A
@@ -94,7 +96,10 @@ first (``_rewrite_blocks`` with ``_inline_stmt``): it replaces each def
 it meets by its default temps, drops each local annotation, splices each
 call site, and flattens a helper where the walk first meets a call to
 it. So a def is passed in the order its ``def`` statement would run, and
-a call to a helper whose def the walk has not passed is refused. Each
+a call to a helper whose def the walk has not passed is refused. The
+walk tracks the chain of blocks it is in, from the module's or the
+flattened def's own body, and splices a call only where that chain
+starts with its helper's def's chain (``_check_block``). Each
 statement is rewritten once: the walk enters the blocks of a statement
 that stays in the output, never a spliced copy of a flat body (it holds
 no helper call and no def) nor a default temp.
@@ -734,15 +739,16 @@ class _Inlining:  # what the rewrite walk of one unit reads and fills in
     fresh: _FreshNames
     default_temps: dict[tuple[str, str], str]  # per (def, parameter), its default's temp
     flat: dict[str, _Scope]  # each helper flattened so far, by name: its flat scope
-    defined: dict[str, bool]  # each def the walk has passed: whether it stands in a nested block
+    defined: dict[str, tuple[str | None, tuple]]  # each def passed: its _BlockCtx owner, blocks
+    held: dict[str, list[str]]  # per flat helper, the defs ``_check_block`` left to its sites
 
 
 @dataclass(frozen=True)
 class _BlockCtx:
+    owner: str | None = None  # the helper whose body the walk flattens; None at module level
     in_class: bool = False
-    in_function: bool = False
     in_loop: bool = False  # in a ``for`` or ``while`` body, not its ``else``
-    in_block: bool = False  # in a compound statement's block, not the module's or a def's own
+    blocks: tuple = ()  # (holder, field) of each compound statement block around, outermost first
 
 
 def _rewrite_blocks(unit: _Inlining, node, ctx: _BlockCtx):
@@ -752,18 +758,39 @@ def _rewrite_blocks(unit: _Inlining, node, ctx: _BlockCtx):
     the next statement. What is spliced ahead of it, and a def's default
     temps, are not walked: a flat body holds no helper call and no def,
     and each temp has been through ``_inline_stmt`` already."""
+    # the module's and a flattened def's own body are no compound statement's block
+    nested = not isinstance(node, (ast.Module, *_DEF_NODES))
     for holder, field in statement_blocks(node):
         loop = field == "body" and isinstance(holder, _LOOPS)
-        block_ctx = dataclasses.replace(ctx, in_loop=True) if loop else ctx
+        block_ctx = dataclasses.replace(
+            ctx, in_loop=ctx.in_loop or loop,
+            blocks=ctx.blocks + ((holder, field),) if nested else ctx.blocks)
         new_list: list[ast.stmt] = []
         for stmt in getattr(holder, field):
             new = _inline_stmt(unit, stmt, block_ctx)
             if new and new[-1] is stmt:
                 in_class = block_ctx.in_class or type(stmt) is ast.ClassDef
-                _rewrite_blocks(unit, stmt, dataclasses.replace(
-                    block_ctx, in_class=in_class, in_block=True))
+                _rewrite_blocks(unit, stmt, dataclasses.replace(block_ctx, in_class=in_class))
             new_list += new
         setattr(holder, field, new_list or [ast.copy_location(ast.Pass(), holder)])
+
+
+def _check_block(unit: _Inlining, name: str, ctx: _BlockCtx):
+    """Refuse to splice the helper ``name`` where ``ctx`` says, past its
+    def, unless its def has run there: the def stands in no compound
+    statement's block, or in one that holds the call, directly or in a
+    nested block. A call in a helper's body runs where that helper is
+    spliced, so a def of another scope is left in ``unit.held`` for it."""
+    owner, blocks = unit.defined[name]
+    if not blocks:
+        return
+    if owner != ctx.owner:
+        held = unit.held.setdefault(ctx.owner, [])
+        if name not in held:
+            held.append(name)
+    elif ctx.blocks[:len(blocks)] != blocks:
+        raise TransformUnsupported(f"{name!r} is defined in a block that may not run "
+                                   f"(line {unit.defs[name].lineno})")
 
 
 def _inline_stmt(unit: _Inlining, stmt, ctx: _BlockCtx) -> list[ast.stmt]:
@@ -783,10 +810,10 @@ def _inline_stmt(unit: _Inlining, stmt, ctx: _BlockCtx) -> list[ast.stmt]:
     ``unit.shared``. A helper is flattened by this same walk on its first
     call, where its callees run too; ``_analyze`` has rejected cycles, so
     this recursion ends. A call to a helper whose def the walk has not
-    passed is refused: as written it raises NameError. So is one whose
-    def stands in a compound statement's block, which may not run before
-    the call. Each later call site comes later in source order, so a flat
-    body needs no new check.
+    passed is refused: as written it raises NameError; so is one whose
+    def's block may not have run (``_check_block``). Each later call site
+    comes later in source order, so a flat body needs only the block check
+    of the defs in ``unit.held``.
     """
     if isinstance(stmt, _DEF_NODES):
         args = stmt.args
@@ -799,9 +826,9 @@ def _inline_stmt(unit: _Inlining, stmt, ctx: _BlockCtx) -> list[ast.stmt]:
                 temp = unit.default_temps[(stmt.name, param.arg)] = unit.fresh.make(
                     f"{stmt.name}_{param.arg}_default")
                 temps += _inline_stmt(unit, _assign(temp, default, stmt), ctx)
-        unit.defined[stmt.name] = ctx.in_block
+        unit.defined[stmt.name] = (ctx.owner, ctx.blocks)
         return temps
-    if type(stmt) is ast.AnnAssign and ctx.in_function and not ctx.in_class:
+    if type(stmt) is ast.AnnAssign and ctx.owner is not None and not ctx.in_class:
         if stmt.value is None:
             raise TransformUnsupported(
                 f"annotation without a value in a function (line {stmt.lineno})")
@@ -851,20 +878,20 @@ def _inline_stmt(unit: _Inlining, stmt, ctx: _BlockCtx) -> list[ast.stmt]:
         def_node = unit.defs[call.func.id]
         if def_node.name not in unit.defined:
             raise TransformUnsupported(f"{def_node.name!r} is called before its definition runs")
-        if unit.defined[def_node.name]:
-            raise TransformUnsupported(f"{def_node.name!r} is defined in a block that may "
-                                       f"not run (line {def_node.lineno})")
+        _check_block(unit, def_node.name, ctx)
         scope = unit.flat.get(def_node.name)
         if scope is None:
-            _rewrite_blocks(unit, def_node, _BlockCtx(in_function=True))
+            _rewrite_blocks(unit, def_node, _BlockCtx(owner=def_node.name))
             scope = unit.flat[def_node.name] = _survey(def_node).scopes[def_node.name]
+        for held in unit.held.get(def_node.name, ()):
+            _check_block(unit, held, ctx)
         if ctx.in_loop and scope.late:
             raise TransformUnsupported(
                 f"{def_node.name!r} is called in a loop, and a lambda or generator in it "
                 f"reads its local {scope.late[0].id!r} (line {scope.late[0].lineno})"
             )
         body, results[id(call)] = _splice_one(call, def_node, scope, unit.fresh,
-                                              unit.default_temps, ctx.in_function)
+                                              unit.default_temps, ctx.owner is not None)
         spliced += body
     if type(stmt) is ast.Expr and stmt.value is calls[-1].node:
         return spliced
@@ -899,7 +926,7 @@ def _singularize(unit: SourceUnit) -> SourceUnit:
     _analyze(facts)
     _check_transformable(facts)
 
-    inlining = _Inlining(facts.defs, facts.shared, _FreshNames(facts.names), {}, {}, {})
+    inlining = _Inlining(facts.defs, facts.shared, _FreshNames(facts.names), {}, {}, {}, {})
     _rewrite_blocks(inlining, tree, _BlockCtx())
 
     # every def is a helper: a name of one left in the output is a call

@@ -408,18 +408,33 @@ def count_correct(candidates, tests, limits: RunLimits, exact: bool = False, job
     return sum(passes_each([(code, tests) for code in candidates], limits, exact, jobs))
 
 
-def verify_equivalence(original: SourceUnit, transformed: SourceUnit, tests, limits: RunLimits,
-                       exact: bool = False) -> bool:
-    """True iff both units produce the same verdict and output on every test.
+def compare_runs(pairs, limits: RunLimits, exact: bool = False, jobs: int = 1) -> list:
+    """Per (original, transformed, tests) triple of program texts and
+    tests: None when both give the same verdict and output on every test,
+    else the first test that tells them apart, as (index, the original's
+    RunResult, the transformed's).
 
     Outputs are compared as the judge compares them: normalized, or
-    byte-exact when ``exact``. Every run forks from one zygote. Sandbox
-    failures propagate as SandboxUnavailable, never as a verdict.
+    byte-exact when ``exact``. Every run of every pair goes on one queue
+    over up to ``jobs`` workers. Sandbox failures propagate as
+    SandboxUnavailable, never as a difference.
     """
-    runs = [(code, test) for test in tests for code in (original.text, transformed.text)]
-    results = _in_zygotes(lambda run: run_solution(*run, limits, exact=exact), runs, jobs=1)
-    return all(
-        before.verdict == after.verdict
-        and outputs_match(before.stdout, after.stdout, exact=exact)
-        for before, after in zip(results[::2], results[1::2])
-    )
+    pairs = [(original, transformed, list(tests)) for original, transformed, tests in pairs]
+    runs = [(code, test) for original, transformed, tests in pairs
+            for test in tests for code in (original, transformed)]
+    results = iter(_in_zygotes(lambda run: run_solution(*run, limits, exact=exact), runs, jobs))
+    found = []
+    for _, _, tests in pairs:
+        ran = [(index, next(results), next(results)) for index in range(len(tests))]
+        found.append(next((
+            (index, before, after) for index, before, after in ran
+            if before.verdict != after.verdict
+            or not outputs_match(before.stdout, after.stdout, exact=exact)), None))
+    return found
+
+
+def verify_equivalence(original: SourceUnit, transformed: SourceUnit, tests, limits: RunLimits,
+                       exact: bool = False) -> bool:
+    """True iff both units produce the same verdict and output on every
+    test, by ``compare_runs``; every run forks from one zygote."""
+    return compare_runs([(original.text, transformed.text, tests)], limits, exact)[0] is None

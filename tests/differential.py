@@ -20,9 +20,10 @@ renumbered only when the two are equal once each is ``renumbered``: its
 is still a difference, so a change meant to keep every text as it was
 sees it. ``behave`` singularizes every unit of the set in this checkout
 and runs each transformed one, original and flat, on its stdins through
-one sandbox batch; it exits 1 when any unit's verdict or stdout differs,
-so a change meant to alter flat outputs can show that they still print
-the same. ``digest`` writes one short sha256 per unit of every 16th unit
+one ``sandbox.compare_runs`` call; it exits 1 when any unit's verdict
+or stdout differs, so a change meant to alter flat outputs can show that
+they still print the same. Tier-1 runs the same check on every 16th
+unit. ``digest`` writes one short sha256 per unit of every 16th unit
 of the set (its CC pairs with their graph digests, and its singularize
 text or refusal) to ``tests/fixtures/differential_digests.json``;
 ``check`` recomputes them, names each unit whose digest differs and exits
@@ -75,6 +76,7 @@ wrong one.
 from __future__ import annotations
 
 import ast
+import functools
 import hashlib
 import json
 import os
@@ -255,11 +257,13 @@ def statement_kinds_unit(seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def units() -> list[tuple[str, str, list[str], bool, bool]]:
     """(key, source, stdins, measured, singularized) for every unit, in a
     fixed order; ``measured`` units get ``unit_complexity``. A singularized
     unit's ``stdins`` are the inputs it is meant to run on: its generator's
-    stdin, or its problem's test inputs."""
+    stdin, or its problem's test inputs. Built once per process; callers
+    only read it."""
     import gen_programs as gp
     import workloads
 
@@ -520,31 +524,38 @@ def compare(a_path: str, b_path: str) -> int:
     return 1 if bad else 0
 
 
-def behave() -> int:
+def flat_differs(unit_list, jobs: int) -> tuple[int, int, list[str]]:
+    """Singularizes each unit of ``unit_list`` meant to be, and runs each
+    transformed one, original and flat, on its stdins through one
+    ``compare_runs`` call over ``jobs`` workers: (units transformed, their
+    stdins, the keys of those whose verdict or stdout differs)."""
+    from modscore.corpus import TestCase
     from modscore.errors import ModscoreError
     from modscore.inliner import singularize
     from modscore.parsing import parse
-    from modscore.sandbox import RunLimits, _in_zygotes, run_program
+    from modscore.sandbox import RunLimits, compare_runs
 
-    runs: list[tuple[str, str, str]] = []  # (key, code, stdin): original, then flat
-    transformed = 0
-    for key, source, stdins, _, singularized in units():
+    keys, pairs = [], []
+    for key, source, stdins, _, singularized in unit_list:
         if not singularized:
             continue
         try:
             flat = singularize(parse(source, unit_id=key)).text
         except (SyntaxError, ModscoreError):
             continue
-        transformed += 1
-        runs += [(key, code, stdin) for stdin in stdins for code in (source, flat)]
-    limits = RunLimits(wall_time=10.0)
+        keys.append(key)
+        pairs.append((source, flat, [TestCase(stdin.encode(), b"") for stdin in stdins]))
+    found = compare_runs(pairs, RunLimits(wall_time=10.0), exact=True, jobs=jobs)
+    return (len(pairs), sum(len(tests) for _, _, tests in pairs),
+            [key for key, first in zip(keys, found) if first is not None])
+
+
+def behave() -> int:
     jobs = min(4, len(os.sched_getaffinity(0)))
     start = time.monotonic()
-    results = _in_zygotes(lambda run: run_program(run[1], run[2].encode(), limits), runs, jobs)
-    differ = sorted({key for (key, _, _), before, after in zip(runs[::2], results[::2], results[1::2])
-                     if (before.verdict, before.stdout) != (after.verdict, after.stdout)})
-    print(f"behave: {transformed} transformed units, {len(runs) // 2} stdins, each run "
-          f"original and flat in {time.monotonic() - start:.0f} s over {jobs} workers; "
+    transformed, stdins, differ = flat_differs(units(), jobs)
+    print(f"behave: {transformed} transformed units, {stdins} stdins, each run original "
+          f"and flat; {time.monotonic() - start:.0f} s over {jobs} workers, singularize included; "
           f"{len(differ)} units differ in verdict or stdout"
           + (f" ({_some(differ)})" if differ else ""))
     return 1 if differ else 0

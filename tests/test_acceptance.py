@@ -10,7 +10,6 @@ import math
 import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import pytest
@@ -22,7 +21,7 @@ from modscore.inliner import singularize
 from modscore.modularity import modularity_score, score_unit
 from modscore.parsing import parse
 from modscore.passk import pass_at_k
-from modscore.sandbox import RunLimits, verify_equivalence
+from modscore.sandbox import RunLimits, compare_runs
 from modscore.stats import LogProbRecord, pearson, perplexity, ppl_compare, spearman
 
 from conftest import FIXTURES
@@ -98,24 +97,14 @@ def test_4_singularizer_corpus(criterion):
         problems = load_corpus(FIXTURES / "singularize_corpus.jsonl")
         assert len(problems) >= 20
 
-        # parsing stays in this thread: concurrent parses can trip the
-        # interpreter's AST recursion-depth check; only the runs go on the pool
         pairs = []
         for problem in problems:
-            unit = parse(problem.solutions[0], unit_id=problem.id)
-            transformed = singularize(unit)
+            transformed = singularize(parse(problem.solutions[0], unit_id=problem.id))
             assert transformed.function_count == 0, problem.id
-            pairs.append((problem, unit, transformed))
-
-        def check(pair):
-            problem, unit, transformed = pair
-            ok = verify_equivalence(unit, transformed, problem.tests, LIMITS)
-            assert ok, f"{problem.id}: verdicts diverged"
-            return problem.id
-
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            done = list(pool.map(check, pairs))
-        assert len(done) == len(problems)
+            pairs.append((problem.solutions[0], transformed.text, problem.tests))
+        found = compare_runs(pairs, LIMITS, jobs=2)
+        diverged = [problem.id for problem, first in zip(problems, found) if first is not None]
+        assert diverged == [], f"verdicts diverged: {diverged}"
 
 
 def test_5_pass_at_k_exactness(criterion):

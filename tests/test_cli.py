@@ -310,6 +310,14 @@ def test_table_output(capsys, tmp_path):
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
     assert "cc_total" in out
+    # a nested dict prints its keys indented under its own, a scalar on its line
+    scored = write_scored(tmp_path / "scored.jsonl")
+    code, out, _ = run_cli(capsys, "correlate", str(scored), "--table", "--seed", "7")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "samples: 60"
+    start = lines.index("pearson:")
+    assert [line.split(":")[0] for line in lines[start:start + 3]] == ["pearson", "  r", "  p"]
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -473,6 +481,11 @@ BAD_INPUT_CASES = {
                             "line 1: 'id' must be a string or an integer"),
     "correlate-mos-a-bool": ("correlate", '{"unit_id": "x", "mos": true, "pass1": 0.5}\n'
                              + VARIED_SCORED_ROWS, None, 2, "line 1: 'mos' must be a number"),
+    "correlate-mos-out-of-range": ("correlate", '{"unit_id": "x", "mos": 1.5, "pass1": 0.5}\n',
+                                   None, 2, "line 1: mos out of [0,1]: 1.5"),
+    "correlate-pass1-out-of-range": ("correlate",
+                                     '{"unit_id": "x", "mos": 0.5, "pass1": -0.5}\n',
+                                     None, 2, "line 1: pass1 out of [0,1]: -0.5"),
     "correlate-pass1-a-string": ("correlate", '{"unit_id": "x", "mos": 0.25, "pass1": "0.5"}\n'
                                  + VARIED_SCORED_ROWS, None, 2,
                                  "line 1: 'pass1' must be a number"),

@@ -1,13 +1,24 @@
 """The committed digests of ``tests/differential.py``'s unit set: every
 16th unit's CC pairs, graph digests and singularize outcome stay as
 pinned. A change that alters one on purpose regenerates the fixture
-(``python tests/differential.py digest``) and its diff names the units."""
+(``python tests/differential.py digest``) and its diff names the units.
+The same units' flat forms run as their originals do."""
+
+import os
 
 import differential
 
 
 def test_every_16th_unit_matches_its_committed_digest():
     assert differential.differing() == []
+
+
+def test_every_16th_units_flat_form_behaves_as_its_original():
+    # every transformed unit among them, on each of its stdins: the same
+    # verdict and byte-exact stdout, original and flat
+    jobs = min(2, len(os.sched_getaffinity(0)))
+    sample = differential.units()[::differential.STRIDE]
+    assert differential.flat_differs(sample, jobs) == (343, 424, [])
 
 
 def test_a_one_byte_change_of_an_outcome_changes_its_digest():

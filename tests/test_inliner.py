@@ -26,25 +26,21 @@ from modscore.inliner import (
 )
 from modscore.modularity import score_unit
 from modscore.parsing import EVALUATES, parse
-from modscore.sandbox import _in_zygotes, run_program, verify_equivalence
+from modscore.sandbox import RunLimits, compare_runs, run_program, run_solution, verify_equivalence
 
 from differential import renumbered
 from gen_programs import runnable_program
 
 
-def run(src: str, stdin: bytes = b"") -> tuple[bytes, int]:
-    proc = subprocess.run(
-        [sys.executable, "-c", src], input=stdin, capture_output=True, timeout=10
-    )
-    return proc.stdout, proc.returncode
+LIMITS = RunLimits()
 
 
 def assert_same_behavior(src: str, stdin: bytes = b""):
+    """The flat form of ``src``, checked to define no function and to give
+    the verdict and byte-exact stdout ``src`` gives on ``stdin``."""
     out = singularize(parse(src))
     assert out.function_count == 0
-    before = run(src, stdin)
-    after = run(out.text, stdin)
-    assert before == after
+    assert compare_runs([(src, out.text, [TestCase(stdin, b"")])], LIMITS, exact=True) == [None]
     return out
 
 
@@ -286,8 +282,8 @@ REFUSAL_CASES = {
         "try:\n    print(f(1))\nexcept NameError:\n    print('ne')\n"
         "if True:\n    def f(x):\n        return x + 1\nprint(f(2))\n",
         TransformUnsupported, "'f' is called before its definition runs"),
-    # a def in a compound statement's block may not have run by the call:
-    # each of the first two raises NameError as written
+    # a def in a compound statement's block may not have run by a call
+    # outside that block: each of the first two raises NameError as written
     "def-in-an-if-block-that-does-not-run": (
         "if False:\n    def f(x):\n        return x\nprint(f(1))\n",
         TransformUnsupported, "'f' is defined in a block that may not run (line 2)"),
@@ -298,10 +294,16 @@ REFUSAL_CASES = {
     "def-in-an-earlier-if-block": (
         "if True:\n    def f(x):\n        return x + 1\nprint(f(2))\n",
         TransformUnsupported, "'f' is defined in a block that may not run (line 2)"),
-    "nested-def-in-a-block-of-its-parent": (
-        "def g(c):\n    if c:\n        def f():\n            return 1\n        return f()\n"
-        "    return 0\nprint(g(1))\n",
-        TransformUnsupported, "'f' is defined in a block that may not run (line 3)"),
+    # a call in a helper's body runs where the helper is spliced: the
+    # second call of 'h' stands outside the block of 'f'
+    "def-in-a-block-reached-through-a-helper-outside-it": (
+        "def h():\n    return f(1)\nif True:\n    def f(x):\n        return x + 1\n"
+        "    print(h())\nprint(h())\n",
+        TransformUnsupported, "'f' is defined in a block that may not run (line 4)"),
+    "nested-def-in-a-block-reached-through-a-helper-outside-it": (
+        "def g(c):\n    def h():\n        return f()\n    if c:\n        def f():\n"
+        "            return 1\n        print(h())\n    return h()\nprint(g(1))\n",
+        TransformUnsupported, "'f' is defined in a block that may not run (line 5)"),
 }
 
 
@@ -437,17 +439,11 @@ BINDING_CASES = {
 
 
 @pytest.mark.parametrize("case", BINDING_CASES)
-def test_name_bindings_keep_their_scope(case, fast_limits):
-    src = BINDING_CASES[case]
+def test_name_bindings_keep_their_scope(case):
     try:
-        flat = singularize(parse(src)).text
+        assert_same_behavior(BINDING_CASES[case])
     except (DynamicCallUnsupported, ExternalNameCollision):
         assert not case.startswith("control")
-        return
-    before, after = _in_zygotes(
-        lambda code: run_program(code, b"", fast_limits), [src, flat], jobs=1
-    )
-    assert (after.verdict, after.stdout) == (before.verdict, before.stdout)
 
 
 # Each unit reads names by name at run time, through a builtin that sees
@@ -497,18 +493,12 @@ DYNAMIC_READ_CASES = {
 
 
 @pytest.mark.parametrize("case", DYNAMIC_READ_CASES)
-def test_dynamic_name_reads_keep_their_output(case, fast_limits):
-    src = DYNAMIC_READ_CASES[case]
+def test_dynamic_name_reads_keep_their_output(case):
     try:
-        flat = singularize(parse(src)).text
+        assert_same_behavior(DYNAMIC_READ_CASES[case])
     except TransformUnsupported as exc:
         assert not case.startswith("control")
         assert "reads names dynamically" in str(exc)
-        return
-    before, after = _in_zygotes(
-        lambda code: run_program(code, b"", fast_limits), [src, flat], jobs=1
-    )
-    assert (after.verdict, after.stdout) == (before.verdict, before.stdout)
 
 
 # Each unit holds an expression that Python evaluates only in some cases:
@@ -562,24 +552,20 @@ DEFERRED_EVALUATION_CASES = {
 }
 
 
-def assert_flat_keeps_output(case: str, src: str, limits):
+def assert_flat_keeps_output(case: str, src: str):
     """The flat form of ``src`` prints what ``src`` prints, or ``src`` is
     refused; it is refused exactly when ``case`` starts with "refused"."""
     try:
-        flat = singularize(parse(src)).text
+        assert_same_behavior(src)
     except TransformUnsupported:
         assert case.startswith("refused")
         return
     assert not case.startswith("refused")
-    before, after = _in_zygotes(
-        lambda code: run_program(code, b"", limits), [src, flat], jobs=1
-    )
-    assert (after.verdict, after.stdout) == (before.verdict, before.stdout)
 
 
 @pytest.mark.parametrize("case", DEFERRED_EVALUATION_CASES)
-def test_deferred_evaluation_keeps_its_output(case, fast_limits):
-    assert_flat_keeps_output(case, DEFERRED_EVALUATION_CASES[case], fast_limits)
+def test_deferred_evaluation_keeps_its_output(case):
+    assert_flat_keeps_output(case, DEFERRED_EVALUATION_CASES[case])
 
 
 # Each unit calls a helper, or names something, where a statement
@@ -617,8 +603,8 @@ STATEMENT_EVALUATION_CASES = {
 
 
 @pytest.mark.parametrize("case", STATEMENT_EVALUATION_CASES)
-def test_statement_evaluation_keeps_its_output(case, fast_limits):
-    assert_flat_keeps_output(case, STATEMENT_EVALUATION_CASES[case], fast_limits)
+def test_statement_evaluation_keeps_its_output(case):
+    assert_flat_keeps_output(case, STATEMENT_EVALUATION_CASES[case])
 
 
 # Each unit calls helpers that print their names inside one expression:
@@ -638,8 +624,8 @@ EXPRESSION_EVALUATION_CASES = {
 
 
 @pytest.mark.parametrize("case", EXPRESSION_EVALUATION_CASES)
-def test_expression_evaluation_keeps_its_output(case, fast_limits):
-    assert_flat_keeps_output(case, EXPRESSION_EVALUATION_CASES[case], fast_limits)
+def test_expression_evaluation_keeps_its_output(case):
+    assert_flat_keeps_output(case, EXPRESSION_EVALUATION_CASES[case])
 
 
 def test_missed_call_site_refused_not_left_calling_a_removed_def(monkeypatch):
@@ -1061,8 +1047,34 @@ HOIST_CASES = {
 
 
 @pytest.mark.parametrize("case", HOIST_CASES)
-def test_hoist_keeps_output_or_is_refused(case, fast_limits):
-    assert_flat_keeps_output(case, HOIST_CASES[case], fast_limits)
+def test_hoist_keeps_output_or_is_refused(case):
+    assert_flat_keeps_output(case, HOIST_CASES[case])
+
+
+# Each unit calls a helper whose def stands in a compound statement's
+# block, from that block or a block nested in it, after the def: the def
+# has run by then, also when the call is in the body of a helper spliced
+# there (the shape of a script's ``if __name__ == '__main__':`` block).
+BLOCK_DEF_CASES = {
+    "nested-def-in-a-block-of-its-parent": (
+        "def g(c):\n    if c:\n        def f():\n            return 1\n        return f()\n"
+        "    return 0\nprint(g(1))\n"
+    ),
+    "def-reached-through-a-helper-in-its-block": (
+        "if len('ab') == 2:\n    def get(x):\n        return x * 2\n"
+        "    def update():\n        print(get(3))\n    update()\n    update()\n"
+    ),
+    "def-reached-through-two-helpers-in-a-nested-block": (
+        "def k():\n    return h() + 1\ndef h():\n    return f(1)\n"
+        "for i in range(3):\n    def f(x):\n        return x + i\n"
+        "    if i:\n        print(k())\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_DEF_CASES)
+def test_def_in_a_block_is_spliced_where_it_has_run(case):
+    assert_same_behavior(BLOCK_DEF_CASES[case])
 
 
 def test_every_helper_call_of_a_statement_is_spliced_in_evaluation_order():
@@ -1073,7 +1085,21 @@ def test_every_helper_call_of_a_statement_is_spliced_in_evaluation_order():
         "y = [0]\ny[g()] = f(5)\ny[g(0)] = f(f(0))\nprint(y)\n"
     )
     out = assert_same_behavior(src)
-    assert run(out.text) == (b"f\ng\nf\nf\ng\n[0]\n", 0)
+    printed = TestCase(b"", b"f\ng\nf\nf\ng\n[0]\n")
+    assert run_solution(out.text, printed, LIMITS, exact=True).verdict == "pass"
+
+
+def test_the_behaviour_check_tells_apart_outputs_with_one_verdict(monkeypatch):
+    # with an assignment's targets run before its value, the flat form
+    # prints in another order and exits 0 as its original does
+    monkeypatch.setitem(EVALUATES, ast.Assign, (("targets", "plain"), ("value", "plain")))
+    src = ("def f(a):\n    print('f')\n    return a\ndef g():\n    print('g')\n    return 0\n"
+           "y = [0]\ny[g()] = f(5)\nprint(y)\n")
+    flat = singularize(parse(src)).text
+    [(index, before, after)] = compare_runs([(src, flat, [TestCase(b"", b"")])], LIMITS,
+                                            exact=True)
+    assert (index, before.verdict, after.verdict) == (0, "wrong_output", "wrong_output")
+    assert (before.stdout, after.stdout) == (b"f\ng\n[5]\n", b"g\nf\n[5]\n")
 
 
 def test_a_call_inside_a_statement_reads_the_helpers_result_with_no_temp():
@@ -1419,20 +1445,15 @@ RETURN_SKIP_CASES = {
 
 
 @pytest.mark.parametrize("case", RETURN_SKIP_CASES)
-def test_inlined_return_skips_what_python_skips(case, fast_limits):
+def test_inlined_return_skips_what_python_skips(case):
     src, printed, refusal = RETURN_SKIP_CASES[case]
+    assert run_program(src, b"", LIMITS).stdout == printed.encode()
     if refusal is None:
-        programs = [src, singularize(parse(src)).text]
+        assert_same_behavior(src)
     else:
         with pytest.raises(TransformUnsupported) as raised:
             singularize(parse(src))
         assert str(raised.value) == refusal
-        programs = [src]
-    results = _in_zygotes(
-        lambda code: run_program(code, b"", fast_limits), programs, jobs=1
-    )
-    assert results[0].stdout == printed.encode()
-    assert len({(r.verdict, r.stdout) for r in results}) == 1
 
 
 # -- randomized semantic preservation ----------------------------------------

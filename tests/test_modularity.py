@@ -22,6 +22,13 @@ def test_ideal_modules_rejects_bad_tau():
         ideal_modules(10, 0)
 
 
+def test_negative_counts_rejected():
+    with pytest.raises(InvalidThreshold, match="^cc_total must be >= 0, got -1$"):
+        ideal_modules(-1, 5)
+    with pytest.raises(InvalidThreshold, match="^n and m_star must be non-negative$"):
+        modularity_score(-1, 0)
+
+
 def test_score_three_cases():
     assert modularity_score(0, 0) == 0
     assert modularity_score(3, 0) == 1
@@ -116,6 +123,12 @@ def test_categorize_tie_break_fewest_lines():
 def test_categorize_empty_raises():
     with pytest.raises(EmptyInput):
         categorize_solutions([])
+
+
+def test_categorize_mixed_taus_raises():
+    reports = [score_unit(parse("print(1)\n"), tau=tau) for tau in (5, 6)]
+    with pytest.raises(InvalidThreshold, match=r"^solutions scored with different taus: \[5, 6\]"):
+        categorize_solutions(reports)
 
 
 @given(st.integers(0, 500), st.integers(0, 500))

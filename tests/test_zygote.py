@@ -318,6 +318,22 @@ def test_a_zygote_starts_on_its_first_run(fast_limits, monkeypatch):
     assert started == []
 
 
+def test_a_run_in_a_missing_directory_is_unavailable_and_the_next_one_runs(fast_limits,
+                                                                          tmp_path):
+    zygote = sandbox._Zygote()
+    try:
+        with pytest.raises(SandboxUnavailable,
+                           match="^cannot isolate run: FileNotFoundError: "):
+            zygote.run(str(tmp_path / "missing"), fast_limits)
+        (tmp_path / "prog.py").write_text("print(7)\n")
+        (tmp_path / "stdin").write_bytes(b"")
+        assert zygote.run(str(tmp_path), fast_limits) == (0, False)
+        assert (tmp_path / "stdout").read_bytes() == b"7\n"
+    finally:
+        zygote.close()
+    assert_no_children()
+
+
 def test_a_run_keeps_its_pid_until_the_next_request(fast_limits, tmp_path):
     """The zygote reaps a run's child only once the next request comes."""
     zygote = sandbox._Zygote()
