@@ -11,10 +11,8 @@ still kill the run. The server writes the second,
 ``<returncode> <timed_out 0|1>``, the return code as ``subprocess``
 reports it, or ``E <message>`` when the child could not be isolated.
 Before that reply, the server kills the child's group, so nothing the
-run started outlives it, unless it left the group with ``setsid``. It
-reaps the child only when the next request or the end of the stream
-comes: until then the child's pid, and so its group's id, is not free,
-and a client that still holds the pid may signal it. At the end of its
+run started outlives it, unless it left the group with ``setsid``, and
+then reaps the child, so the reply follows the reap. At the end of its
 requests, the server runs its ``atexit`` handlers and leaves by ``os._exit``.
 
 ``sandbox._Zygote`` runs it as a script, started by ``sandbox._python``,
@@ -155,11 +153,8 @@ def _finalize(status: int) -> int:
 def serve(requests: int, replies: int):
     global _running, _timed_out
     signal.signal(signal.SIGALRM, _expire)
-    ended = None  # the last run's child, exited but not reaped
     with open(requests, "rb", closefd=False) as stream:
         for line in stream:
-            if ended is not None:
-                os.waitpid(ended, 0)
             tmp, wall_time, memory, output_cap = line.rstrip(b"\n").split(b"\0")
             wall_time = float(wall_time)
             report_r, report_w = os.pipe()
@@ -176,13 +171,17 @@ def serve(requests: int, replies: int):
             error = b""
             while chunk := os.read(report_r, 4096):
                 error += chunk
+            # Wait without reaping: until the reap, the pid is not free and
+            # still names the group, which outlives its exited leader while
+            # members remain. So the group is killed before the reap, and the
+            # reply comes after it: a client that reads it holds no live pid.
             info = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
             signal.setitimer(signal.ITIMER_REAL, 0)
-            ended = pid
-            try:  # the group outlives its exited leader while members remain
+            try:
                 os.killpg(pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
+            os.waitpid(pid, 0)
             os.close(report_r)
             if error:
                 reply = b"E " + error.replace(b"\n", b" ")
@@ -190,8 +189,6 @@ def serve(requests: int, replies: int):
                 code = info.si_status if info.si_code == os.CLD_EXITED else -info.si_status
                 reply = f"{code} {int(_timed_out)}".encode()
             os.write(replies, reply + b"\n")
-    if ended is not None:
-        os.waitpid(ended, 0)
 
 
 if __name__ == "__main__":

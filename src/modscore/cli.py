@@ -244,9 +244,6 @@ def _build_config(args) -> RunConfig:
         value = getattr(args, key, None)
         if value is not None:
             setattr(config, key, value)
-    env_profile = os.environ.get("MODSCORE_PROFILE")
-    if env_profile:
-        config.profile = env_profile
     if config.output_format not in ("json", "table"):
         raise ConfigError(
             f"output_format must be 'json' or 'table', got {config.output_format!r}"

@@ -23,11 +23,11 @@ not yet taken. A helper starts only on a worker that no program's job
 is left for, so on a full queue the runs are exactly those of
 ``passes_all``, and near the end of a batch the idle workers spread a
 slow program's tests. Once a test fails, the program's tests with a
-later index are never started, or killed if they are running; a killed
-run gives no verdict. Its tests with an earlier index still run. So
-every run ``passes_all`` makes is made, with the same verdict; a program
-that fails its first test costs one run; and each program's verdict is
-the one ``passes_all`` gives.
+later index are never started; one already running runs to its end,
+and its verdict is not used. Its tests with an earlier index still
+run. So every run ``passes_all`` makes is made, with the same verdict;
+a program that fails its first test costs one run; and each program's
+verdict is the one ``passes_all`` gives.
 """
 
 from __future__ import annotations
@@ -117,15 +117,11 @@ class _Zygote:
     (``_zygote.limit``); the zygote enforces the wall time and kills the
     run's process group when the run ends. A zygote that cannot start or
     dies raises SandboxUnavailable, after the run's group is killed.
-    Another thread may ``stop`` the run: its group is killed and ``run``
-    raises ``_Stopped`` instead of returning.
+    One worker thread uses it; a run it makes always runs to its end.
     """
 
     def __init__(self):
         self._proc = None  # until the first run
-        self._lock = threading.Lock()
-        self._pid = None  # of the run in flight: from its P line until its reply
-        self._stopped = False
 
     def _start(self):
         request_r, request_w = os.pipe()
@@ -148,29 +144,8 @@ class _Zygote:
         self._requests = open(request_w, "wb", buffering=0)
         self._replies = open(reply_r, "rb")
 
-    def stop(self):
-        """Kill the current run, now if it is in flight, else once it starts.
-
-        The flag holds until ``resume``, so a caller stops only a run it
-        knows this zygote is about to make or is making. The pid is safe
-        to signal: the zygote reaps a run's child only once the next
-        request or the end of its requests comes, and ``run`` drops the
-        pid before it sends either.
-        """
-        with self._lock:
-            self._stopped = True
-            if self._pid is not None:
-                _kill_run(self._pid)
-
-    def resume(self):
-        with self._lock:
-            self._stopped = False
-
     def run(self, tmp: str, limits: RunLimits) -> tuple[int, bool]:
         """Run tmp/prog.py in a forked child: (return code, timed out)."""
-        with self._lock:
-            if self._stopped:
-                raise _Stopped
         if self._proc is None:
             self._start()
         fields = (tmp, repr(limits.wall_time), str(limits.memory), str(limits.output_cap))
@@ -180,17 +155,9 @@ class _Zygote:
             reply = self._replies.readline()
             if reply.startswith(b"P "):
                 pid = int(reply[2:])
-                with self._lock:
-                    self._pid = pid
-                    if self._stopped:
-                        _kill_run(pid)
                 reply = self._replies.readline()
         except OSError as exc:
             raise SandboxUnavailable(f"zygote unreachable: {exc}") from exc
-        finally:
-            with self._lock:
-                self._pid = None
-                stopped = self._stopped
         if not reply.endswith(b"\n"):
             if pid is not None:  # the dead zygote can no longer end the run
                 _kill_run(pid)
@@ -198,8 +165,6 @@ class _Zygote:
         kind, _, rest = reply[:-1].partition(b" ")
         if kind == b"E":
             raise SandboxUnavailable(f"cannot isolate run: {rest.decode('utf-8', 'replace')}")
-        if stopped:
-            raise _Stopped
         return int(kind), rest == b"1"
 
     def close(self):
@@ -209,10 +174,6 @@ class _Zygote:
         self._requests.close()
         self._replies.close()
         self._proc.wait()
-
-
-class _Stopped(Exception):
-    """A run killed by ``_Zygote.stop``: it gives no verdict."""
 
 
 def _kill_run(pid: int):
@@ -353,19 +314,18 @@ def passes_each(programs, limits: RunLimits, exact: bool = False, jobs: int = 0)
     A job walks its program's tests in order. Once the first test has
     passed, a helper job behind every program's job walks on from the
     next test not taken yet. A failure stops the program's later tests:
-    untaken ones never start, running ones are killed.
+    untaken ones never start; one already running runs to its end, and
+    its verdict is not used.
     """
     programs = list(programs)
     taken = [0] * len(programs)  # per program, its tests taken so far, in order
     # per program, the lowest index of a failed test, len(tests) while none has
     failed_at = [len(tests) for _, tests in programs]
-    running = {}  # (program, test index) -> zygote of the worker running it
     helped = set()  # programs with a helper job queued that has not started
     lock = threading.Lock()
 
     def walk(program, queue):
         code, tests = programs[program]
-        zygote = _worker.zygote
         with lock:
             helped.discard(program)
         while True:
@@ -374,21 +334,9 @@ def passes_each(programs, limits: RunLimits, exact: bool = False, jobs: int = 0)
                 if index >= failed_at[program]:  # none left, or after a failure
                     return
                 taken[program] += 1
-                zygote.resume()
-                running[program, index] = zygote
-            try:
-                passed = run_solution(code, tests[index], limits, exact=exact).verdict == "pass"
-            except _Stopped:
-                return
-            finally:
-                with lock:
-                    del running[program, index]
-            if not passed:
+            if run_solution(code, tests[index], limits, exact=exact).verdict != "pass":
                 with lock:
                     failed_at[program] = min(failed_at[program], index)
-                    for (other, later), worker in running.items():
-                        if other == program and later > index:
-                            worker.stop()
                 return
             with lock:  # this job takes the next test, a helper the one after
                 wanted = program not in helped and len(tests) - taken[program] >= 2

@@ -334,7 +334,6 @@ def outcomes(key: str, source: str, measured: bool, singularized: bool,
     from modscore.cfg import build_cfg
     from modscore.complexity import unit_complexity
     from modscore.errors import ModscoreError
-    from modscore.inliner import singularize
     from modscore.parsing import parse
 
     cc: dict[str, dict] = {}
@@ -358,8 +357,16 @@ def outcomes(key: str, source: str, measured: bool, singularized: bool,
             "graphs": [_graph_digest(build_cfg(fn, flag))
                        for fn in (*unit.functions, unit.toplevel)],
         }
-    if not singularized:
-        return cc, None
+    return cc, singularize_outcome(key, source, cpu) if singularized else None
+
+
+def singularize_outcome(key: str, source: str, cpu: Counter) -> dict:
+    """A unit's singularize text, or its refusal; adds the CPU seconds of
+    singularize to ``cpu["singularize"]``."""
+    from modscore.errors import ModscoreError
+    from modscore.inliner import singularize
+    from modscore.parsing import parse
+
     unit = parse(source, unit_id=key)
     start = time.process_time()
     try:
@@ -367,7 +374,7 @@ def outcomes(key: str, source: str, measured: bool, singularized: bool,
     except (SyntaxError, ModscoreError) as exc:
         singular = _refusal(exc)
     cpu["singularize"] += time.process_time() - start
-    return cc, singular
+    return singular
 
 
 def dump(out_path: str) -> int:
@@ -393,11 +400,18 @@ def unit_digest(cc: dict, singular: dict | None) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+@functools.cache
+def sample_outcomes() -> dict[str, tuple[dict, dict | None]]:
+    """``outcomes`` of every ``STRIDE``-th unit, by key, in unit order.
+    Built once per process; callers only read it."""
+    cpu = Counter()
+    return {key: outcomes(key, source, measured, singularized, cpu)
+            for key, source, _, measured, singularized in units()[::STRIDE]}
+
+
 def digests() -> dict[str, str]:
     """``unit_digest`` of every ``STRIDE``-th unit, by key, in unit order."""
-    cpu = Counter()
-    return {key: unit_digest(*outcomes(key, source, measured, singularized, cpu))
-            for key, source, _, measured, singularized in units()[::STRIDE]}
+    return {key: unit_digest(*found) for key, found in sample_outcomes().items()}
 
 
 def digest() -> int:
@@ -524,27 +538,27 @@ def compare(a_path: str, b_path: str) -> int:
     return 1 if bad else 0
 
 
-def flat_differs(unit_list, jobs: int) -> tuple[int, int, list[str]]:
-    """Singularizes each unit of ``unit_list`` meant to be, and runs each
+def flat_differs(unit_list, jobs: int, known=None) -> tuple[int, int, list[str]]:
+    """Singularizes each unit of ``unit_list`` meant to be, unless ``known``
+    maps its key to its ``singularize_outcome`` already, and runs each
     transformed one, original and flat, on its stdins through one
     ``compare_runs`` call over ``jobs`` workers: (units transformed, their
     stdins, the keys of those whose verdict or stdout differs)."""
     from modscore.corpus import TestCase
-    from modscore.errors import ModscoreError
-    from modscore.inliner import singularize
-    from modscore.parsing import parse
     from modscore.sandbox import RunLimits, compare_runs
 
+    known = known or {}
+    cpu = Counter()
     keys, pairs = [], []
     for key, source, stdins, _, singularized in unit_list:
         if not singularized:
             continue
-        try:
-            flat = singularize(parse(source, unit_id=key)).text
-        except (SyntaxError, ModscoreError):
+        outcome = known.get(key) or singularize_outcome(key, source, cpu)
+        if "text" not in outcome:
             continue
         keys.append(key)
-        pairs.append((source, flat, [TestCase(stdin.encode(), b"") for stdin in stdins]))
+        pairs.append((source, outcome["text"],
+                      [TestCase(stdin.encode(), b"") for stdin in stdins]))
     found = compare_runs(pairs, RunLimits(wall_time=10.0), exact=True, jobs=jobs)
     return (len(pairs), sum(len(tests) for _, _, tests in pairs),
             [key for key, first in zip(keys, found) if first is not None])

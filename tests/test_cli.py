@@ -230,17 +230,6 @@ def test_the_benchmarks_argv_still_parses():
         assert parser.parse_args(argv).command == argv[0]
 
 
-def test_env_profile_override(capsys, tmp_path, monkeypatch):
-    path = tmp_path / "a.py"
-    path.write_text("def f(a, b):\n    return a and b\nprint(f(1, 2))\n")
-    _, out_default, _ = run_cli(capsys, "analyze", str(path))
-    monkeypatch.setenv("MODSCORE_PROFILE", "py3-nosc")
-    _, out_env, _ = run_cli(capsys, "analyze", str(path), "--profile", "py3")
-    cc_default = json.loads(out_default)["units"][0]["cc_total"]
-    cc_env = json.loads(out_env)["units"][0]["cc_total"]
-    assert cc_default == cc_env + 1  # short-circuit not counted under env profile
-
-
 def test_config_file_flags_win(capsys, tmp_path):
     path = tmp_path / "a.py"
     path.write_text("print(1)\n")
@@ -388,195 +377,194 @@ TOO_DEEP_TO_TRANSFORM = "def f(a):\n    return a\nx = " + "+".join(["f(1)"] * 60
 BAD_INPUT_CASES = {
     # name: (command, text of the config file, or of the input file for the
     # commands in INPUT_COMMANDS (str, or bytes written as they are), or
-    # None; MODSCORE_PROFILE; exit code; part of the message)
-    "env-profile": ("analyze", None, "bad", 1, "unknown profile 'bad'"),
-    "tau-as-string": ("classify", '{"tau": "5"}', None, 1, "'tau' must be int"),
-    "jobs-as-string": ("filter", '{"jobs": "2"}', None, 1, "'jobs' must be int"),
-    "bool-as-int": ("analyze", '{"seed": true}', None, 1, "'seed' must be int"),
-    "method-name-key": ("filter", '{"limits": 1}', None, 1, "unknown key 'limits'"),
-    "misspelt-key": ("analyze", '{"tua": 3}', None, 1, "unknown key 'tua'"),
-    "not-json": ("analyze", '{"tau": 3', None, 1, "not valid JSON"),
-    "not-an-object": ("analyze", "[3]", None, 1, "must hold a JSON object"),
-    "negative-limit": ("filter", '{"wall_time": -1}', None, 1, "limits must be positive"),
-    "nan-wall-time-in-config": ("filter", '{"wall_time": NaN}', None, 1,
+    # None; exit code; part of the message)
+    "tau-as-string": ("classify", '{"tau": "5"}', 1, "'tau' must be int"),
+    "jobs-as-string": ("filter", '{"jobs": "2"}', 1, "'jobs' must be int"),
+    "bool-as-int": ("analyze", '{"seed": true}', 1, "'seed' must be int"),
+    "method-name-key": ("filter", '{"limits": 1}', 1, "unknown key 'limits'"),
+    "misspelt-key": ("analyze", '{"tua": 3}', 1, "unknown key 'tua'"),
+    "not-json": ("analyze", '{"tau": 3', 1, "not valid JSON"),
+    "not-an-object": ("analyze", "[3]", 1, "must hold a JSON object"),
+    "negative-limit": ("filter", '{"wall_time": -1}', 1, "limits must be positive"),
+    "nan-wall-time-in-config": ("filter", '{"wall_time": NaN}', 1,
                                 "wall_time must be finite and below 2**31 seconds"),
-    "nan-wall-time": ("filter-wall-time-nan", None, None, 1,
+    "nan-wall-time": ("filter-wall-time-nan", None, 1,
                       "wall_time must be finite and below 2**31 seconds"),
-    "infinite-wall-time": ("filter-wall-time-inf", None, None, 1,
+    "infinite-wall-time": ("filter-wall-time-inf", None, 1,
                            "wall_time must be finite and below 2**31 seconds"),
-    "huge-wall-time": ("filter-wall-time-1e30", None, None, 1,
+    "huge-wall-time": ("filter-wall-time-1e30", None, 1,
                        "wall_time must be finite and below 2**31 seconds"),
-    "huge-memory": ("filter-memory-huge", None, None, 1,
+    "huge-memory": ("filter-memory-huge", None, 1,
                     "memory and output_cap must be below 2**63 bytes"),
-    "huge-output-cap-in-config": ("filter", '{"output_cap": 9223372036854775808}', None, 1,
+    "huge-output-cap-in-config": ("filter", '{"output_cap": 9223372036854775808}', 1,
                                   "memory and output_cap must be below 2**63 bytes"),
-    "negative-jobs": ("filter-jobs-negative", None, None, 1, "jobs must be 0"),
-    "unknown-output-format": ("analyze", '{"output_format": "xml"}', None, 1,
+    "negative-jobs": ("filter-jobs-negative", None, 1, "jobs must be 0"),
+    "unknown-output-format": ("analyze", '{"output_format": "xml"}', 1,
                               "output_format must be 'json' or 'table'"),
-    "corpus-is-directory": ("classify-dir", None, None, 2, "Is a directory"),
-    "input-path-too-long": ("analyze-long-path", None, None, 2, "File name too long"),
-    "out-path-too-long": ("singularize-long-out", None, None, 2, "File name too long"),
-    "verify-not-json": ("verify", "nope", None, 2, "line 1: invalid JSON"),
-    "verify-empty": ("verify", "", None, 1, "no tests to verify against"),
-    "verify-lacks-output": ("verify", '{"input": "1"}', None, 2, "line 1: missing key 'output'"),
-    "scored-row-not-object": ("correlate", "[1]", None, 2, "line 1: expected an object"),
-    "scored-row-missing-key": ("correlate", '{"unit_id": "u0", "mos": 0.5}\n', None, 2,
+    "corpus-is-directory": ("classify-dir", None, 2, "Is a directory"),
+    "input-path-too-long": ("analyze-long-path", None, 2, "File name too long"),
+    "out-path-too-long": ("singularize-long-out", None, 2, "File name too long"),
+    "verify-not-json": ("verify", "nope", 2, "line 1: invalid JSON"),
+    "verify-empty": ("verify", "", 1, "no tests to verify against"),
+    "verify-lacks-output": ("verify", '{"input": "1"}', 2, "line 1: missing key 'output'"),
+    "scored-row-not-object": ("correlate", "[1]", 2, "line 1: expected an object"),
+    "scored-row-missing-key": ("correlate", '{"unit_id": "u0", "mos": 0.5}\n', 2,
                                "line 1: missing key 'pass1'"),
-    "ppl-row-not-object": ("ppl-given", "[1]", None, 2, "line 1: expected an object"),
-    "ppl-row-missing-key": ("ppl-given", '{"id": "a", "category": "MC"}\n', None, 2,
+    "ppl-row-not-object": ("ppl-given", "[1]", 2, "line 1: expected an object"),
+    "ppl-row-missing-key": ("ppl-given", '{"id": "a", "category": "MC"}\n', 2,
                             "line 1: missing key 'token_logprobs'"),
     # rows that are well formed but too few or too alike to compute on
-    "correlate-too-few-points": ("correlate", scored_rows(2), None, 1,
+    "correlate-too-few-points": ("correlate", scored_rows(2), 1,
                                  "need at least 3 points, got 2"),
-    "correlate-zero-variance": ("correlate", scored_rows(3), None, 1, "zero variance input"),
-    "correlate-bin-too-small": ("correlate-per-bin-5", scored_rows(3), None, 1,
+    "correlate-zero-variance": ("correlate", scored_rows(3), 1, "zero variance input"),
+    "correlate-bin-too-small": ("correlate-per-bin-5", scored_rows(3), 1,
                                 "bin [0, 0.1) holds 0 item(s), need 5"),
-    "ppl-no-records": ("ppl-given", "", None, 1, "no records to summarize"),
+    "ppl-no-records": ("ppl-given", "", 1, "no records to summarize"),
     "corpus-not-utf8": ("corpus", b'{"id": "p1", "solutions": ["print(1)"]}\n{"id": "\xff"}\n',
-                        None, 2, "line 2: not valid UTF-8"),
+                        2, "line 2: not valid UTF-8"),
     "corpus-cr-lines-not-utf8": ("corpus", b'{"id": "p1", "solutions": []}\r{"id": "\xff"}\r',
-                                 None, 2, "line 2: not valid UTF-8"),
+                                 2, "line 2: not valid UTF-8"),
     "corpus-tests-not-a-list": ("corpus", '{"id": "p1", "solutions": [], "tests": 5}\n',
-                                None, 2, "line 1: 'tests' must be a list of test objects"),
-    "classify-duplicate-id": ("corpus", DUPLICATE_ID_CORPUS, None, 2,
+                                2, "line 1: 'tests' must be a list of test objects"),
+    "classify-duplicate-id": ("corpus", DUPLICATE_ID_CORPUS, 2,
                               "line 3: duplicate id 'p' (first on line 1)"),
-    "passk-duplicate-id": ("passk-given", DUPLICATE_ID_CORPUS, None, 2,
+    "passk-duplicate-id": ("passk-given", DUPLICATE_ID_CORPUS, 2,
                            "line 3: duplicate id 'p' (first on line 1)"),
-    "filter-duplicate-id": ("filter-given", DUPLICATE_ID_CORPUS, None, 2,
+    "filter-duplicate-id": ("filter-given", DUPLICATE_ID_CORPUS, 2,
                             "line 3: duplicate id 'p' (first on line 1)"),
     "gens-duplicate-id": ("passk-gens-given",
                           '{"id": "p01", "generations": ["print(1)"]}\n'
                           '{"id": "p01", "generations": ["print(2)"]}\n',
-                          None, 2, "line 2: duplicate id 'p01' (first on line 1)"),
-    "correlate-duplicate-id": ("correlate", SCORED_ROW * 2, None, 2,
+                          2, "line 2: duplicate id 'p01' (first on line 1)"),
+    "correlate-duplicate-id": ("correlate", SCORED_ROW * 2, 2,
                                "line 2: duplicate id 'u0' (first on line 1)"),
     "ppl-duplicate-id": ("ppl-given",
                          '{"id": "a", "category": "MC", "token_logprobs": [-1]}\n'
                          '{"id": "a", "category": "SC", "token_logprobs": [-2]}\n',
-                         None, 2, "line 2: duplicate id 'a' (first on line 1)"),
+                         2, "line 2: duplicate id 'a' (first on line 1)"),
     "corpus-test-input-not-encodable": ("corpus", '{"id": "p1", "solutions": [], '
                                         '"tests": [{"input": "\\ud800", "output": ""}]}\n',
-                                        None, 2, "line 1: 'utf-8' codec can't encode"),
-    "corpus-integer-too-long": ("corpus", '{"id": 1' + "0" * 5000 + '}\n', None, 2,
+                                        2, "line 1: 'utf-8' codec can't encode"),
+    "corpus-integer-too-long": ("corpus", '{"id": 1' + "0" * 5000 + '}\n', 2,
                                 "line 1: invalid JSON: Exceeds the limit"),
-    "classify-solution-not-encodable": ("corpus", SURROGATE_SOLUTION_CORPUS, None, 2,
+    "classify-solution-not-encodable": ("corpus", SURROGATE_SOLUTION_CORPUS, 2,
                                         "line 1: 'utf-8' codec can't encode"),
-    "filter-solution-not-encodable": ("filter-given", SURROGATE_SOLUTION_CORPUS, None, 2,
+    "filter-solution-not-encodable": ("filter-given", SURROGATE_SOLUTION_CORPUS, 2,
                                       "line 1: 'utf-8' codec can't encode"),
-    "passk-solution-not-encodable": ("passk-given", SURROGATE_SOLUTION_CORPUS, None, 2,
+    "passk-solution-not-encodable": ("passk-given", SURROGATE_SOLUTION_CORPUS, 2,
                                      "line 1: 'utf-8' codec can't encode"),
     "passk-generation-not-encodable": ("passk-gens-given",
                                        '{"id": "p01", "generations": ["print(1)\\ud800"]}\n',
-                                       None, 2, "line 1: 'utf-8' codec can't encode"),
-    "corpus-row-not-object": ("corpus", "[1]\n", None, 2, "line 1: expected an object"),
+                                       2, "line 1: 'utf-8' codec can't encode"),
+    "corpus-row-not-object": ("corpus", "[1]\n", 2, "line 1: expected an object"),
     # a value of another kind than its key takes, which a str() or float()
     # used to read as something else
     "corpus-test-input-a-list": ("corpus", '{"id": "p1", "solutions": [], "tests": '
                                  '[{"input": ["x"], "output": "[\'x\']"}]}\n',
-                                 None, 2, "line 1: 'input' must be a string"),
+                                 2, "line 1: 'input' must be a string"),
     "corpus-test-output-null": ("corpus", '{"id": "p1", "solutions": [], "tests": '
                                 '[{"input": "", "output": null}]}\n',
-                                None, 2, "line 1: 'output' must be a string"),
-    "corpus-id-an-object": ("corpus", '{"id": {"p": 1}, "solutions": []}\n', None, 2,
+                                2, "line 1: 'output' must be a string"),
+    "corpus-id-an-object": ("corpus", '{"id": {"p": 1}, "solutions": []}\n', 2,
                             "line 1: 'id' must be a string or an integer"),
     "correlate-mos-a-bool": ("correlate", '{"unit_id": "x", "mos": true, "pass1": 0.5}\n'
-                             + VARIED_SCORED_ROWS, None, 2, "line 1: 'mos' must be a number"),
+                             + VARIED_SCORED_ROWS, 2, "line 1: 'mos' must be a number"),
     "correlate-mos-out-of-range": ("correlate", '{"unit_id": "x", "mos": 1.5, "pass1": 0.5}\n',
-                                   None, 2, "line 1: mos out of [0,1]: 1.5"),
+                                   2, "line 1: mos out of [0,1]: 1.5"),
     "correlate-pass1-out-of-range": ("correlate",
                                      '{"unit_id": "x", "mos": 0.5, "pass1": -0.5}\n',
-                                     None, 2, "line 1: pass1 out of [0,1]: -0.5"),
+                                     2, "line 1: pass1 out of [0,1]: -0.5"),
     "correlate-pass1-a-string": ("correlate", '{"unit_id": "x", "mos": 0.25, "pass1": "0.5"}\n'
-                                 + VARIED_SCORED_ROWS, None, 2,
+                                 + VARIED_SCORED_ROWS, 2,
                                  "line 1: 'pass1' must be a number"),
     "ppl-log-prob-a-string": ("ppl-given", '{"id": "a", "category": "MC", '
                               '"token_logprobs": ["-1"]}\n',
-                              None, 2, "line 1: 'token_logprobs' must be a list of numbers"),
+                              2, "line 1: 'token_logprobs' must be a list of numbers"),
     "ppl-log-prob-too-large-for-a-float": ("ppl-given", '{"id": "a", "category": "MC", '
                                            '"token_logprobs": [-1' + "1" * 400 + ']}\n',
-                                           None, 2,
+                                           2,
                                            "line 1: 'token_logprobs' must be a list of numbers"),
-    "gens-not-strings": ("passk-gens-given", '{"id": "p01", "generations": [1]}\n', None, 2,
+    "gens-not-strings": ("passk-gens-given", '{"id": "p01", "generations": [1]}\n', 2,
                          "line 1: 'generations' must be a list of strings"),
-    "correlate-zero-bins": ("correlate-bins-0", SCORED_ROW, None, 1,
+    "correlate-zero-bins": ("correlate-bins-0", SCORED_ROW, 1,
                             "bins and per_bin must be positive"),
-    "correlate-zero-per-bin": ("correlate-per-bin-0", SCORED_ROW, None, 1,
+    "correlate-zero-per-bin": ("correlate-per-bin-0", SCORED_ROW, 1,
                                "bins and per_bin must be positive"),
-    "source-too-deep-to-parse": ("analyze-given", TOO_DEEP_TO_PARSE, None, 2,
+    "source-too-deep-to-parse": ("analyze-given", TOO_DEEP_TO_PARSE, 2,
                                  "nested too deeply to parse"),
-    "source-too-deep-to-transform": ("singularize-given", TOO_DEEP_TO_TRANSFORM, None, 3,
+    "source-too-deep-to-transform": ("singularize-given", TOO_DEEP_TO_TRANSFORM, 3,
                                      "nested too deeply to transform"),
     "helper-annotation-undefined": ("singularize-given",
                                     "def f(x: Undefined) -> int:\n    return x\nprint(f(1))\n",
-                                    None, 3, "'f' has an annotation that is neither"),
+                                    3, "'f' has an annotation that is neither"),
     # a nested def's defaults run where the def stands, not in its body
     "nested-default-calls-a-later-def": (
         "singularize-given",
         "def outer():\n    def inner(x=late()):\n        return x\n    return 1\n"
         "r = outer()\ndef late():\n    return 5\nprint(r)\n",
-        None, 3, "'late' is called before its definition runs"),
+        3, "'late' is called before its definition runs"),
     "nested-default-calls-its-encloser": (
         "singularize-given",
         "def outer(n):\n    if n == 0:\n        return 0\n    def inner(x=outer(n - 1)):\n"
         "        return x\n    return 1\nprint(outer(2))\n",
-        None, 3, "recursive call chain: outer -> outer"),
+        3, "recursive call chain: outer -> outer"),
     "nested-default-yields": (
         "singularize-given",
         "def f():\n    def g(x=(yield 5)):\n        return x\n    return 1\nprint(f())\n",
-        None, 3, "'f' is a generator function"),
+        3, "'f' is a generator function"),
     "nested-default-capture-names-the-encloser": (
         "singularize-given",
         "v = 1\ndef helper():\n    return v\ndef outer():\n    v = 3\n"
         "    def inner(x=helper()):\n        return x\n    return inner() + v\nprint(outer())\n",
-        None, 3, "inlining 'helper' would capture 'v' bound in 'outer'"),
+        3, "inlining 'helper' would capture 'v' bound in 'outer'"),
     "ppl-positive-log-prob": ("ppl-given", '{"id": "a", "category": "MC", "token_logprobs": [0.5]}\n',
-                              None, 2, "line 1: record a: positive log-prob 0.5"),
+                              2, "line 1: record a: positive log-prob 0.5"),
     "ppl-unknown-category": ("ppl-given", '{"id": "a", "category": "XX", "token_logprobs": [-1]}\n',
-                             None, 2, "line 1: record a: category 'XX' is not one of MC, SC, TMC, TSC"),
+                             2, "line 1: record a: category 'XX' is not one of MC, SC, TMC, TSC"),
     "ppl-log-probs-not-a-list": ("ppl-given",
                                  '{"id": "a", "category": "MC", "token_logprobs": "-1"}\n',
-                                 None, 2, "line 1: 'token_logprobs' must be a list of numbers"),
+                                 2, "line 1: 'token_logprobs' must be a list of numbers"),
     "ppl-no-tokens": ("ppl-given", '{"id": "a", "category": "MC", "token_logprobs": []}\n',
-                      None, 2, "line 1: record a: no tokens"),
+                      2, "line 1: record a: no tokens"),
     "ppl-nan-log-prob": ("ppl-given", '{"id": "a", "category": "MC", "token_logprobs": [-1, NaN]}\n',
-                         None, 2, "line 1: record a: log-prob nan is not finite"),
+                         2, "line 1: record a: log-prob nan is not finite"),
     "ppl-infinite-log-prob": ("ppl-given",
                               '{"id": "a", "category": "MC", "token_logprobs": [-Infinity]}\n',
-                              None, 2, "line 1: record a: log-prob -inf is not finite"),
+                              2, "line 1: record a: log-prob -inf is not finite"),
     "ppl-perplexity-overflows": ("ppl-given",
                                  '{"id": "a", "category": "MC", "token_logprobs": [-1000]}\n',
-                                 None, 2, "line 1: record a: perplexity does not fit a float"),
+                                 2, "line 1: record a: perplexity does not fit a float"),
     "ppl-category-std-overflows": ("ppl-given",
                                    '{"id": "a", "category": "MC", "token_logprobs": [-400]}\n'
                                    '{"id": "b", "category": "MC", "token_logprobs": [-1]}\n',
-                                   None, 2, "category MC: the mean or std of its perplexities"),
-    "config-missing": ("analyze-config-missing", None, None, 1,
+                                   2, "category MC: the mean or std of its perplexities"),
+    "config-missing": ("analyze-config-missing", None, 1,
                        "No such file or directory"),
-    "config-is-directory": ("analyze-config-dir", None, None, 1, "Is a directory"),
+    "config-is-directory": ("analyze-config-dir", None, 1, "Is a directory"),
     # checked before the input is read: that input is malformed, or missing
-    "zero-tau": ("classify-tau-0", '{"id": "p1", "solutions": ["def f(:\\n"]}\n', None, 1,
+    "zero-tau": ("classify-tau-0", '{"id": "p1", "solutions": ["def f(:\\n"]}\n', 1,
                  "tau must be 1 or more, got 0"),
-    "zero-tau-in-config": ("correlate-missing", '{"tau": 0}', None, 1,
+    "zero-tau-in-config": ("correlate-missing", '{"tau": 0}', 1,
                            "tau must be 1 or more, got 0"),
-    "negative-seed": ("correlate-seed-negative", "[1]", None, 1,
+    "negative-seed": ("correlate-seed-negative", "[1]", 1,
                       "seed must be 0 or more, got -5"),
-    "negative-seed-in-config": ("correlate-missing", '{"seed": -1}', None, 1,
+    "negative-seed-in-config": ("correlate-missing", '{"seed": -1}', 1,
                                 "seed must be 0 or more, got -1"),
-    "correlate-zero-bins-alone": ("correlate-bins-0-alone", "[1]", None, 1,
+    "correlate-zero-bins-alone": ("correlate-bins-0-alone", "[1]", 1,
                                   "bins and per_bin must be positive, got 0 and None"),
-    "correlate-negative-bins-alone": ("correlate-bins-negative", None, None, 1,
+    "correlate-negative-bins-alone": ("correlate-bins-negative", None, 1,
                                       "bins and per_bin must be positive, got -2 and None"),
     # a flag for a setting the subcommand does not read
-    "unread-flag-analyze": ("analyze-jobs", None, None, 1, "unrecognized arguments: --jobs"),
-    "unread-flag-classify": ("classify-wall-time", None, None, 1,
+    "unread-flag-analyze": ("analyze-jobs", None, 1, "unrecognized arguments: --jobs"),
+    "unread-flag-classify": ("classify-wall-time", None, 1,
                              "unrecognized arguments: --wall-time"),
-    "unread-flag-singularize": ("singularize-table", None, None, 1,
+    "unread-flag-singularize": ("singularize-table", None, 1,
                                 "unrecognized arguments: --table"),
-    "unread-flag-filter": ("filter-tau", None, None, 1, "unrecognized arguments: --tau"),
-    "unread-flag-passk": ("passk-profile", None, None, 1, "unrecognized arguments: --profile"),
-    "unread-flag-correlate": ("correlate-memory", None, None, 1,
+    "unread-flag-filter": ("filter-tau", None, 1, "unrecognized arguments: --tau"),
+    "unread-flag-passk": ("passk-profile", None, 1, "unrecognized arguments: --profile"),
+    "unread-flag-correlate": ("correlate-memory", None, 1,
                               "unrecognized arguments: --memory"),
-    "unread-flag-ppl": ("ppl-seed", None, None, 1, "unrecognized arguments: --seed"),
+    "unread-flag-ppl": ("ppl-seed", None, 1, "unrecognized arguments: --seed"),
 }
 INPUT_COMMANDS = {
     "verify", "correlate", "correlate-bins-0", "correlate-per-bin-0", "correlate-per-bin-5",
@@ -589,17 +577,13 @@ INPUT_COMMANDS = {
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT_CASES))
 def test_bad_input_exits_with_one_line(capsys, monkeypatch, tmp_path, case):
-    command, text, env_profile, want_code, message = BAD_INPUT_CASES[case]
+    command, text, want_code, message = BAD_INPUT_CASES[case]
 
     def no_runs(*args, **kwargs):
         raise AssertionError("sandbox ran before validation")
 
     monkeypatch.setattr(cli_module, "filter_corpus", no_runs)
     monkeypatch.setattr(cli_module, "verify_equivalence", no_runs)
-    if env_profile is None:
-        monkeypatch.delenv("MODSCORE_PROFILE", raising=False)
-    else:
-        monkeypatch.setenv("MODSCORE_PROFILE", env_profile)
     source = tmp_path / "a.py"
     source.write_text("def f(x):\n    return x\nprint(f(1))\n")
     given = tmp_path / "given"
@@ -1098,7 +1082,6 @@ ECHOES = {
 
 @pytest.mark.parametrize("command", sorted(ECHOES))
 def test_report_echoes_what_it_read_and_replays_from_it(capsys, monkeypatch, tmp_path, command):
-    monkeypatch.delenv("MODSCORE_PROFILE", raising=False)
     flags, echo = ECHOES[command]
     figures = sorted(str(path) for path in (FIXTURES / "figure_style").glob("*.py"))
     written = {"filter": ["kept.jsonl", "report.json"]}.get(command, [])

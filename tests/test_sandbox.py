@@ -261,25 +261,19 @@ def test_follow_ups_start_after_every_item():
     assert order == ["a", "b", "c", "x"]
 
 
-@pytest.mark.parametrize("delay", [0.0, 0.3])
-def test_a_failure_kills_the_later_tests_in_flight(delay, monkeypatch):
+def test_a_later_test_in_flight_runs_to_its_end_and_is_not_used(monkeypatch):
     runs = count_runs(monkeypatch)
-    # passes test 0, fails test 1 after `delay`, loops forever on test 2
+    # passes test 0, fails test 1 after 0.3 s; test 2, which a helper
+    # starts while test 1 runs, passes after 0.6 s
     program = (
         "import time\nn = int(input())\n"
-        f"if n == 1:\n    time.sleep({delay})\n    print(-1)\n"
-        "while n == 2:\n    pass\nprint(2 * n)\n"
+        "if n == 1:\n    time.sleep(0.3)\n    print(-1)\n"
+        "else:\n    time.sleep(0.6 if n == 2 else 0)\n    print(2 * n)\n"
     )
-    start = time.monotonic()
     assert passes_each([(program, numbered_tests(3))], RunLimits(wall_time=10.0),
                        jobs=2) == [False]
-    assert time.monotonic() - start < 3.0
     outcomes = {run[1]: run[2] for run in runs}
-    assert outcomes[b"0\n"] == "pass" and outcomes[b"1\n"] == "wrong_output"
-    if delay:  # test 2 was surely running when test 1 failed
-        assert outcomes[b"2\n"] == "_Stopped"
-    else:
-        assert outcomes.get(b"2\n", "_Stopped") == "_Stopped"
+    assert outcomes == {b"0\n": "pass", b"1\n": "wrong_output", b"2\n": "pass"}
     assert_no_children()
 
 
